@@ -12,6 +12,7 @@ from .convolution import (
     IDENTITY_NAMES,
     IdentityReport,
     conjecture_prefactor,
+    convolution_sweep,
     convolve,
     extract_conjecture_polynomials,
     verify_identity,
@@ -90,6 +91,7 @@ __all__ = [
     "DEFAULT_SERIES_ORDER",
     "composition_series",
     "ConvolutionSpec",
+    "convolution_sweep",
     "convolve",
     "CheckRow",
     "IdentityReport",

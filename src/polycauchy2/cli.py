@@ -30,9 +30,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument("--cache", metavar="PATH", default=None, help="JSON cache file")
     common.add_argument(
-        "--jobs", type=int, default=None, metavar="N", help="parallel workers for sweeps"
-    )
-    common.add_argument(
         "--order",
         type=int,
         default=DEFAULT_SERIES_ORDER,
@@ -185,7 +182,7 @@ def cmd_verify(args: argparse.Namespace, cache: CacheSession) -> int:
         raise ValueError("an identity name is required (positional or --identity)")
     if args.identity and args.identity_flag and args.identity != args.identity_flag:
         raise ValueError("conflicting identity names given")
-    report = verify_identity(identity, args.nmax, jobs=args.jobs)
+    report = verify_identity(identity, args.nmax)
     if args.format == "json":
         print(json.dumps(report.to_json_dict()))
     else:
@@ -201,8 +198,6 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--nmax must be >= 0")
     if args.order < 0:
         parser.error("--order must be >= 0")
-    if args.jobs is not None and args.jobs < 1:
-        parser.error("--jobs must be >= 1")
     cache = CacheSession(args.cache)
     try:
         code = args.handler(args, cache)

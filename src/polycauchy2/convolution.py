@@ -5,11 +5,18 @@ The k-fold convolution with offsets (j_1, ..., j_k) at index n is
     sum over i_1 + ... + i_k = n of (2n)! / ((2 i_1)! ... (2 i_k)!)
         * C_{2 i_1 + 2 j_1} * ... * C_{2 i_k + 2 j_k}
 
-taken straight from the definition over a table of exact values; this is the
-left-hand oracle for every closed-form check. The right-hand sides are the
-claimed closed forms, written out term by term. ``verify_identity`` sweeps a
-named identity over a range and reports per-n equality without ever aborting
-on a failure.
+over a table of exact values; it is the left-hand side of every closed-form
+check. ``convolution_sweep`` evaluates it for every n = 0..N in one pass, as
+k - 1 binary EGF products in t^2: factor j is the sequence i -> C_{2i+2j},
+and two sequences a, b combine into c_n = sum over i of binom(2n, 2i)
+a_i b_{n-i}. The multinomial coefficient is a product of such binomials, so
+by associativity this is exactly the defining sum. The brute-force oracle
+that enumerates the defining sum term by term lives in the test suite
+(``tests/test_convolution.py::brute_force_convolution``).
+
+The right-hand sides are the claimed closed forms, written out term by term.
+``verify_identity`` sweeps a named identity over a range and reports per-n
+equality without ever aborting on a failure.
 
 ``extract_conjecture_polynomials`` recovers, from convolution data alone, the
 polynomials P_{r,2k}(n) in the ansatz
@@ -27,14 +34,12 @@ and verified separately, so a wrong ansatz cannot slip through.
 
 from __future__ import annotations
 
-from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial
-from typing import Callable, Iterator, Sequence
+from math import comb, factorial
+from typing import Callable, Sequence
 
-from .exact import binomial, double_factorial, multinomial
+from .exact import binomial, double_factorial
 from .polynomials import lagrange_interpolate, poly_degree, poly_eval, poly_text, poly_trim
 from .polycauchy import (
     DEFAULT_SERIES_ORDER,
@@ -48,6 +53,7 @@ from .stirling import level2_by_recurrence
 
 __all__ = [
     "ConvolutionSpec",
+    "convolution_sweep",
     "convolve",
     "rhs_2fold_00",
     "rhs_2fold_01",
@@ -63,7 +69,6 @@ __all__ = [
     "ConjecturePolynomial",
     "extract_conjecture_polynomials",
     "conjecture_prefactor",
-    "conjecture_table_for",
 ]
 
 
@@ -71,7 +76,7 @@ def _sign(e: int) -> int:
     return -1 if e % 2 else 1
 
 
-# -- the convolution oracle -------------------------------------------------------
+# -- the convolution engine -------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -90,64 +95,32 @@ class ConvolutionSpec:
             raise ValueError(f"index n must be >= 0, got {self.n}")
 
 
-def _compositions(n: int, k: int) -> Iterator[tuple[int, ...]]:
-    if k == 1:
-        yield (n,)
-        return
-    for first in range(n + 1):
-        for rest in _compositions(n - first, k - 1):
-            yield (first,) + rest
+def convolution_sweep(
+    offsets: Sequence[int], nmax: int, table: PolyCauchyTable
+) -> list[Fraction]:
+    """The convolution with these offsets at every n = 0..nmax, exactly.
 
-
-def _partitions_at_most(n: int, k: int, cap: int | None = None) -> Iterator[tuple[int, ...]]:
-    """Partitions of n into at most k positive parts, descending."""
-    if cap is None:
-        cap = n
-    if n == 0:
-        yield ()
-        return
-    if k == 0:
-        return
-    for part in range(min(n, cap), 0, -1):
-        for rest in _partitions_at_most(n - part, k - 1, part):
-            yield (part,) + rest
+    The table must hold C_{2m} (k = 1) for all m up to nmax + max(offsets).
+    """
+    spec = ConvolutionSpec(tuple(offsets), nmax)
+    need = nmax + max(spec.offsets)
+    if table.max_n(1) < need:
+        raise ValueError(f"table holds n <= {table.max_n(1)}, convolution needs {need}")
+    product, *rest = [[table.value(i + j) for i in range(nmax + 1)] for j in spec.offsets]
+    for factor in rest:
+        product = [
+            sum(
+                (comb(2 * n, 2 * i) * product[i] * factor[n - i] for i in range(n + 1)),
+                Fraction(0),
+            )
+            for n in range(nmax + 1)
+        ]
+    return product
 
 
 def convolve(spec: ConvolutionSpec, table: PolyCauchyTable) -> Fraction:
-    """Evaluate the defining multinomial sum exactly over the table (k = 1 values).
-
-    When all offsets coincide the sum is enumerated grouped by partitions,
-    each counted with its arrangement multiplicity; that is the same sum with
-    identical terms collected, and the two enumerations are cross-checked in
-    tests. The table must hold C_{2m} for all m up to n + max(offsets).
-    """
-    k = len(spec.offsets)
-    n = spec.n
-    need = n + max(spec.offsets)
-    if table.max_n(1) < need:
-        raise ValueError(f"table holds n <= {table.max_n(1)}, convolution needs {need}")
-
-    if len(set(spec.offsets)) == 1:
-        offset = spec.offsets[0]
-        total = Fraction(0)
-        for partition in _partitions_at_most(n, k):
-            padded = partition + (0,) * (k - len(partition))
-            arrangements = factorial(k)
-            for count in Counter(padded).values():
-                arrangements //= factorial(count)
-            term = Fraction(arrangements * multinomial(2 * n, [2 * i for i in padded]))
-            for i in padded:
-                term *= table.value(i + offset)
-            total += term
-        return total
-
-    total = Fraction(0)
-    for composition in _compositions(n, k):
-        term = Fraction(multinomial(2 * n, [2 * i for i in composition]))
-        for i, j in zip(composition, spec.offsets):
-            term *= table.value(i + j)
-        total += term
-    return total
+    """The convolution ``spec`` describes; the table must cover n + max(offsets)."""
+    return convolution_sweep(spec.offsets, spec.n, table)[spec.n]
 
 
 # -- closed-form right-hand sides ---------------------------------------------------
@@ -351,13 +324,6 @@ class IdentityReport:
         return "\n".join(lines)
 
 
-def _map_ordered(fn: Callable, items, jobs: int | None = None) -> list:
-    if jobs is not None and jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
-
-
 # -- identity registry ----------------------------------------------------------
 
 
@@ -404,7 +370,6 @@ _INTEGRAL_K_RANGE = range(1, 4)
 def _verify_convolution(
     name: str,
     nmax: int,
-    jobs: int | None,
     rhs_override: Callable[[int, PolyCauchyTable], Fraction] | None,
     table: PolyCauchyTable | None,
 ) -> IdentityReport:
@@ -414,16 +379,12 @@ def _verify_convolution(
     elif table.max_n(1) < nmax + 2:
         table.ensure(nmax + 2)
     rhs = rhs_override if rhs_override is not None else defn.rhs
-
-    def row(n: int) -> CheckRow:
-        lhs = convolve(ConvolutionSpec(defn.offsets, n), table)
-        return CheckRow.compare(n, lhs, rhs(n, table))
-
-    rows = _map_ordered(row, range(defn.nmin, nmax + 1), jobs)
+    lhs = convolution_sweep(defn.offsets, nmax, table)
+    rows = [CheckRow.compare(n, lhs[n], rhs(n, table)) for n in range(defn.nmin, nmax + 1)]
     return IdentityReport(name, nmax, f"n={defn.nmin}..{nmax}", rows)
 
 
-def _verify_route_agreement(nmax: int, jobs: int | None) -> IdentityReport:
+def _verify_route_agreement(nmax: int) -> IdentityReport:
     triangle = level2_by_recurrence(nmax)
     order = max(DEFAULT_SERIES_ORDER, 2 * nmax)
     composed = {k: composition_series(k, order) for k in _ROUTE_K_RANGE}
@@ -439,12 +400,12 @@ def _verify_route_agreement(nmax: int, jobs: int | None) -> IdentityReport:
                 return CheckRow(n, formula, series, False)
         return CheckRow(n, shown[0], shown[1], True)
 
-    rows = _map_ordered(row, range(nmax + 1), jobs)
+    rows = [row(n) for n in range(nmax + 1)]
     k_lo, k_hi = _ROUTE_K_RANGE[0], _ROUTE_K_RANGE[-1]
     return IdentityReport("thm1", nmax, f"n=0..{nmax}, k={k_lo}..{k_hi}", rows)
 
 
-def _verify_integral_representation(nmax: int, jobs: int | None) -> IdentityReport:
+def _verify_integral_representation(nmax: int) -> IdentityReport:
     triangle = level2_by_recurrence(nmax)
 
     def row(n: int) -> CheckRow:
@@ -457,7 +418,7 @@ def _verify_integral_representation(nmax: int, jobs: int | None) -> IdentityRepo
                 return CheckRow(n, check.integral_value, check.reference_value, False)
         return CheckRow(n, shown.integral_value, shown.reference_value, True)
 
-    rows = _map_ordered(row, range(nmax + 1), jobs)
+    rows = [row(n) for n in range(nmax + 1)]
     k_lo, k_hi = _INTEGRAL_K_RANGE[0], _INTEGRAL_K_RANGE[-1]
     return IdentityReport("cor1", nmax, f"n=0..{nmax}, k={k_lo}..{k_hi}", rows)
 
@@ -577,10 +538,6 @@ def default_conjecture_samples(r: int, held_out: int = 3) -> list[int]:
     return list(range(r + 1, r + 1 + unknowns + held_out))
 
 
-def conjecture_table_for(r: int, n_samples: Sequence[int]) -> PolyCauchyTable:
-    return PolyCauchyTable.build(max(n_samples))
-
-
 def extract_conjecture_polynomials(
     r: int,
     n_samples: Sequence[int] | None = None,
@@ -601,18 +558,24 @@ def extract_conjecture_polynomials(
     samples = sorted(set(n_samples))
     if any(n < r + 1 for n in samples):
         raise ValueError(f"sample indices must be >= r + 1 = {r + 1}, got {samples}")
-    budgets = [2 * k + 1 for k in range(r + 1)]
-    unknowns = sum(b + 1 for b in budgets)
+    unknowns = (r + 1) * (r + 2)
     if len(samples) < unknowns + 1:
         raise ValueError(
             f"need at least {unknowns + 1} sample points for r = {r} "
             f"({unknowns} to solve plus a held-out point), got {len(samples)}"
         )
     if table is None:
-        table = conjecture_table_for(r, samples)
+        table = PolyCauchyTable.build(samples[-1])
+    return _extract(r, samples, table)[0]
 
-    fold = 2 * r + 1
-    lhs = {n: convolve(ConvolutionSpec((0,) * fold, n), table) for n in samples}
+
+def _extract(
+    r: int, samples: list[int], table: PolyCauchyTable
+) -> tuple[list[ConjecturePolynomial], list[Fraction]]:
+    """The recovered polynomials, and the convolution sweep they came from."""
+    lhs = convolution_sweep((0,) * (2 * r + 1), samples[-1], table)
+    budgets = [2 * k + 1 for k in range(r + 1)]
+    unknowns = sum(b + 1 for b in budgets)
     weights = {
         (k, n): Fraction(conjecture_prefactor(r, k, n)) * table.value(n - k)
         for k in range(r + 1)
@@ -657,13 +620,13 @@ def extract_conjecture_polynomials(
         )
         degree_ok = poly_degree(coefficients) <= 2 * k
         polynomials.append(ConjecturePolynomial(r, k, points, coefficients, degree_ok))
-    return polynomials
+    return polynomials, lhs
 
 
 def _verify_conjecture(name: str, r: int, nmax: int) -> IdentityReport:
     samples = default_conjecture_samples(r)
-    table = conjecture_table_for(r, samples)
-    polynomials = extract_conjecture_polynomials(r, samples, table)
+    table = PolyCauchyTable.build(samples[-1])
+    polynomials, lhs = _extract(r, samples, table)
 
     # Reconstruct the right side with each polynomial truncated to its
     # claimed degree, so an extraction that needed the slack coefficient
@@ -671,7 +634,6 @@ def _verify_conjecture(name: str, r: int, nmax: int) -> IdentityReport:
     truncated = [poly.interpolated_coefficients[: 2 * poly.k + 1] for poly in polynomials]
     rows = []
     for n in samples:
-        lhs = convolve(ConvolutionSpec((0,) * (2 * r + 1), n), table)
         rhs = sum(
             (
                 poly_eval(truncated[k], n)
@@ -681,7 +643,7 @@ def _verify_conjecture(name: str, r: int, nmax: int) -> IdentityReport:
             ),
             Fraction(0),
         )
-        rows.append(CheckRow.compare(n, lhs, rhs))
+        rows.append(CheckRow.compare(n, lhs[n], rhs))
     notes = [
         f"P[{2 * poly.k}] = {poly_text(poly.interpolated_coefficients)}"
         + ("" if poly.degree_ok else f"  (degree exceeds {poly.claimed_degree})")
@@ -696,7 +658,7 @@ def _verify_conjecture(name: str, r: int, nmax: int) -> IdentityReport:
 def verify_identity(
     name: str,
     nmax: int,
-    jobs: int | None = None,
+    *,
     rhs_override: Callable[[int, PolyCauchyTable], Fraction] | None = None,
     table: PolyCauchyTable | None = None,
 ) -> IdentityReport:
@@ -709,13 +671,13 @@ def verify_identity(
     if nmax < 0:
         raise ValueError(f"nmax must be >= 0, got {nmax}")
     if name in CONVOLUTION_IDENTITIES:
-        return _verify_convolution(name, nmax, jobs, rhs_override, table)
+        return _verify_convolution(name, nmax, rhs_override, table)
     if rhs_override is not None:
         raise ValueError(f"identity {name!r} has no replaceable right-hand side")
     if name == "thm1":
-        return _verify_route_agreement(nmax, jobs)
+        return _verify_route_agreement(nmax)
     if name == "cor1":
-        return _verify_integral_representation(nmax, jobs)
+        return _verify_integral_representation(nmax)
     if name == "eqll":
         return _verify_l_squared(nmax)
     if name == "eqconvo02":

@@ -149,12 +149,6 @@ class TestVerifyCommand:
             main(["verify"])
         assert excinfo.value.code == 2
 
-    def test_jobs_flag(self, capsys):
-        code, out, _ = run(capsys, ["verify", "thm6", "--nmax", "8", "--jobs", "2", "--format", "json"])
-        assert code == 0
-        serial = run(capsys, ["verify", "thm6", "--nmax", "8", "--format", "json"])[1]
-        assert out == serial
-
 
 class TestUsageErrors:
     def test_negative_nmax(self):
@@ -162,10 +156,12 @@ class TestUsageErrors:
             main(["stirling2", "--nmax", "-3"])
         assert excinfo.value.code == 2
 
-    def test_bad_jobs(self):
+    def test_bad_jobs(self, capsys):
+        # --jobs was removed; it is now an unknown argument.
         with pytest.raises(SystemExit) as excinfo:
-            main(["verify", "thm2", "--jobs", "0"])
+            main(["verify", "thm2", "--jobs", "2"])
         assert excinfo.value.code == 2
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
     def test_missing_subcommand(self):
         with pytest.raises(SystemExit) as excinfo:

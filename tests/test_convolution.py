@@ -1,9 +1,10 @@
-"""Convolution oracle, closed-form sweeps, duality, conjecture extraction.
+"""Convolution engine, closed-form sweeps, duality, conjecture extraction.
 
-The oracle for ``convolve`` is a brute-force enumeration over index tuples
-written here with itertools only; the closed forms are then swept against
-``convolve``, and the series side of each identity is checked against the
-convolution side through the EGF product rule.
+The oracle for ``convolution_sweep`` and ``convolve`` is a brute-force
+enumeration over index tuples written here with itertools only; the closed
+forms are then swept against the engine, and the series side of each
+identity is checked against the convolution side through the EGF product
+rule.
 """
 
 import itertools
@@ -12,16 +13,20 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polycauchy2 import (
     ConvolutionSpec,
     IDENTITY_NAMES,
     PolyCauchyTable,
     builtin_series,
+    convolution_sweep,
     convolve,
     extract_conjecture_polynomials,
     verify_identity,
 )
+from polycauchy2 import convolution as convolution_module
 from polycauchy2.convolution import (
     CONVOLUTION_IDENTITIES,
     conjecture_prefactor,
@@ -44,7 +49,47 @@ def brute_force_convolution(offsets, n, table):
     return total
 
 
+SWEEP_CASES = [
+    ((0, 0), 8),
+    ((0, 1), 8),
+    ((1, 1), 7),
+    ((2, 0), 7),
+    ((0, 0, 0), 7),
+    ((0, 1, 2), 6),
+    ((0,) * 5, 6),
+    ((0,) * 7, 6),
+]
+
+
 class TestConvolveOracle:
+    @pytest.mark.parametrize("offsets,nmax", SWEEP_CASES)
+    def test_sweep_matches_brute_force_at_every_index(self, offsets, nmax, table18):
+        sweep = convolution_sweep(offsets, nmax, table18)
+        assert len(sweep) == nmax + 1
+        for n, value in enumerate(sweep):
+            assert value == brute_force_convolution(offsets, n, table18), (offsets, n)
+
+    @pytest.mark.parametrize("offsets,nmax", SWEEP_CASES)
+    def test_shorter_sweep_is_a_prefix(self, offsets, nmax, table18):
+        sweep = convolution_sweep(offsets, nmax, table18)
+        for m in range(nmax + 1):
+            assert sweep[: m + 1] == convolution_sweep(offsets, m, table18)
+
+    @pytest.mark.parametrize("offsets,nmax", SWEEP_CASES)
+    def test_convolve_reads_the_sweep(self, offsets, nmax, table18):
+        sweep = convolution_sweep(offsets, nmax, table18)
+        for n in range(nmax + 1):
+            assert convolve(ConvolutionSpec(offsets, n), table18) == sweep[n]
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        offsets=st.lists(st.integers(0, 3), min_size=2, max_size=5).map(tuple),
+        nmax=st.integers(0, 6),
+    )
+    def test_sweep_property(self, offsets, nmax, table18):
+        sweep = convolution_sweep(offsets, nmax, table18)
+        assert sweep == [brute_force_convolution(offsets, n, table18) for n in range(nmax + 1)]
+
     @pytest.mark.parametrize(
         "offsets,n",
         [((0, 0), 7), ((0, 1), 6), ((1, 1), 5), ((0, 0, 0), 6), ((0,) * 5, 5), ((0, 1, 2), 4)],
@@ -111,10 +156,17 @@ class TestClosedFormSweeps:
         assert list(first) == ["n", "lhs", "rhs", "equal"]
         assert first == {"n": 0, "lhs": "1", "rhs": "1", "equal": True}
 
-    def test_jobs_do_not_change_the_report(self):
-        serial = verify_identity("thm6", 9).to_json_dict()
-        threaded = verify_identity("thm6", 9, jobs=3).to_json_dict()
-        assert serial == threaded
+    def test_one_sweep_per_conjecture_invocation(self, monkeypatch):
+        calls = []
+        real = convolution_module.convolution_sweep
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(convolution_module, "convolution_sweep", counted)
+        assert verify_identity("conjecture-r3", 12).status == "pass"
+        assert len(calls) == 1
 
 
 class TestNegativeControls:
@@ -155,6 +207,20 @@ class TestNegativeControls:
     def test_negative_nmax(self):
         with pytest.raises(ValueError):
             verify_identity("thm2", -1)
+
+    def test_perturbed_table_entry_is_visible(self, table18):
+        # C9 style: one table entry off by 1 must change the sweep and fail
+        # the fold7 check, so a sweep-based check is able to fail.
+        perturbed = PolyCauchyTable.build(18)
+        m = 4
+        perturbed.entries[(m, 1)] += 1
+        sweep = convolution_sweep((0,) * 7, 8, perturbed)
+        truth = [brute_force_convolution((0,) * 7, n, table18) for n in range(9)]
+        assert sweep[:m] == truth[:m]
+        assert all(sweep[n] != truth[n] for n in range(m, 9))
+        report = verify_identity("fold7", 12, table=perturbed)
+        assert report.status == "fail"
+        assert report.first_failure is not None
 
     def test_registry_swap_is_visible(self, monkeypatch):
         broken = replace(
