@@ -18,12 +18,9 @@ from .convolution import (
     verify_identity,
 )
 from .exact import (
-    HarmonicCache,
-    Rational,
     binomial,
     double_factorial,
     harmonic,
-    multinomial,
     rational_from_text,
     rational_to_text,
 )
@@ -58,14 +55,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "Rational",
     "rational_to_text",
     "rational_from_text",
     "binomial",
-    "multinomial",
     "double_factorial",
     "harmonic",
-    "HarmonicCache",
     "Series",
     "builtin_series",
     "BUILTIN_SERIES_NAMES",

@@ -28,7 +28,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--format", choices=("csv", "tsv", "json"), default="csv", help="output format"
     )
-    common.add_argument("--cache", metavar="PATH", default=None, help="JSON cache file")
+    common.add_argument("--cache", metavar="PATH", default=None, help="JSON cache of polycauchy values")
     common.add_argument(
         "--order",
         type=int,
@@ -91,11 +91,8 @@ def _emit_table(fmt: str, header: list[str], rows: list[list[str]], json_payload
 
 
 def cmd_stirling2(args: argparse.Namespace, cache: CacheSession) -> int:
-    rows = cache.get_triangle_rows(args.nmax)
-    if rows is None:
-        triangle = level2_by_recurrence(args.nmax)
-        rows = [list(triangle.row(n)) for n in range(args.nmax + 1)]
-        cache.put_triangle_rows(rows)
+    triangle = level2_by_recurrence(args.nmax)
+    rows = [triangle.row(n) for n in range(args.nmax + 1)]
     if args.signed:
         rows = [
             [value if (n - m) % 2 == 0 else -value for m, value in enumerate(row)]
@@ -198,12 +195,20 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--nmax must be >= 0")
     if args.order < 0:
         parser.error("--order must be >= 0")
-    cache = CacheSession(args.cache)
+    # Exact values routinely pass Python's default 4300-digit limit on
+    # int <-> text conversion, both in output and in cache files.
+    digit_limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
-        code = args.handler(args, cache)
-    except ValueError as exc:
-        parser.error(str(exc))
-    cache.save()
+        # Only sequence values are cached; no other command opens the file.
+        cache = CacheSession(args.cache if args.command == "polycauchy" else None)
+        try:
+            code = args.handler(args, cache)
+        except ValueError as exc:
+            parser.error(str(exc))
+        cache.save()
+    finally:
+        sys.set_int_max_str_digits(digit_limit)
     if args.stats:
         print(cache.stats_line(), file=sys.stderr)
     return code

@@ -9,8 +9,8 @@ over a table of exact values; it is the left-hand side of every closed-form
 check. ``convolution_sweep`` evaluates it for every n = 0..N in one pass, as
 k - 1 binary EGF products in t^2: factor j is the sequence i -> C_{2i+2j},
 and two sequences a, b combine into c_n = sum over i of binom(2n, 2i)
-a_i b_{n-i}. The multinomial coefficient is a product of such binomials, so
-by associativity this is exactly the defining sum. The brute-force oracle
+a_i b_{n-i}. The coefficient (2n)! / ((2 i_1)! ... (2 i_k)!) is a product of
+such binomials, so by associativity this is exactly the defining sum. The brute-force oracle
 that enumerates the defining sum term by term lives in the test suite
 (``tests/test_convolution.py::brute_force_convolution``).
 

@@ -1,8 +1,8 @@
 """Exact rational scalars and the small combinatorial functions built on them.
 
 Everything in this package is an exact integer or rational; floats never
-appear. ``Rational`` is :class:`fractions.Fraction`, which keeps values
-normalized (lowest terms, positive denominator, zero as 0/1). Its string
+appear. Rationals are :class:`fractions.Fraction`, which keeps values
+normalized (lowest terms, positive denominator, zero as 0/1). Their string
 form is the canonical text format used throughout the CLI and cache files:
 "p/q" in lowest terms, plain "p" for integers, sign on the numerator.
 """
@@ -11,21 +11,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, factorial
-from typing import Sequence
 
 __all__ = [
-    "Rational",
     "factorial",
     "binomial",
-    "multinomial",
     "double_factorial",
     "harmonic",
-    "HarmonicCache",
     "rational_to_text",
     "rational_from_text",
 ]
-
-Rational = Fraction
 
 
 def rational_to_text(value: Fraction | int) -> str:
@@ -34,7 +28,7 @@ def rational_to_text(value: Fraction | int) -> str:
 
 
 def rational_from_text(text: str) -> Fraction:
-    """Parse the canonical text form back into a Rational."""
+    """Parse the canonical text form back into a Fraction."""
     return Fraction(text)
 
 
@@ -43,21 +37,6 @@ def binomial(n: int, j: int) -> int:
     if n < 0 or j < 0:
         raise ValueError(f"binomial requires nonnegative arguments, got ({n}, {j})")
     return comb(n, j)
-
-
-def multinomial(top: int, parts: Sequence[int]) -> int:
-    """Multinomial coefficient top! / (parts[0]! * parts[1]! * ...).
-
-    The parts must be nonnegative and sum to top.
-    """
-    if any(p < 0 for p in parts):
-        raise ValueError(f"multinomial parts must be nonnegative, got {tuple(parts)}")
-    if sum(parts) != top:
-        raise ValueError(f"multinomial parts {tuple(parts)} do not sum to {top}")
-    value = factorial(top)
-    for p in parts:
-        value //= factorial(p)
-    return value
 
 
 def double_factorial(a: int) -> Fraction:
@@ -84,30 +63,17 @@ def double_factorial(a: int) -> Fraction:
     return Fraction(-1 if i % 2 else 1, odd_product)
 
 
-class HarmonicCache:
-    """Prefix sums of 1/i^order, grown lazily and shared across callers."""
-
-    def __init__(self, order: int):
-        if order < 1:
-            raise ValueError(f"harmonic order must be >= 1, got {order}")
-        self.order = order
-        self._values: list[Fraction] = [Fraction(0)]
-
-    def value(self, n: int) -> Fraction:
-        if n < 0:
-            raise ValueError(f"harmonic index must be >= 0, got {n}")
-        while len(self._values) <= n:
-            i = len(self._values)
-            self._values.append(self._values[-1] + Fraction(1, i**self.order))
-        return self._values[n]
-
-
-_HARMONIC_CACHES: dict[int, HarmonicCache] = {}
+# Prefix sums of 1/i^k per order k, grown lazily: _HARMONIC[k][n] = H_n^(k).
+_HARMONIC: dict[int, list[Fraction]] = {}
 
 
 def harmonic(n: int, k: int = 1) -> Fraction:
     """Generalized harmonic number H_n^(k) = sum of 1/i^k for i = 1..n."""
-    cache = _HARMONIC_CACHES.get(k)
-    if cache is None:
-        cache = _HARMONIC_CACHES[k] = HarmonicCache(k)
-    return cache.value(n)
+    if k < 1:
+        raise ValueError(f"harmonic order must be >= 1, got {k}")
+    if n < 0:
+        raise ValueError(f"harmonic index must be >= 0, got {n}")
+    sums = _HARMONIC.setdefault(k, [Fraction(0)])
+    while len(sums) <= n:
+        sums.append(sums[-1] + Fraction(1, len(sums) ** k))
+    return sums[n]

@@ -155,9 +155,10 @@ class IntegralCheck:
     Stage 1 establishes the polynomial identity behind the representation:
     (-4)^n (n!)^2 binom(z/2, n) binom(-z/2, n), expanded directly from its
     linear factors, must equal sum over m of (-4)^(n-m) [[n, m]] z^(2m).
-    Stage 2 integrates that polynomial termwise over the unit cube in k
-    variables (each monomial (x_1...x_k)^(2m) contributes 1/(2m+1)^k) and
-    compares the result with the triangle-sum route. Failed stages are
+    Stage 2 integrates the expanded product, not the triangle side, termwise
+    over the unit cube in k variables (each monomial (x_1...x_k)^j
+    contributes 1/(j+1)^k) and compares the result with the triangle-sum
+    route, so a wrong triangle entry fails both stages. Failed stages are
     recorded, never raised.
     """
 
@@ -205,11 +206,12 @@ def integral_representation_check(n: int, k: int, triangle: Level2Triangle | Non
     expected += [Fraction(0)] * (width - len(expected))
     polynomial_match = product == expected
 
-    # Stage 2: termwise integration over the unit cube replaces z^(2m) by
-    # 1/(2m+1)^k; the k-fold integral is never evaluated numerically.
-    integral_value = Fraction(0)
-    for m in range(n + 1):
-        integral_value += Fraction(-4) ** (n - m) * triangle.value(n, m) * Fraction(2 * m + 1) ** (-k)
+    # Stage 2: integrate the stage-1 product, which never read the triangle,
+    # termwise over the unit cube: z^j becomes 1/(j+1)^k. The k-fold
+    # integral is never evaluated numerically.
+    integral_value = sum(
+        (c * Fraction(j + 1) ** (-k) for j, c in enumerate(product) if c), Fraction(0)
+    )
     reference_value = level2_by_formula(n, k, triangle)
     value_match = integral_value == reference_value
 

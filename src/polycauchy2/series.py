@@ -92,15 +92,6 @@ class Series:
             raise ValueError(f"even EGF index must be >= 0, got {n}")
         return factorial(2 * n) * self.coefficient(2 * n)
 
-    def agrees_with(self, other: "Series", through: int | None = None) -> bool:
-        """Coefficientwise equality through min(orders) or an explicit bound."""
-        limit = min(self.order, other.order)
-        if through is not None:
-            if through > limit:
-                raise ValueError(f"cannot compare through {through}, only {limit} determined")
-            limit = through
-        return self._coeffs[: limit + 1] == other._coeffs[: limit + 1]
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Series):
             return NotImplemented
@@ -191,12 +182,6 @@ class Series:
         for _ in range(times):
             coeffs = [i * coeffs[i] for i in range(1, len(coeffs))]
         return Series(coeffs, self.order - times)
-
-    def integral(self, constant: Fraction | int = 0) -> "Series":
-        """Termwise antiderivative with the given constant term; order rises by one."""
-        coeffs = [Fraction(constant)]
-        coeffs.extend(c / (i + 1) for i, c in enumerate(self._coeffs))
-        return Series(coeffs, self.order + 1)
 
     def compose(self, inner: "Series") -> "Series":
         """self(inner(t)), exact through min(orders); inner must have no constant term."""

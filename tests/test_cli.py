@@ -1,10 +1,13 @@
 """Command-line behavior: formats, fixtures, exit codes, cache round-trips."""
 
 import json
+import os
 import random
 import subprocess
 import sys
 from dataclasses import replace
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -49,6 +52,20 @@ class TestPolycauchyCommand:
         for line in lines[1:]:
             _, formula, series = line.split(",")
             assert formula == series
+
+    def test_values_past_the_digit_limit(self, capsys):
+        # C_4^(-6200) = 5^6200 - 4*3^6200 has 4334 digits, past Python's
+        # default limit of 4300 for converting an int to text.
+        limit = sys.get_int_max_str_digits()
+        code, out, _ = run(capsys, ["polycauchy", "--k", "-6200", "--nmax", "2"])
+        assert code == 0
+        assert sys.get_int_max_str_digits() == limit
+        sys.set_int_max_str_digits(0)
+        try:
+            expected = ["n,value", "0,1", f"1,{3**6200}", f"2,{5**6200 - 4 * 3**6200}"]
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert out.splitlines() == expected
 
     def test_negative_k(self, capsys):
         _, out, _ = run(capsys, ["polycauchy", "--k", "-2", "--nmax", "3", "--route", "series"])
@@ -169,72 +186,160 @@ class TestUsageErrors:
         assert excinfo.value.code == 2
 
 
+def _sampled_keys(keys):
+    """The entries the seeded spot check recomputes, as CacheSession picks them."""
+    keys = sorted(keys)
+    if len(keys) <= cache_module._SPOT_CHECKS:
+        return keys
+    rng = random.Random(cache_module._REVALIDATION_SEED)
+    return sorted(rng.sample(keys, cache_module._SPOT_CHECKS))
+
+
+def _tamper(cache_path, key, text, resign):
+    document = json.loads(cache_path.read_text())
+    for entry in document["polycauchy_entries"]:
+        if (entry[0], entry[1]) == key:
+            entry[2] = text
+    if resign:
+        document["entries_sha256"] = cache_module._entries_digest(document["polycauchy_entries"])
+    cache_path.write_text(json.dumps(document))
+
+
 class TestCache:
     def test_round_trip_identical_output_and_hits(self, capsys, tmp_path):
         cache = str(tmp_path / "cache.json")
-        argv = ["stirling2", "--nmax", "6", "--cache", cache, "--stats"]
+        argv = ["polycauchy", "--nmax", "6", "--cache", cache, "--stats"]
         code1, out1, err1 = run(capsys, argv)
         code2, out2, err2 = run(capsys, argv)
         assert (code1, code2) == (0, 0)
         assert out1 == out2
+        assert out2.splitlines()[1:] == SEQUENCE_LINES
         assert err1.strip() == "cache: hits=0 misses=7 revalidated=0"
         assert err2.strip() == "cache: hits=7 misses=0 revalidated=3"
 
     def test_polycauchy_values_cached(self, capsys, tmp_path):
         cache = str(tmp_path / "cache.json")
-        argv = ["polycauchy", "--nmax", "5", "--cache", cache, "--stats"]
-        out1 = run(capsys, argv)[1]
-        _, out2, err2 = run(capsys, argv)
-        assert out1 == out2
-        assert "hits=6" in err2
+        run(capsys, ["polycauchy", "--nmax", "5", "--cache", cache])
+        # A longer request misses and extends the file; another k is kept beside it.
+        assert "misses=8" in run(capsys, ["polycauchy", "--nmax", "7", "--cache", cache, "--stats"])[2]
+        assert "misses=4" in run(capsys, ["polycauchy", "--k", "2", "--nmax", "3", "--cache", cache, "--stats"])[2]
+        _, out, err = run(capsys, ["polycauchy", "--nmax", "6", "--cache", cache, "--stats"])
+        assert out.splitlines()[1:] == SEQUENCE_LINES
+        assert "hits=7 misses=0" in err
+        assert "hits=4 misses=0" in run(capsys, ["polycauchy", "--k", "2", "--nmax", "3", "--cache", cache, "--stats"])[2]
 
     def test_stats_without_cache(self, capsys):
         _, _, err = run(capsys, ["polycauchy", "--nmax", "2", "--stats"])
         assert err.strip() == "cache: off"
 
     def test_tampered_row_is_discarded(self, capsys, tmp_path):
+        # A version-1 document with triangle rows, [[6, 1]] raised from 14400
+        # to 15400 in a row the old spot check did not sample. Rows are no
+        # longer cached, so stirling2 recomputes them and leaves the file alone.
         cache_path = tmp_path / "cache.json"
-        run(capsys, ["stirling2", "--nmax", "6", "--cache", str(cache_path)])
-        document = json.loads(cache_path.read_text())
-        # Corrupt a row the seeded spot check will sample.
-        picked = sorted(random.Random(cache_module._REVALIDATION_SEED).sample(range(7), 3))[0]
-        document["triangle_rows"][picked][0] += 1
-        cache_path.write_text(json.dumps(document))
-        _, out, err = run(capsys, ["stirling2", "--nmax", "6", "--cache", str(cache_path), "--stats"])
-        assert "3:0,4,5,1" in out.splitlines()
-        assert "misses=7" in err
+        rows = [[1], [0, 1], [0, 1, 1], [0, 4, 5, 1], [0, 36, 49, 14, 1],
+                [0, 576, 820, 273, 30, 1], [0, 14400, 21076, 7645, 1023, 55, 1]]
+        rows[6][1] = 15400
+        text = json.dumps({"format_version": 1, "triangle_rows": rows, "polycauchy_entries": []})
+        cache_path.write_text(text)
+        code, out, _ = run(capsys, ["stirling2", "--nmax", "6", "--cache", str(cache_path)])
+        assert code == 0
+        assert out.splitlines()[-1] == "6:0,14400,21076,7645,1023,55,1"
+        assert cache_path.read_text() == text
+
+    def test_tampered_unsampled_entry_is_discarded(self, capsys, tmp_path):
+        cache_path = tmp_path / "cache.json"
+        run(capsys, ["polycauchy", "--nmax", "6", "--cache", str(cache_path)])
+        assert (6, 1) not in _sampled_keys((n, 1) for n in range(7))
+        _tamper(cache_path, (6, 1), "12345", resign=False)
+        _, out, err = run(capsys, ["polycauchy", "--nmax", "6", "--cache", str(cache_path), "--stats"])
+        assert out.splitlines()[1:] == SEQUENCE_LINES
+        assert err.strip() == "cache: hits=0 misses=7 revalidated=0"
+
+    def test_tampered_sampled_entry_is_discarded(self, capsys, tmp_path):
+        # The digest is recomputed over the bad value, as a different version
+        # of the code would have written it; the recomputation still catches it.
+        cache_path = tmp_path / "cache.json"
+        run(capsys, ["polycauchy", "--nmax", "6", "--cache", str(cache_path)])
+        picked = _sampled_keys((n, 1) for n in range(7))[-1]
+        _tamper(cache_path, picked, "12345", resign=True)
+        _, out, err = run(capsys, ["polycauchy", "--nmax", "6", "--cache", str(cache_path), "--stats"])
+        assert out.splitlines()[1:] == SEQUENCE_LINES
+        assert err.strip() == "cache: hits=0 misses=7 revalidated=0"
 
     def test_unknown_format_version_recomputes(self, capsys, tmp_path):
         cache_path = tmp_path / "cache.json"
-        cache_path.write_text(json.dumps({"format_version": 99, "triangle_rows": [[5]]}))
-        _, out, err = run(capsys, ["stirling2", "--nmax", "2", "--cache", str(cache_path), "--stats"])
-        assert out.splitlines()[1] == "0:1"
+        cache_path.write_text(json.dumps({"format_version": 99, "polycauchy_entries": [[1, 1, "5"]]}))
+        _, out, err = run(capsys, ["polycauchy", "--nmax", "2", "--cache", str(cache_path), "--stats"])
+        assert out.splitlines()[1:] == SEQUENCE_LINES[:3]
         assert "misses=3" in err
         assert json.loads(cache_path.read_text())["format_version"] == CACHE_FORMAT_VERSION
 
     def test_malformed_file_recomputes(self, capsys, tmp_path):
         cache_path = tmp_path / "cache.json"
         cache_path.write_text("{not json")
-        code, out, _ = run(capsys, ["stirling2", "--nmax", "2", "--cache", str(cache_path)])
+        code, out, _ = run(capsys, ["polycauchy", "--nmax", "2", "--cache", str(cache_path)])
         assert code == 0
-        assert out.splitlines()[-1] == "2:0,1,1"
+        assert out.splitlines()[1:] == SEQUENCE_LINES[:3]
 
     def test_session_object_direct(self, tmp_path):
+        values = [Fraction(1), Fraction(1, 3), Fraction(-17, 15)]
         session = CacheSession(tmp_path / "c.json")
-        assert session.get_triangle_rows(2) is None
-        session.put_triangle_rows([[1], [0, 1], [0, 1, 1]])
+        assert session.get_values(1, 2) is None
+        session.put_values(1, values)
         session.save()
         fresh = CacheSession(tmp_path / "c.json")
-        assert fresh.get_triangle_rows(2) == [[1], [0, 1], [0, 1, 1]]
-        assert fresh.get_triangle_rows(3) is None
+        assert fresh.get_values(1, 2) == values
+        assert fresh.get_values(1, 3) is None
+        assert fresh.get_values(2, 0) is None
+        assert (fresh.hits, fresh.misses, fresh.revalidated) == (3, 5, 3)
+
+    def test_interrupted_save_keeps_previous_document(self, capsys, tmp_path, monkeypatch):
+        cache_path = tmp_path / "cache.json"
+        run(capsys, ["polycauchy", "--nmax", "4", "--cache", str(cache_path)])
+        write_text = Path.write_text
+
+        def torn_write(path, data, *args, **kwargs):
+            write_text(path, data[: len(data) // 2], *args, **kwargs)
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(Path, "write_text", torn_write)
+        with pytest.raises(OSError):
+            main(["polycauchy", "--nmax", "6", "--cache", str(cache_path)])
+        monkeypatch.undo()
+        session = CacheSession(cache_path)
+        assert session.get_values(1, 4) == [Fraction(line.split(",")[1]) for line in SEQUENCE_LINES[:5]]
+        assert session.revalidated == 3
+        assert list(tmp_path.iterdir()) == [cache_path]
+
+    def test_stirling2_never_writes_the_cache(self, capsys, tmp_path):
+        cache_path = tmp_path / "cache.json"
+        code, out, err = run(capsys, ["stirling2", "--nmax", "6", "--cache", str(cache_path), "--stats"])
+        assert code == 0
+        assert out.splitlines()[4] == "3:0,4,5,1"
+        assert not cache_path.exists()
+        assert err.strip() == "cache: off"
+
+    def test_values_past_the_digit_limit_round_trip(self, capsys, tmp_path):
+        cache = str(tmp_path / "cache.json")
+        argv = ["polycauchy", "--k", "-6200", "--nmax", "2", "--cache", cache, "--stats"]
+        code1, out1, _ = run(capsys, argv)
+        code2, out2, err2 = run(capsys, argv)
+        assert (code1, code2) == (0, 0)
+        assert out1 == out2
+        assert err2.strip() == "cache: hits=3 misses=0 revalidated=3"
 
 
 class TestEntryPoint:
     def test_module_invocation(self):
+        # The child finds the package where this process imported it from.
+        source_root = str(Path(cache_module.__file__).parents[1])
+        paths = [source_root, *filter(None, [os.environ.get("PYTHONPATH")])]
         result = subprocess.run(
             [sys.executable, "-m", "polycauchy2.cli", "polycauchy", "--nmax", "1"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(paths)},
         )
         assert result.returncode == 0
         assert result.stdout.splitlines() == ["n,value", "0,1", "1,1/3"]

@@ -8,11 +8,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from polycauchy2 import (
-    HarmonicCache,
     binomial,
     double_factorial,
     harmonic,
-    multinomial,
     rational_from_text,
     rational_to_text,
 )
@@ -76,23 +74,6 @@ class TestBinomial:
             assert binomial(n, j) == binomial(n, n - j)
 
 
-class TestMultinomial:
-    def test_factorial_ratio(self):
-        assert multinomial(6, [2, 2, 2]) == math.factorial(6) // 8
-        assert multinomial(6, [0, 2, 4]) == 15
-        assert multinomial(0, []) == 1
-
-    def test_parts_must_sum(self):
-        with pytest.raises(ValueError):
-            multinomial(5, [2, 2])
-        with pytest.raises(ValueError):
-            multinomial(4, [5, -1])
-
-    @given(st.integers(0, 20), st.integers(0, 20))
-    def test_two_parts_are_binomial(self, i, j):
-        assert multinomial(i + j, [i, j]) == math.comb(i + j, i)
-
-
 class TestDoubleFactorial:
     def test_fixtures(self):
         for a, expected in DOUBLE_FACTORIAL_FIXTURES.items():
@@ -119,15 +100,19 @@ class TestHarmonic:
         assert harmonic(2, 4) == Fraction(17, 16)
 
     def test_cache_object(self):
-        cache = HarmonicCache(2)
-        assert cache.value(4) == Fraction(205, 144)
-        assert cache.value(1) == 1
+        # The per-order memo answers the same whether it grows up or is
+        # read back below what it already holds.
+        assert harmonic(4, 3) == Fraction(2035, 1728)
+        assert harmonic(1, 3) == 1
+        assert harmonic(4, 3) == Fraction(2035, 1728)
 
     def test_bad_order(self):
         with pytest.raises(ValueError):
-            HarmonicCache(0)
+            harmonic(2, 0)
         with pytest.raises(ValueError):
-            HarmonicCache(3).value(-1)
+            harmonic(2, -1)
+        with pytest.raises(ValueError):
+            harmonic(-1, 3)
 
     @given(st.integers(1, 80), st.integers(1, 4))
     def test_prefix_sum_step(self, n, k):

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polycauchy2 import (
+    Level2Triangle,
     PolyCauchyTable,
     composition_series,
     integral_representation_check,
@@ -20,6 +21,7 @@ from polycauchy2 import (
     level1_by_series,
     level2_by_formula,
     level2_by_series,
+    level2_by_recurrence,
 )
 
 # C_{2n} for n = 0..6 at k = 1.
@@ -155,6 +157,18 @@ class TestIntegralRepresentation:
     def test_rejects_negative_index(self):
         with pytest.raises(ValueError):
             integral_representation_check(-1, 1)
+
+    def test_perturbed_triangle_fails_value_stage(self):
+        # C9 style: stage 2 integrates the expanded product, which does not
+        # read the triangle, so a wrong [[5, 2]] must change the comparison.
+        true = level2_by_recurrence(5)
+        rows = [list(true.row(n)) for n in range(6)]
+        rows[5][2] += 1
+        for k in range(1, 4):
+            check = integral_representation_check(5, k, Level2Triangle(rows))
+            assert check.value_match is False
+            assert check.integral_value == level2_by_formula(5, k)
+            assert not check.passed
 
 
 class TestOddVanishing:
