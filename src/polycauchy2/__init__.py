@@ -8,12 +8,10 @@ convolution identities that relate them, all over exact rationals.
 from .convolution import (
     CheckRow,
     ConjecturePolynomial,
-    ConvolutionSpec,
     IDENTITY_NAMES,
     IdentityReport,
     conjecture_prefactor,
     convolution_sweep,
-    convolve,
     extract_conjecture_polynomials,
     verify_identity,
 )
@@ -84,9 +82,7 @@ __all__ = [
     "integral_representation_check",
     "DEFAULT_SERIES_ORDER",
     "composition_series",
-    "ConvolutionSpec",
     "convolution_sweep",
-    "convolve",
     "CheckRow",
     "IdentityReport",
     "verify_identity",

@@ -30,13 +30,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument("--cache", metavar="PATH", default=None, help="JSON cache of polycauchy values")
     common.add_argument(
-        "--order",
-        type=int,
-        default=DEFAULT_SERIES_ORDER,
-        metavar="M",
-        help="truncation order for series output",
-    )
-    common.add_argument(
         "--stats", action="store_true", help="print cache statistics to stderr"
     )
 
@@ -66,15 +59,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("series", parents=[common], help="ordinary coefficients of a builtin series")
     p.add_argument("name", choices=BUILTIN_SERIES_NAMES)
+    p.add_argument(
+        "--order",
+        type=int,
+        default=DEFAULT_SERIES_ORDER,
+        metavar="M",
+        help="truncation order of the printed series",
+    )
     p.add_argument("--k", type=int, default=None, help="weight for the lif families")
     p.set_defaults(handler=cmd_series)
 
     p = sub.add_parser("verify", parents=[common], help="sweep one identity and report")
-    p.add_argument("identity", nargs="?", choices=IDENTITY_NAMES)
+    p.add_argument("identity", choices=IDENTITY_NAMES)
     p.add_argument(
-        "--identity", dest="identity_flag", choices=IDENTITY_NAMES, help="alias for the positional"
+        "--nmax",
+        type=int,
+        default=None,
+        help="sweep bound (default 12); conjecture identities take none",
     )
-    p.add_argument("--nmax", type=int, default=12, help="sweep bound")
     p.set_defaults(handler=cmd_verify)
 
     return parser
@@ -174,12 +176,12 @@ def cmd_series(args: argparse.Namespace, cache: CacheSession) -> int:
 
 
 def cmd_verify(args: argparse.Namespace, cache: CacheSession) -> int:
-    identity = args.identity or args.identity_flag
-    if identity is None:
-        raise ValueError("an identity name is required (positional or --identity)")
-    if args.identity and args.identity_flag and args.identity != args.identity_flag:
-        raise ValueError("conflicting identity names given")
-    report = verify_identity(identity, args.nmax)
+    nmax = args.nmax
+    if nmax is None:
+        nmax = 12
+    elif args.identity.startswith("conjecture"):
+        raise ValueError(f"{args.identity} takes no --nmax: its sample points are fixed")
+    report = verify_identity(args.identity, nmax)
     if args.format == "json":
         print(json.dumps(report.to_json_dict()))
     else:
@@ -190,18 +192,20 @@ def cmd_verify(args: argparse.Namespace, cache: CacheSession) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    nmax = getattr(args, "nmax", 0)
-    if nmax < 0:
+    nmax = getattr(args, "nmax", None)
+    if nmax is not None and nmax < 0:
         parser.error("--nmax must be >= 0")
-    if args.order < 0:
+    if getattr(args, "order", 0) < 0:
         parser.error("--order must be >= 0")
     # Exact values routinely pass Python's default 4300-digit limit on
     # int <-> text conversion, both in output and in cache files.
     digit_limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        # Only sequence values are cached; no other command opens the file.
-        cache = CacheSession(args.cache if args.command == "polycauchy" else None)
+        # Only sequence values are cached, and `polycauchy --route both`
+        # recomputes both routes, so no other call opens the file.
+        uses_cache = args.command == "polycauchy" and args.route != "both"
+        cache = CacheSession(args.cache if uses_cache else None)
         try:
             code = args.handler(args, cache)
         except ValueError as exc:

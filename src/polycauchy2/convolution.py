@@ -25,22 +25,25 @@ polynomials P_{r,2k}(n) in the ansatz
         sum over k = 0..r of P_{r,2k}(n) binom(2n, 2k) binom(2n-2k-1, 2r-2k)
             * C_{2n-2k}
 
-by solving one exact linear system for all coefficient vectors (each P gets
-a degree budget of 2k + 1, one slack coefficient above its claimed degree),
-then reproducing each P pointwise by subtracting the other recovered terms
-and Lagrange-interpolating. The last sample points are held out of the solve
-and verified separately, so a wrong ansatz cannot slip through.
+by solving one exact linear system for all coefficient vectors at once.
+Each P gets a degree budget of 2k + 1, one slack coefficient above its
+claimed degree, and its coefficients are its block of the solution. The last
+three sample points are held out of the solve. At every sample, each P is
+also recovered pointwise, by subtracting the other solved terms from the
+convolution and dividing by its own weight; at a held-out point that value
+is an independent probe, so a wrong ansatz cannot slip through.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from math import comb, factorial
 from typing import Callable, Sequence
 
 from .exact import binomial, double_factorial
-from .polynomials import lagrange_interpolate, poly_degree, poly_eval, poly_text, poly_trim
+from .polynomials import poly_degree, poly_eval, poly_text, poly_trim
 from .polycauchy import (
     DEFAULT_SERIES_ORDER,
     PolyCauchyTable,
@@ -52,9 +55,7 @@ from .series import Series, builtin_series
 from .stirling import level2_by_recurrence
 
 __all__ = [
-    "ConvolutionSpec",
     "convolution_sweep",
-    "convolve",
     "rhs_2fold_00",
     "rhs_2fold_01",
     "rhs_2fold_11",
@@ -79,22 +80,6 @@ def _sign(e: int) -> int:
 # -- the convolution engine -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConvolutionSpec:
-    """A k-fold convolution request: offsets (j_1..j_k) and the index n."""
-
-    offsets: tuple[int, ...]
-    n: int
-
-    def __post_init__(self):
-        if len(self.offsets) < 2:
-            raise ValueError("a convolution needs at least two factors")
-        if any(j < 0 for j in self.offsets):
-            raise ValueError(f"offsets must be >= 0, got {self.offsets}")
-        if self.n < 0:
-            raise ValueError(f"index n must be >= 0, got {self.n}")
-
-
 def convolution_sweep(
     offsets: Sequence[int], nmax: int, table: PolyCauchyTable
 ) -> list[Fraction]:
@@ -102,11 +87,17 @@ def convolution_sweep(
 
     The table must hold C_{2m} (k = 1) for all m up to nmax + max(offsets).
     """
-    spec = ConvolutionSpec(tuple(offsets), nmax)
-    need = nmax + max(spec.offsets)
+    offsets = tuple(offsets)
+    if len(offsets) < 2:
+        raise ValueError("a convolution needs at least two factors")
+    if any(j < 0 for j in offsets):
+        raise ValueError(f"offsets must be >= 0, got {offsets}")
+    if nmax < 0:
+        raise ValueError(f"index n must be >= 0, got {nmax}")
+    need = nmax + max(offsets)
     if table.max_n(1) < need:
         raise ValueError(f"table holds n <= {table.max_n(1)}, convolution needs {need}")
-    product, *rest = [[table.value(i + j) for i in range(nmax + 1)] for j in spec.offsets]
+    product, *rest = [[table.value(i + j) for i in range(nmax + 1)] for j in offsets]
     for factor in rest:
         product = [
             sum(
@@ -116,11 +107,6 @@ def convolution_sweep(
             for n in range(nmax + 1)
         ]
     return product
-
-
-def convolve(spec: ConvolutionSpec, table: PolyCauchyTable) -> Fraction:
-    """The convolution ``spec`` describes; the table must cover n + max(offsets)."""
-    return convolution_sweep(spec.offsets, spec.n, table)[spec.n]
 
 
 # -- closed-form right-hand sides ---------------------------------------------------
@@ -344,25 +330,6 @@ CONVOLUTION_IDENTITIES: dict[str, _ConvolutionIdentity] = {
     "fold7": _ConvolutionIdentity((0,) * 7, rhs_7fold, 3),
 }
 
-IDENTITY_NAMES = (
-    "thm1",
-    "cor1",
-    "thm2",
-    "thm3",
-    "thm4",
-    "thm5",
-    "thm6",
-    "fold5",
-    "fold7",
-    "eqll",
-    "eqconvo02",
-    "arcsinh_power",
-    "conjecture",
-    "conjecture-r1",
-    "conjecture-r2",
-    "conjecture-r3",
-)
-
 _ROUTE_K_RANGE = range(-3, 4)
 _INTEGRAL_K_RANGE = range(1, 4)
 
@@ -384,43 +351,43 @@ def _verify_convolution(
     return IdentityReport(name, nmax, f"n={defn.nmin}..{nmax}", rows)
 
 
+def _report_over_k(
+    name: str, nmax: int, k_range: range, check: Callable[[int, int], CheckRow]
+) -> IdentityReport:
+    """One row per n = 0..nmax: the first failing k's row, else the k = 1 row."""
+
+    def row(n: int) -> CheckRow:
+        by_k = {}
+        for k in k_range:
+            by_k[k] = check(n, k)
+            if not by_k[k].equal:
+                return by_k[k]
+        return by_k[1]
+
+    rows = [row(n) for n in range(nmax + 1)]
+    return IdentityReport(name, nmax, f"n=0..{nmax}, k={k_range[0]}..{k_range[-1]}", rows)
+
+
 def _verify_route_agreement(nmax: int) -> IdentityReport:
     triangle = level2_by_recurrence(nmax)
     order = max(DEFAULT_SERIES_ORDER, 2 * nmax)
     composed = {k: composition_series(k, order) for k in _ROUTE_K_RANGE}
 
-    def row(n: int) -> CheckRow:
-        shown = None
-        for k in _ROUTE_K_RANGE:
-            formula = level2_by_formula(n, k, triangle)
-            series = composed[k].egf_even_coefficient(n)
-            if k == 1:
-                shown = (formula, series)
-            if formula != series:
-                return CheckRow(n, formula, series, False)
-        return CheckRow(n, shown[0], shown[1], True)
+    def check(n: int, k: int) -> CheckRow:
+        formula = level2_by_formula(n, k, triangle)
+        return CheckRow.compare(n, formula, composed[k].egf_even_coefficient(n))
 
-    rows = [row(n) for n in range(nmax + 1)]
-    k_lo, k_hi = _ROUTE_K_RANGE[0], _ROUTE_K_RANGE[-1]
-    return IdentityReport("thm1", nmax, f"n=0..{nmax}, k={k_lo}..{k_hi}", rows)
+    return _report_over_k("thm1", nmax, _ROUTE_K_RANGE, check)
 
 
 def _verify_integral_representation(nmax: int) -> IdentityReport:
     triangle = level2_by_recurrence(nmax)
 
-    def row(n: int) -> CheckRow:
-        shown = None
-        for k in _INTEGRAL_K_RANGE:
-            check = integral_representation_check(n, k, triangle)
-            if k == 1:
-                shown = check
-            if not check.passed:
-                return CheckRow(n, check.integral_value, check.reference_value, False)
-        return CheckRow(n, shown.integral_value, shown.reference_value, True)
+    def check(n: int, k: int) -> CheckRow:
+        result = integral_representation_check(n, k, triangle)
+        return CheckRow(n, result.integral_value, result.reference_value, result.passed)
 
-    rows = [row(n) for n in range(nmax + 1)]
-    k_lo, k_hi = _INTEGRAL_K_RANGE[0], _INTEGRAL_K_RANGE[-1]
-    return IdentityReport("cor1", nmax, f"n=0..{nmax}, k={k_lo}..{k_hi}", rows)
+    return _report_over_k("cor1", nmax, _INTEGRAL_K_RANGE, check)
 
 
 def _verify_l_squared(nmax: int) -> IdentityReport:
@@ -493,7 +460,7 @@ def conjecture_prefactor(r: int, k: int, n: int) -> int:
 
 @dataclass
 class ConjecturePolynomial:
-    """One recovered P_{r,2k}: pointwise values and interpolated coefficients."""
+    """One recovered P_{r,2k}: pointwise values and the solved coefficients."""
 
     r: int
     k: int
@@ -532,10 +499,10 @@ def _solve_exact(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Frac
     return [rows[i][-1] for i in range(ncols)]
 
 
-def default_conjecture_samples(r: int, held_out: int = 3) -> list[int]:
-    """Consecutive samples from r + 1: enough to solve, plus held-out points."""
+def default_conjecture_samples(r: int) -> list[int]:
+    """Consecutive samples from r + 1: enough to solve, plus three held-out points."""
     unknowns = (r + 1) * (r + 2)
-    return list(range(r + 1, r + 1 + unknowns + held_out))
+    return list(range(r + 1, r + 1 + unknowns + 3))
 
 
 def extract_conjecture_polynomials(
@@ -613,11 +580,7 @@ def _extract(
                 if other != k:
                     residual -= poly_eval(solved[other], n) * weights[(other, n)]
             points.append((n, residual / denominator))
-        if len(points) < budgets[k] + 2:
-            raise ValueError(f"too few usable sample points for P_{{{r},{2 * k}}}")
-        coefficients = poly_trim(
-            lagrange_interpolate(points[: budgets[k] + 2])
-        )
+        coefficients = poly_trim(solved[k])
         degree_ok = poly_degree(coefficients) <= 2 * k
         polynomials.append(ConjecturePolynomial(r, k, points, coefficients, degree_ok))
     return polynomials, lhs
@@ -654,6 +617,21 @@ def _verify_conjecture(name: str, r: int, nmax: int) -> IdentityReport:
 
 # -- entry point ---------------------------------------------------------------------
 
+# Every identity by name, in the order the CLI lists them. A convolution
+# checker also takes ``rhs_override`` and ``table``; the others take nmax only.
+_CHECKERS: dict[str, Callable[..., IdentityReport]] = {
+    "thm1": _verify_route_agreement,
+    "cor1": _verify_integral_representation,
+    **{name: partial(_verify_convolution, name) for name in CONVOLUTION_IDENTITIES},
+    "eqll": _verify_l_squared,
+    "eqconvo02": _verify_l_second_derivative,
+    "arcsinh_power": _verify_arcsinh_power,
+    "conjecture": partial(_verify_conjecture, "conjecture", 1),
+    **{f"conjecture-r{r}": partial(_verify_conjecture, f"conjecture-r{r}", r) for r in (1, 2, 3)},
+}
+
+IDENTITY_NAMES = tuple(_CHECKERS)
+
 
 def verify_identity(
     name: str,
@@ -670,23 +648,11 @@ def verify_identity(
     """
     if nmax < 0:
         raise ValueError(f"nmax must be >= 0, got {nmax}")
+    checker = _CHECKERS.get(name)
+    if checker is None:
+        raise ValueError(f"unknown identity {name!r}; known: {', '.join(IDENTITY_NAMES)}")
     if name in CONVOLUTION_IDENTITIES:
-        return _verify_convolution(name, nmax, rhs_override, table)
+        return checker(nmax, rhs_override, table)
     if rhs_override is not None:
         raise ValueError(f"identity {name!r} has no replaceable right-hand side")
-    if name == "thm1":
-        return _verify_route_agreement(nmax)
-    if name == "cor1":
-        return _verify_integral_representation(nmax)
-    if name == "eqll":
-        return _verify_l_squared(nmax)
-    if name == "eqconvo02":
-        return _verify_l_second_derivative(nmax)
-    if name == "arcsinh_power":
-        return _verify_arcsinh_power(nmax)
-    if name == "conjecture" or name.startswith("conjecture-r"):
-        r = 1 if name == "conjecture" else int(name.removeprefix("conjecture-r"))
-        if f"conjecture-r{r}" not in IDENTITY_NAMES:
-            raise ValueError(f"unknown identity {name!r}")
-        return _verify_conjecture(name, r, nmax)
-    raise ValueError(f"unknown identity {name!r}; known: {', '.join(IDENTITY_NAMES)}")
+    return checker(nmax)

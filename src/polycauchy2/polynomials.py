@@ -1,7 +1,8 @@
 """Dense univariate polynomials over exact rationals.
 
-Coefficient lists run low degree to high. These are plumbing for the
-closed-form checks and the conjecture extraction; nothing here is clever.
+Coefficient lists run low degree to high. The integral representation check
+multiplies and scales them; the conjecture extraction evaluates, trims and
+prints the polynomials its linear solve returns.
 """
 
 from __future__ import annotations
@@ -10,24 +11,13 @@ from fractions import Fraction
 from typing import Sequence
 
 __all__ = [
-    "poly_add",
     "poly_mul",
     "poly_scale",
     "poly_eval",
     "poly_trim",
     "poly_degree",
     "poly_text",
-    "lagrange_interpolate",
 ]
-
-
-def poly_add(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, v in enumerate(a):
-        out[i] += v
-    for i, v in enumerate(b):
-        out[i] += v
-    return out
 
 
 def poly_mul(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
@@ -87,24 +77,3 @@ def poly_text(a: Sequence[Fraction], variable: str = "n") -> str:
         else:
             pieces.append(f"+ {term}" if coeff > 0 else f"- {term}")
     return " ".join(pieces)
-
-
-def lagrange_interpolate(points: Sequence[tuple[Fraction | int, Fraction]]) -> list[Fraction]:
-    """Coefficients of the unique polynomial of degree < len(points) through the points.
-
-    All arithmetic is exact; duplicate abscissae are rejected.
-    """
-    xs = [Fraction(x) for x, _ in points]
-    if len(set(xs)) != len(xs):
-        raise ValueError("interpolation points must have distinct abscissae")
-    result: list[Fraction] = []
-    for i, (_, yi) in enumerate(points):
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j, xj in enumerate(xs):
-            if j == i:
-                continue
-            basis = poly_mul(basis, [-xj, Fraction(1)])
-            denom *= xs[i] - xj
-        result = poly_add(result, poly_scale(basis, yi / denom))
-    return result if result else [Fraction(0)]

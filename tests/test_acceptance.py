@@ -11,13 +11,12 @@ from fractions import Fraction
 import pytest
 
 from polycauchy2 import (
-    ConvolutionSpec,
     PolyCauchyTable,
     builtin_series,
     central_factorial_triangle,
     closed_form_fixtures,
     composition_series,
-    convolve,
+    convolution_sweep,
     extract_conjecture_polynomials,
     integral_representation_check,
     level2_by_classical_combination,
@@ -124,10 +123,9 @@ def test_c07_convolution_and_series_identity_sweeps(table18):
         for j in offsets:
             factor = big_l.derivative(2 * j) if j else big_l
             product = factor if product is None else product * factor
+        sweep = convolution_sweep(offsets, 10, table18)
         for n in range(11):
-            assert product.egf_even_coefficient(n) == convolve(
-                ConvolutionSpec(offsets, n), table18
-            ), (offsets, n)
+            assert product.egf_even_coefficient(n) == sweep[n], (offsets, n)
     elapsed = time.perf_counter() - started
     assert elapsed < 60.0
     print(f"PASS C7: convolution sweeps to n=15, series identities to order 30, duality to n=10 in {elapsed:.1f}s")

@@ -156,15 +156,31 @@ class TestVerifyCommand:
         assert excinfo.value.code == 2
 
     def test_identity_flag_alias(self, capsys):
-        positional = run(capsys, ["verify", "thm2", "--nmax", "5", "--format", "json"])
-        flagged = run(capsys, ["verify", "--identity", "thm2", "--nmax", "5", "--format", "json"])
-        assert positional == flagged
+        # The identity is positional only; `--identity` is an unknown argument.
+        for argv in (
+            ["verify", "--identity", "thm2"],
+            ["verify", "thm2", "--identity", "thm3"],
+            ["verify"],
+        ):
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            assert excinfo.value.code == 2
+
+    def test_conjecture_rejects_nmax(self, capsys):
+        default = run(capsys, ["verify", "conjecture-r1", "--format", "json"])
+        assert json.loads(default[1])["nmax"] == 12
+        for argv in (
+            ["verify", "conjecture-r1", "--nmax", "3"],
+            ["verify", "conjecture", "--nmax", "12"],
+        ):
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            assert excinfo.value.code == 2
+            assert "sample points are fixed" in capsys.readouterr().err
         with pytest.raises(SystemExit) as excinfo:
-            main(["verify", "thm2", "--identity", "thm3"])
+            main(["verify", "conjecture-r1", "--nmax", "-1"])
         assert excinfo.value.code == 2
-        with pytest.raises(SystemExit) as excinfo:
-            main(["verify"])
-        assert excinfo.value.code == 2
+        assert "--nmax must be >= 0" in capsys.readouterr().err
 
 
 class TestUsageErrors:
@@ -179,6 +195,20 @@ class TestUsageErrors:
             main(["verify", "thm2", "--jobs", "2"])
         assert excinfo.value.code == 2
         assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+
+    def test_order_only_on_series(self, capsys):
+        for argv in (
+            ["verify", "thm5", "--order", "5"],
+            ["stirling2", "--order", "7"],
+            ["polycauchy", "--order", "3"],
+        ):
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            assert excinfo.value.code == 2
+            assert "unrecognized arguments: --order" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as excinfo:
+            main(["series", "L", "--order", "-1"])
+        assert excinfo.value.code == 2
 
     def test_missing_subcommand(self):
         with pytest.raises(SystemExit) as excinfo:
@@ -319,6 +349,16 @@ class TestCache:
         assert out.splitlines()[4] == "3:0,4,5,1"
         assert not cache_path.exists()
         assert err.strip() == "cache: off"
+
+    def test_route_both_never_opens_the_cache(self, capsys, tmp_path):
+        cache_path = tmp_path / "cache.json"
+        run(capsys, ["polycauchy", "--k", "-2", "--nmax", "6", "--cache", str(cache_path)])
+        before = cache_path.read_bytes()
+        argv = ["polycauchy", "--k", "-2", "--nmax", "8", "--route", "both", "--stats"]
+        code, _, err = run(capsys, argv + ["--cache", str(cache_path)])
+        assert code == 0
+        assert err.strip() == "cache: off"
+        assert cache_path.read_bytes() == before
 
     def test_values_past_the_digit_limit_round_trip(self, capsys, tmp_path):
         cache = str(tmp_path / "cache.json")

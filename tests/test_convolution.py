@@ -1,6 +1,6 @@
 """Convolution engine, closed-form sweeps, duality, conjecture extraction.
 
-The oracle for ``convolution_sweep`` and ``convolve`` is a brute-force
+The oracle for ``convolution_sweep`` is a brute-force
 enumeration over index tuples written here with itertools only; the closed
 forms are then swept against the engine, and the series side of each
 identity is checked against the convolution side through the EGF product
@@ -17,12 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polycauchy2 import (
-    ConvolutionSpec,
     IDENTITY_NAMES,
     PolyCauchyTable,
     builtin_series,
     convolution_sweep,
-    convolve,
     extract_conjecture_polynomials,
     verify_identity,
 )
@@ -75,12 +73,6 @@ class TestConvolveOracle:
         for m in range(nmax + 1):
             assert sweep[: m + 1] == convolution_sweep(offsets, m, table18)
 
-    @pytest.mark.parametrize("offsets,nmax", SWEEP_CASES)
-    def test_convolve_reads_the_sweep(self, offsets, nmax, table18):
-        sweep = convolution_sweep(offsets, nmax, table18)
-        for n in range(nmax + 1):
-            assert convolve(ConvolutionSpec(offsets, n), table18) == sweep[n]
-
     @settings(max_examples=25, deadline=None)
     @given(
         offsets=st.lists(st.integers(0, 3), min_size=2, max_size=5).map(tuple),
@@ -95,41 +87,40 @@ class TestConvolveOracle:
         [((0, 0), 7), ((0, 1), 6), ((1, 1), 5), ((0, 0, 0), 6), ((0,) * 5, 5), ((0, 1, 2), 4)],
     )
     def test_matches_brute_force(self, offsets, n, table18):
-        spec = ConvolutionSpec(offsets, n)
-        assert convolve(spec, table18) == brute_force_convolution(offsets, n, table18)
+        assert convolution_sweep(offsets, n, table18)[n] == brute_force_convolution(offsets, n, table18)
 
     def test_hand_values(self, table18):
-        assert convolve(ConvolutionSpec((0, 0), 0), table18) == 1
-        assert convolve(ConvolutionSpec((0, 0), 1), table18) == Fraction(2, 3)
-        assert convolve(ConvolutionSpec((1, 1), 0), table18) == Fraction(1, 9)
+        assert convolution_sweep((0, 0), 0, table18)[0] == 1
+        assert convolution_sweep((0, 0), 1, table18)[1] == Fraction(2, 3)
+        assert convolution_sweep((1, 1), 0, table18)[0] == Fraction(1, 9)
 
     def test_invariant_under_offset_permutation(self, table18):
         for n in range(6):
-            reference = convolve(ConvolutionSpec((0, 1, 2), n), table18)
+            reference = convolution_sweep((0, 1, 2), n, table18)[n]
             for offsets in itertools.permutations((0, 1, 2)):
-                assert convolve(ConvolutionSpec(offsets, n), table18) == reference
+                assert convolution_sweep(offsets, n, table18)[n] == reference
 
-    def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            ConvolutionSpec((0,), 3)
-        with pytest.raises(ValueError):
-            ConvolutionSpec((0, -1), 3)
-        with pytest.raises(ValueError):
-            ConvolutionSpec((0, 0), -1)
+    def test_spec_validation(self, table18):
+        with pytest.raises(ValueError, match="at least two factors"):
+            convolution_sweep((0,), 3, table18)
+        with pytest.raises(ValueError, match="offsets must be >= 0"):
+            convolution_sweep((0, -1), 3, table18)
+        with pytest.raises(ValueError, match="index n must be >= 0"):
+            convolution_sweep((0, 0), -1, table18)
 
     def test_table_must_cover_request(self):
         table = PolyCauchyTable.build(3)
         with pytest.raises(ValueError):
-            convolve(ConvolutionSpec((0, 1), 3), table)
+            convolution_sweep((0, 1), 3, table)
 
 
 class TestClosedFormSweeps:
     @pytest.mark.parametrize("name", sorted(CONVOLUTION_IDENTITIES))
     def test_rhs_matches_convolution(self, name, table18):
         defn = CONVOLUTION_IDENTITIES[name]
+        lhs = convolution_sweep(defn.offsets, 10, table18)
         for n in range(defn.nmin, 11):
-            lhs = convolve(ConvolutionSpec(defn.offsets, n), table18)
-            assert lhs == defn.rhs(n, table18), (name, n)
+            assert lhs[n] == defn.rhs(n, table18), (name, n)
 
     @pytest.mark.parametrize(
         "name", ["thm5", "thm6", "fold5", "fold7"]
@@ -275,18 +266,16 @@ class TestSeriesConvolutionDuality:
         for j in offsets:
             factor = big_l.derivative(2 * j) if j else big_l
             product = factor if product is None else product * factor
+        rhs = convolution_sweep(offsets, 8, table18)
         for n in range(9):
-            lhs = product.egf_even_coefficient(n)
-            rhs = convolve(ConvolutionSpec(offsets, n), table18)
-            assert lhs == rhs, (label, n)
+            assert product.egf_even_coefficient(n) == rhs[n], (label, n)
 
     def test_second_derivative_square_to_12(self, table18):
         big_l = builtin_series("L", 30)
         square = big_l.derivative(2) * big_l.derivative(2)
+        sweep = convolution_sweep((1, 1), 12, table18)
         for n in range(13):
-            assert square.egf_even_coefficient(n) == convolve(
-                ConvolutionSpec((1, 1), n), table18
-            )
+            assert square.egf_even_coefficient(n) == sweep[n]
 
 
 class TestConjectureExtraction:
@@ -322,6 +311,21 @@ class TestConjectureExtraction:
         polys = extract_conjecture_polynomials(1, samples)
         for poly in polys:
             assert [n for n, _ in poly.sample_points] == samples
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_held_out_point_catches_a_perturbed_table(self, r):
+        # C9 style: C at the last sample is only read at that held-out
+        # point, so the solve is untouched and only the held-out check can
+        # see the change. Every recovered polynomial must then fail it.
+        samples = default_conjecture_samples(r)
+        perturbed = PolyCauchyTable.build(samples[-1])
+        perturbed.entries[(samples[-1], 1)] += 1
+        polys = extract_conjecture_polynomials(r, table=perturbed)
+        assert all(p.reproduces_samples() is False for p in polys)
+        truth = extract_conjecture_polynomials(r)
+        assert [p.interpolated_coefficients for p in polys] == [
+            p.interpolated_coefficients for p in truth
+        ]
 
     def test_prefactor(self):
         # binom(2n, 2k) binom(2n-2k-1, 2r-2k) at r=1, k=0, n=3: binom(5, 2)

@@ -1,14 +1,11 @@
-"""Dense rational polynomials and exact Lagrange interpolation."""
+"""Dense rational polynomials: arithmetic, evaluation, trimming and text."""
 
 from fractions import Fraction
 
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from polycauchy2.polynomials import (
-    lagrange_interpolate,
-    poly_add,
     poly_degree,
     poly_eval,
     poly_mul,
@@ -44,30 +41,7 @@ class TestArithmetic:
     def test_mul_respects_evaluation(self, p, q, x):
         assert poly_eval(poly_mul(p, q), x) == poly_eval(p, x) * poly_eval(q, x)
 
-    @given(coefficient_lists, coefficient_lists, st.integers(-8, 8))
-    def test_add_respects_evaluation(self, p, q, x):
-        assert poly_eval(poly_add(p, q), x) == poly_eval(p, x) + poly_eval(q, x)
-
     @given(coefficient_lists, st.fractions(min_value=-9, max_value=9, max_denominator=5))
     def test_scale(self, p, c):
         assert poly_scale(p, c) == [c * a for a in p]
 
-
-class TestLagrange:
-    def test_recovers_known_polynomial(self):
-        target = [Fraction(17, 3), Fraction(-16, 3), Fraction(4, 3)]
-        points = [(n, poly_eval(target, n)) for n in range(3, 6)]
-        assert poly_trim(lagrange_interpolate(points)) == target
-
-    def test_duplicate_abscissae_rejected(self):
-        with pytest.raises(ValueError):
-            lagrange_interpolate([(1, Fraction(1)), (1, Fraction(2))])
-
-    def test_single_point(self):
-        assert lagrange_interpolate([(5, Fraction(7))]) == [Fraction(7)]
-
-    @given(coefficient_lists)
-    def test_round_trip(self, coeffs):
-        coeffs = poly_trim(coeffs)
-        points = [(x, poly_eval(coeffs, x)) for x in range(len(coeffs) + 1)]
-        assert poly_trim(lagrange_interpolate(points)) == coeffs
