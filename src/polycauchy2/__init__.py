@@ -26,12 +26,13 @@ from .polycauchy import (
     DEFAULT_SERIES_ORDER,
     IntegralCheck,
     PolyCauchyTable,
-    composition_series,
+    arcsinh_power_egf,
     integral_representation_check,
     level1_by_formula,
     level1_by_series,
     level2_by_formula,
     level2_by_series,
+    level2_series_values,
 )
 from .series import BUILTIN_SERIES_NAMES, Series, builtin_series
 from .stirling import (
@@ -81,7 +82,8 @@ __all__ = [
     "IntegralCheck",
     "integral_representation_check",
     "DEFAULT_SERIES_ORDER",
-    "composition_series",
+    "arcsinh_power_egf",
+    "level2_series_values",
     "convolution_sweep",
     "CheckRow",
     "IdentityReport",

@@ -12,7 +12,7 @@ import json
 import sys
 
 from .cache import CacheSession
-from .convolution import IDENTITY_NAMES, verify_identity
+from .convolution import DEFAULT_NMAX, IDENTITY_NAMES, verify_identity
 from .exact import rational_to_text
 from .polycauchy import DEFAULT_SERIES_ORDER, PolyCauchyTable
 from .series import BUILTIN_SERIES_NAMES, builtin_series
@@ -75,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--nmax",
         type=int,
         default=None,
-        help="sweep bound (default 12); conjecture identities take none",
+        help=f"sweep bound (default {DEFAULT_NMAX}); conjecture identities take none",
     )
     p.set_defaults(handler=cmd_verify)
 
@@ -178,7 +178,7 @@ def cmd_series(args: argparse.Namespace, cache: CacheSession) -> int:
 def cmd_verify(args: argparse.Namespace, cache: CacheSession) -> int:
     nmax = args.nmax
     if nmax is None:
-        nmax = 12
+        nmax = DEFAULT_NMAX
     elif args.identity.startswith("conjecture"):
         raise ValueError(f"{args.identity} takes no --nmax: its sample points are fixed")
     report = verify_identity(args.identity, nmax)

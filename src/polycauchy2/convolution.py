@@ -45,11 +45,11 @@ from typing import Callable, Sequence
 from .exact import binomial, double_factorial
 from .polynomials import poly_degree, poly_eval, poly_text, poly_trim
 from .polycauchy import (
-    DEFAULT_SERIES_ORDER,
     PolyCauchyTable,
-    composition_series,
+    arcsinh_power_egf,
     integral_representation_check,
     level2_by_formula,
+    level2_series_values,
 )
 from .series import Series, builtin_series
 from .stirling import level2_by_recurrence
@@ -67,6 +67,7 @@ __all__ = [
     "IdentityReport",
     "verify_identity",
     "IDENTITY_NAMES",
+    "DEFAULT_NMAX",
     "ConjecturePolynomial",
     "extract_conjecture_polynomials",
     "conjecture_prefactor",
@@ -330,6 +331,10 @@ CONVOLUTION_IDENTITIES: dict[str, _ConvolutionIdentity] = {
     "fold7": _ConvolutionIdentity((0,) * 7, rhs_7fold, 3),
 }
 
+# The sweep bound when none is given. The conjecture identities sample fixed
+# points instead, so their reports carry this bound and accept no other.
+DEFAULT_NMAX = 12
+
 _ROUTE_K_RANGE = range(-3, 4)
 _INTEGRAL_K_RANGE = range(1, 4)
 
@@ -370,12 +375,11 @@ def _report_over_k(
 
 def _verify_route_agreement(nmax: int) -> IdentityReport:
     triangle = level2_by_recurrence(nmax)
-    order = max(DEFAULT_SERIES_ORDER, 2 * nmax)
-    composed = {k: composition_series(k, order) for k in _ROUTE_K_RANGE}
+    egf = arcsinh_power_egf(nmax)
+    series = {k: level2_series_values(egf, k) for k in _ROUTE_K_RANGE}
 
     def check(n: int, k: int) -> CheckRow:
-        formula = level2_by_formula(n, k, triangle)
-        return CheckRow.compare(n, formula, composed[k].egf_even_coefficient(n))
+        return CheckRow.compare(n, level2_by_formula(n, k, triangle), series[k][n])
 
     return _report_over_k("thm1", nmax, _ROUTE_K_RANGE, check)
 
@@ -428,25 +432,20 @@ def _verify_l_second_derivative(nmax: int) -> IdentityReport:
 
 
 def _verify_arcsinh_power(nmax: int) -> IdentityReport:
-    # (arcsinh t)^(2m) / (2m)! = sum over n >= m of (-4)^(n-m) [[n, m]] t^(2n) / (2n)!
-    order = nmax
-    arcsinh = builtin_series("arcsinh", order)
-    triangle = level2_by_recurrence(order // 2)
+    # (arcsinh t)^(2m) / (2m)! = sum over n >= m of (-4)^(n-m) [[n, m]] t^(2n) / (2n)!,
+    # compared through t^nmax as integer EGF coefficients; odd ones vanish on both sides.
+    half = nmax // 2
+    egf = arcsinh_power_egf(half)
+    triangle = level2_by_recurrence(half)
     rows: list[CheckRow] = []
     for m in range(1, 7):
-        lhs = (arcsinh ** (2 * m)) / factorial(2 * m)
-        coeffs = [Fraction(0)] * (order + 1)
-        for n in range(m, order // 2 + 1):
-            coeffs[2 * n] = Fraction(-4) ** (n - m) * triangle.value(n, m) / factorial(2 * n)
-        rhs = Series(coeffs, order)
-        mismatch = next(
-            (i for i in range(order + 1) if lhs.coefficient(i) != rhs.coefficient(i)), None
-        )
-        if mismatch is None:
-            probe = min(2 * m, order)
-            rows.append(CheckRow(m, lhs.coefficient(probe), rhs.coefficient(probe), True))
-        else:
-            rows.append(CheckRow(m, lhs.coefficient(mismatch), rhs.coefficient(mismatch), False))
+        lhs = [egf[n][m] if m <= n else 0 for n in range(half + 1)]
+        rhs = [(-4) ** (n - m) * triangle.value(n, m) if m <= n else 0 for n in range(half + 1)]
+        mismatch = next((n for n in range(half + 1) if lhs[n] != rhs[n]), None)
+        # Show the t^(2m) coefficient (or the last one, below it), else the first mismatch.
+        n = min(m, half) if mismatch is None else mismatch
+        scale = factorial(2 * n)
+        rows.append(CheckRow(m, Fraction(lhs[n], scale), Fraction(rhs[n], scale), mismatch is None))
     return IdentityReport("arcsinh_power", nmax, f"m=1..6, coefficients through t^{nmax}", rows)
 
 
@@ -587,6 +586,8 @@ def _extract(
 
 
 def _verify_conjecture(name: str, r: int, nmax: int) -> IdentityReport:
+    if nmax != DEFAULT_NMAX:
+        raise ValueError(f"{name} takes no nmax other than {DEFAULT_NMAX}: its sample points are fixed")
     samples = default_conjecture_samples(r)
     table = PolyCauchyTable.build(samples[-1])
     polynomials, lhs = _extract(r, samples, table)
@@ -635,7 +636,7 @@ IDENTITY_NAMES = tuple(_CHECKERS)
 
 def verify_identity(
     name: str,
-    nmax: int,
+    nmax: int = DEFAULT_NMAX,
     *,
     rhs_override: Callable[[int, PolyCauchyTable], Fraction] | None = None,
     table: PolyCauchyTable | None = None,
@@ -644,7 +645,9 @@ def verify_identity(
 
     Failures are recorded in the report, never raised. ``rhs_override``
     replaces the registered right-hand side of a convolution identity and
-    exists for negative-control tests.
+    exists for negative-control tests; ``table`` supplies the C values a
+    convolution identity reads. Every other identity computes its own values
+    and rejects both.
     """
     if nmax < 0:
         raise ValueError(f"nmax must be >= 0, got {nmax}")
@@ -655,4 +658,6 @@ def verify_identity(
         return checker(nmax, rhs_override, table)
     if rhs_override is not None:
         raise ValueError(f"identity {name!r} has no replaceable right-hand side")
+    if table is not None:
+        raise ValueError(f"identity {name!r} computes its own values and reads no table")
     return checker(nmax)

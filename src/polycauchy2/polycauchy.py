@@ -7,93 +7,175 @@ even EGF coefficients of that composition. They also satisfy the finite sum
 
 with C_0^(k) = 1, where [[n, m]] is the level-2 triangle. Both routes are
 implemented and checked against each other; the index parameter k may be
-any integer, including zero and negatives. Odd EGF coefficients of the
-composition vanish identically, which is asserted by tests rather than
-assumed here.
+any integer, including zero and negatives.
+
+Both routes run on one exact-integer kernel (Knuth, TAOCP Vol. 2, 4.7). The
+series route expands lif2k(arcsinh t) as the sum over m of
+(arcsinh t)^(2m) / ((2m)! (2m+1)^k), whose EGF coefficients
+
+    P_m[n] = (2n)! [t^(2n)] (arcsinh t)^(2m) / (2m)!
+
+are integers. ``arcsinh_power_egf`` builds them from the arcsinh
+coefficients (-1)^j ((2j-1)!!)^2 alone, never from the triangle: P_1 is one
+binomial EGF product of those coefficients halved, and P_m is the binomial
+EGF product of P_{m-1} and P_1 divided by m(2m-1), each division checked
+exact. Either route then divides its integer column by (2m+1)^k as one
+numerator over lcm(2m+1)^k, or as a plain integer when k <= 0.
 
 Classical (level 1) poly-Cauchy numbers c_n^(k) are included as comparators:
-a signed Stirling sum and the lif_k(log(1+t)) series route.
+a signed Stirling sum, and lif_k(log(1+t)) expanded by the same kernel in t
+from the EGF coefficients (-1)^(n-1) (n-1)! of log(1+t).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import comb, factorial, lcm
+from operator import mul
+from typing import Iterable, Sequence
 
 from .exact import rational_to_text
-from .polynomials import poly_mul, poly_scale
-from .series import Series, builtin_series
+from .polynomials import poly_mul
 from .stirling import Level2Triangle, level2_by_recurrence, stirling1
 
 __all__ = [
     "level2_by_formula",
     "level2_by_series",
+    "arcsinh_power_egf",
+    "level2_series_values",
     "level1_by_formula",
     "level1_by_series",
     "PolyCauchyTable",
     "IntegralCheck",
     "integral_representation_check",
     "DEFAULT_SERIES_ORDER",
-    "composition_series",
 ]
 
 DEFAULT_SERIES_ORDER = 40
+
+
+# -- the integer EGF kernel ----------------------------------------------------
+
+
+def _exact_div(numerator: int, divisor: int) -> int:
+    quotient, remainder = divmod(numerator, divisor)
+    if remainder:
+        raise ArithmeticError(f"EGF kernel: division by {divisor} is not exact")
+    return quotient
+
+
+def _power_table(first: Sequence[int], step: int) -> list[list[int]]:
+    """Integer EGF coefficients of the powers of g, one column per index n.
+
+    ``first[n]`` is (step n)! [t^(step n)] g for a series g in t^step with
+    first[0] = 0. Entry [n][m], for m = 0..n, is the same coefficient of
+    g^m (step!)^m / (step m)!, built as the m-th row times g by the binomial
+    EGF product, divided by binom(step m, step). For g = f^step / step! that
+    is f^(step m) / (step m)!.
+    """
+    table = [[1]]
+    for n in range(1, len(first)):
+        weights = [comb(step * n, step * i) * first[n - i] for i in range(n)]
+        column = [0] * (n + 1)
+        for m in range(1, n + 1):
+            total = sum(weights[i] * table[i][m - 1] for i in range(m - 1, n))
+            column[m] = _exact_div(total, comb(step * m, step))
+        table.append(column)
+    return table
+
+
+def _sum_over_powers(
+    columns: Iterable[Sequence[int]], size: int, k: int, step: int
+) -> list[Fraction]:
+    """Sum over m of column[m] / (step m + 1)^k for each column, over one denominator.
+
+    Columns hold at most ``size`` entries; they may be generated one at a time.
+    """
+    bases = [step * m + 1 for m in range(size)]
+    if k <= 0:
+        denominator = 1
+        weights = [base**-k for base in bases]
+    else:
+        denominator = lcm(*bases) ** k
+        weights = [_exact_div(denominator, base**k) for base in bases]
+    return [Fraction(sum(map(mul, column, weights)), denominator) for column in columns]
+
+
+def _arcsinh_egf(count: int) -> list[int]:
+    """(2j+1)! [t^(2j+1)] arcsinh t = (-1)^j ((2j-1)!!)^2 for j = 0..count-1."""
+    coefficients = []
+    odd = 1
+    for j in range(count):
+        odd *= max(2 * j - 1, 1)
+        coefficients.append(-odd * odd if j % 2 else odd * odd)
+    return coefficients
+
+
+def arcsinh_power_egf(nmax: int) -> list[list[int]]:
+    """P_m[n] = (2n)! [t^(2n)] (arcsinh t)^(2m) / (2m)!, as entry [n][m] for m <= n <= nmax.
+
+    Built from the arcsinh coefficients alone; it equals (-4)^(n-m) [[n, m]]
+    without reading the triangle.
+    """
+    if nmax < 0:
+        raise ValueError(f"nmax must be >= 0, got {nmax}")
+    a = _arcsinh_egf(nmax)
+    # (arcsinh t)^2 / 2: the product of two odd series lands on even indices.
+    square = [0] + [
+        _exact_div(sum(comb(2 * n, 2 * i + 1) * a[i] * a[n - 1 - i] for i in range(n)), 2)
+        for n in range(1, nmax + 1)
+    ]
+    return _power_table(square, 2)
+
+
+def level2_series_values(egf: Sequence[Sequence[int]], k: int = 1) -> list[Fraction]:
+    """C_{2n}^(k) for n = 0..len(egf)-1 from the columns of ``arcsinh_power_egf``."""
+    return _sum_over_powers(egf, len(egf), k, 2)
+
+
+def _formula_column(n: int, triangle: Level2Triangle) -> list[int]:
+    return [(-4) ** (n - m) * value for m, value in enumerate(triangle.row(n))]
 
 
 def level2_by_formula(n: int, k: int = 1, triangle: Level2Triangle | None = None) -> Fraction:
     """C_{2n}^(k) via the level-2 triangle sum. Exact for any integer k."""
     if n < 0:
         raise ValueError(f"index n must be >= 0, got {n}")
-    if n == 0:
-        return Fraction(1)
     if triangle is None or triangle.nmax < n:
         triangle = level2_by_recurrence(n)
-    total = Fraction(0)
-    for m in range(1, n + 1):
-        total += Fraction(-4) ** (n - m) * triangle.value(n, m) * Fraction(2 * m + 1) ** (-k)
-    return total
-
-
-def composition_series(k: int, order: int) -> Series:
-    return builtin_series("lif2k", order, k=k).compose(builtin_series("arcsinh", order))
+    return _sum_over_powers([_formula_column(n, triangle)], n + 1, k, 2)[0]
 
 
 def level2_by_series(n: int, k: int = 1, order: int | None = None) -> Fraction:
     """C_{2n}^(k) as the even EGF coefficient of lif2k(arcsinh t).
 
-    An explicit order below 2n is rejected; when omitted, the order is grown
-    to cover the request.
+    An explicit truncation order below 2n cannot determine the coefficient
+    and is rejected; any other order gives the same exact value.
     """
     if n < 0:
         raise ValueError(f"index n must be >= 0, got {n}")
-    if order is None:
-        order = max(DEFAULT_SERIES_ORDER, 2 * n)
-    elif order < 2 * n:
+    if order is not None and order < 2 * n:
         raise ValueError(f"order {order} cannot determine the coefficient at t^{2 * n}")
-    return composition_series(k, order).egf_even_coefficient(n)
+    return level2_series_values(arcsinh_power_egf(n), k)[n]
 
 
 def level1_by_formula(n: int, k: int = 1) -> Fraction:
     """Classical poly-Cauchy c_n^(k) = sum of (-1)^(n-m) [n, m] / (m+1)^k."""
     if n < 0:
         raise ValueError(f"index n must be >= 0, got {n}")
-    total = Fraction(0)
-    for m in range(n + 1):
-        sign = -1 if (n - m) % 2 else 1
-        total += sign * stirling1(n, m) * Fraction(m + 1) ** (-k)
-    return total
+    column = [(-1) ** (n - m) * stirling1(n, m) for m in range(n + 1)]
+    return _sum_over_powers([column], n + 1, k, 1)[0]
 
 
 def level1_by_series(n: int, k: int = 1, order: int | None = None) -> Fraction:
     """Classical poly-Cauchy c_n^(k) as the EGF coefficient of lif_k(log(1+t))."""
     if n < 0:
         raise ValueError(f"index n must be >= 0, got {n}")
-    if order is None:
-        order = max(DEFAULT_SERIES_ORDER, n)
-    elif order < n:
+    if order is not None and order < n:
         raise ValueError(f"order {order} cannot determine the coefficient at t^{n}")
-    composed = builtin_series("lif_k", order, k=k).compose(builtin_series("log1p", order))
-    return composed.egf_coefficient(n)
+    log1p = [0] + [(-1) ** (j - 1) * factorial(j - 1) for j in range(1, n + 1)]
+    return _sum_over_powers(_power_table(log1p, 1)[n:], n + 1, k, 1)[0]
 
 
 @dataclass
@@ -123,12 +205,11 @@ class PolyCauchyTable:
             return
         if route == "formula":
             triangle = level2_by_recurrence(nmax)
-            for n in range(start, nmax + 1):
-                self._store(n, k, level2_by_formula(n, k, triangle), route)
+            columns = (_formula_column(n, triangle) for n in range(start, nmax + 1))
         else:
-            composed = composition_series(k, max(DEFAULT_SERIES_ORDER, 2 * nmax))
-            for n in range(start, nmax + 1):
-                self._store(n, k, composed.egf_even_coefficient(n), route)
+            columns = arcsinh_power_egf(nmax)[start:]
+        for n, value in enumerate(_sum_over_powers(columns, nmax + 1, k, 2), start):
+            self._store(n, k, value, route)
 
     def _store(self, n: int, k: int, value: Fraction, route: str) -> None:
         self.entries[(n, k)] = value
@@ -190,28 +271,21 @@ def integral_representation_check(n: int, k: int, triangle: Level2Triangle | Non
         triangle = level2_by_recurrence(n)
 
     # Stage 1: expand the binomial product from scratch, factor by factor.
-    # (n!)^2 binom(z/2, n) binom(-z/2, n) = prod (z/2 - i) * prod (-z/2 - i).
-    left = [Fraction(1)]
-    right = [Fraction(1)]
+    # (-4)^n (n!)^2 binom(z/2, n) binom(-z/2, n) = (-4)^n prod (z/2 - i)(-z/2 - i)
+    # = (-1)^n prod (z - 2i)(-z - 2i), a product of integer linear factors.
+    product = [(-1) ** n]
     for i in range(n):
-        left = poly_mul(left, [Fraction(-i), Fraction(1, 2)])
-        right = poly_mul(right, [Fraction(-i), Fraction(-1, 2)])
-    product = poly_scale(poly_mul(left, right), Fraction(-4) ** n)
+        product = poly_mul(poly_mul(product, [-2 * i, 1]), [-2 * i, -1])
 
-    expected = [Fraction(0)] * (2 * n + 1)
+    expected = [0] * (2 * n + 1)
     for m in range(n + 1):
-        expected[2 * m] = Fraction(-4) ** (n - m) * triangle.value(n, m)
-    width = max(len(product), len(expected))
-    product += [Fraction(0)] * (width - len(product))
-    expected += [Fraction(0)] * (width - len(expected))
+        expected[2 * m] = (-4) ** (n - m) * triangle.value(n, m)
     polynomial_match = product == expected
 
     # Stage 2: integrate the stage-1 product, which never read the triangle,
-    # termwise over the unit cube: z^j becomes 1/(j+1)^k. The k-fold
-    # integral is never evaluated numerically.
-    integral_value = sum(
-        (c * Fraction(j + 1) ** (-k) for j, c in enumerate(product) if c), Fraction(0)
-    )
+    # termwise over the unit cube: z^j becomes 1/(j+1)^k, summed over one
+    # common denominator. The k-fold integral is never evaluated numerically.
+    integral_value = _sum_over_powers([product], 2 * n + 1, k, 1)[0]
     reference_value = level2_by_formula(n, k, triangle)
     value_match = integral_value == reference_value
 

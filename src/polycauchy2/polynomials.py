@@ -1,8 +1,9 @@
-"""Dense univariate polynomials over exact rationals.
+"""Dense univariate polynomials over exact integers and rationals.
 
 Coefficient lists run low degree to high. The integral representation check
-multiplies and scales them; the conjecture extraction evaluates, trims and
-prints the polynomials its linear solve returns.
+multiplies integer polynomials, which stay integer; the conjecture extraction
+evaluates, trims and prints the rational polynomials its linear solve
+returns.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from typing import Sequence
 
 __all__ = [
     "poly_mul",
-    "poly_scale",
     "poly_eval",
     "poly_trim",
     "poly_degree",
@@ -20,10 +20,10 @@ __all__ = [
 ]
 
 
-def poly_mul(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
+def poly_mul(a: Sequence[Fraction | int], b: Sequence[Fraction | int]) -> list[Fraction | int]:
     if not a or not b:
         return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai == 0:
             continue
@@ -31,10 +31,6 @@ def poly_mul(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
             if bj:
                 out[i + j] += ai * bj
     return out
-
-
-def poly_scale(a: Sequence[Fraction], c: Fraction | int) -> list[Fraction]:
-    return [v * c for v in a]
 
 
 def poly_eval(a: Sequence[Fraction], x: Fraction | int) -> Fraction:

@@ -1,5 +1,7 @@
 """Command-line behavior: formats, fixtures, exit codes, cache round-trips."""
 
+import ast
+import hashlib
 import json
 import os
 import random
@@ -15,6 +17,18 @@ from polycauchy2 import cache as cache_module
 from polycauchy2.cache import CACHE_FORMAT_VERSION, CacheSession
 from polycauchy2.cli import main
 from polycauchy2.convolution import CONVOLUTION_IDENTITIES
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def _bench_tuple(name):
+    """A tuple of invocation strings from bench/workloads.py, read without running it."""
+    tree = ast.parse((BENCH / "workloads.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == name for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise LookupError(f"bench/workloads.py defines no {name}")
+
 
 SEQUENCE_LINES = ["0,1", "1,1/3", "2,-17/15", "3,367/21", "4,-27859/45", "5,1295803/33", "6,-5329242827/1365"]
 
@@ -181,6 +195,19 @@ class TestVerifyCommand:
             main(["verify", "conjecture-r1", "--nmax", "-1"])
         assert excinfo.value.code == 2
         assert "--nmax must be >= 0" in capsys.readouterr().err
+
+
+class TestBenchmarkReferences:
+    """The benchmark's sequence workload, in-process: every stdout byte as recorded."""
+
+    @pytest.mark.parametrize("invocation", _bench_tuple("SEQUENCE"))
+    def test_sequence_stdout_matches_reference(self, capsys, invocation):
+        reference = json.loads((BENCH / "references.json").read_text())[invocation]
+        code, out, _ = run(capsys, invocation.split())
+        data = out.encode()
+        assert code == reference["exit"]
+        assert len(data) == reference["bytes"]
+        assert hashlib.sha256(data).hexdigest() == reference["sha256"]
 
 
 class TestUsageErrors:

@@ -189,6 +189,15 @@ class TestNegativeControls:
         with pytest.raises(ValueError):
             verify_identity("eqll", 8, rhs_override=lambda n, t: Fraction(0))
 
+    @pytest.mark.parametrize("name", ["thm1", "cor1", "eqll", "arcsinh_power", "conjecture-r1"])
+    def test_table_limited_to_convolutions(self, name):
+        # A table the identity never reads must not let a perturbed-table
+        # negative control pass silently.
+        perturbed = PolyCauchyTable.build(14)
+        perturbed.entries[(10, 1)] += 1
+        with pytest.raises(ValueError, match="reads no table"):
+            verify_identity(name, 12, table=perturbed)
+
     def test_unknown_identity(self):
         with pytest.raises(ValueError):
             verify_identity("thm9", 5)
@@ -351,6 +360,15 @@ class TestConjectureExtraction:
             report = verify_identity(name, 12)
             assert report.status == "pass"
             assert report.notes[0] == "P[0] = 1"
+
+    @pytest.mark.parametrize("name", ["conjecture", "conjecture-r1", "conjecture-r3"])
+    def test_conjecture_report_carries_the_only_bound_it_takes(self, name):
+        # The samples are fixed, so a report labelled with any other bound
+        # would state a sweep that never happened.
+        assert verify_identity(name).to_json_dict()["nmax"] == 12
+        for nmax in (3, 13):
+            with pytest.raises(ValueError, match="sample points are fixed"):
+                verify_identity(name, nmax)
 
     def test_identity_names_cover_registry(self):
         for name in CONVOLUTION_IDENTITIES:

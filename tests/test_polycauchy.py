@@ -15,14 +15,18 @@ from hypothesis import strategies as st
 from polycauchy2 import (
     Level2Triangle,
     PolyCauchyTable,
-    composition_series,
+    arcsinh_power_egf,
+    builtin_series,
     integral_representation_check,
     level1_by_formula,
     level1_by_series,
     level2_by_formula,
     level2_by_series,
     level2_by_recurrence,
+    level2_series_values,
 )
+from polycauchy2 import convolution as convolution_module
+from polycauchy2 import polycauchy as polycauchy_module
 
 # C_{2n} for n = 0..6 at k = 1.
 SEQUENCE_K1 = [
@@ -43,6 +47,11 @@ LEVEL1_K1 = [
     Fraction(1, 4),
     Fraction(-19, 30),
 ]
+
+
+def horner_composition(k, order):
+    """The Series oracle: lif2k(arcsinh t) by Horner's rule over Fraction."""
+    return builtin_series("lif2k", order, k=k).compose(builtin_series("arcsinh", order))
 
 
 class TestSequenceValues:
@@ -99,6 +108,65 @@ class TestLevel1Comparator:
         for k in (-2, -1, 0):
             for n in range(9):
                 assert level1_by_formula(n, k) == level1_by_series(n, k)
+
+
+class TestIntegerKernel:
+    def test_matches_horner_composition(self):
+        egf = arcsinh_power_egf(15)
+        for k in range(-3, 4):
+            composed = horner_composition(k, 30)
+            expected = [composed.egf_even_coefficient(n) for n in range(16)]
+            assert level2_series_values(egf, k) == expected, k
+
+    def test_arcsinh_powers_are_the_signed_triangle(self):
+        egf = arcsinh_power_egf(20)
+        triangle = level2_by_recurrence(20)
+        for n in range(21):
+            assert egf[n] == [(-4) ** (n - m) * triangle.value(n, m) for m in range(n + 1)]
+            assert all(type(value) is int for value in egf[n])
+
+    def test_series_route_never_reads_the_triangle(self, monkeypatch):
+        expected = [level2_by_formula(n, -2) for n in range(9)]
+
+        def refuse(*args):
+            raise AssertionError("the series route read the triangle")
+
+        monkeypatch.setattr(polycauchy_module, "level2_by_recurrence", refuse)
+        monkeypatch.setattr(Level2Triangle, "row", refuse)
+        monkeypatch.setattr(Level2Triangle, "value", refuse)
+        assert [level2_by_series(n) for n in range(7)] == SEQUENCE_K1
+        assert [level2_by_series(n, -2) for n in range(9)] == expected
+        table = PolyCauchyTable.build(8, k=-2, route="series")
+        assert [table.value(n, -2) for n in range(9)] == expected
+        with pytest.raises(AssertionError):
+            level2_by_formula(3)
+
+    def test_inexact_division_raises(self):
+        assert polycauchy_module._exact_div(-6, 3) == -2
+        with pytest.raises(ArithmeticError):
+            polycauchy_module._exact_div(7, 2)
+        # g = t^4 / 4!: the t^8 coefficient of g^2 * 2^2 / 4! is 8! / (4! 4! 6),
+        # not an integer, so the kernel must raise instead of flooring it.
+        with pytest.raises(ArithmeticError):
+            polycauchy_module._power_table([0, 0, 1, 0, 0], 2)
+
+    def test_perturbed_arcsinh_coefficient_fails_the_checks(self, monkeypatch):
+        # C9 style: one wrong arcsinh coefficient (t^5) must fail both
+        # identities that read the kernel. Any integer change keeps every
+        # kernel division exact, so the failure is a report, not an error.
+        real = polycauchy_module._arcsinh_egf
+
+        def perturbed(count):
+            coefficients = real(count)
+            if count > 2:
+                coefficients[2] += 1
+            return coefficients
+
+        monkeypatch.setattr(polycauchy_module, "_arcsinh_egf", perturbed)
+        for name, nmax in (("thm1", 6), ("arcsinh_power", 12)):
+            report = convolution_module.verify_identity(name, nmax)
+            assert report.status == "fail", name
+            assert report.first_failure is not None
 
 
 class TestTable:
@@ -174,6 +242,6 @@ class TestIntegralRepresentation:
 class TestOddVanishing:
     def test_odd_egf_coefficients_vanish(self):
         for k in range(-2, 4):
-            composed = composition_series(k, 21)
+            composed = horner_composition(k, 21)
             for i in range(1, 22, 2):
                 assert composed.coefficient(i) == 0
