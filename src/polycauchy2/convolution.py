@@ -10,11 +10,22 @@ check. ``convolution_sweep`` evaluates it for every n = 0..N in one pass, as
 k - 1 binary EGF products in t^2: factor j is the sequence i -> C_{2i+2j},
 and two sequences a, b combine into c_n = sum over i of binom(2n, 2i)
 a_i b_{n-i}. The coefficient (2n)! / ((2 i_1)! ... (2 i_k)!) is a product of
-such binomials, so by associativity this is exactly the defining sum. The brute-force oracle
-that enumerates the defining sum term by term lives in the test suite
-(``tests/test_convolution.py::brute_force_convolution``).
+such binomials, so by associativity this is exactly the defining sum.
 
-The right-hand sides are the claimed closed forms, written out term by term.
+Both the sweep and the sum-form right-hand sides run on integers (Knuth,
+TAOCP Vol. 2, 4.7). Each call reads the C_{2m} it needs from the table and
+writes them as integer numerators over D, the lcm of their denominators.
+The sweep multiplies those integers and divides by D^k once per n. The
+closed forms of Theorems 2-4 and 6 weight C_{2l} by (2n)! / ((2l)! 2^(n-l)
+(n-l)!) = binom(2n, 2l) (2n-2l-1)!! (Concrete Mathematics, 7.6) times a sign
+and a second odd double factorial, so each is one integer sum over D times a
+small constant per n. Only the final division builds a Fraction.
+
+The test suite holds the oracles: ``brute_force_convolution`` enumerates the
+defining sum term by term, and the ``paper_rhs_*`` functions evaluate the
+paper's right-hand sides as written, one Fraction per term
+(``tests/test_convolution.py``).
+
 ``verify_identity`` sweeps a named identity over a range and reports per-n
 equality without ever aborting on a failure.
 
@@ -39,10 +50,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from math import comb, factorial
+from math import comb, factorial, lcm
 from typing import Callable, Sequence
 
-from .exact import binomial, double_factorial
+from .exact import binomial
 from .polynomials import poly_degree, poly_eval, poly_text, poly_trim
 from .polycauchy import (
     PolyCauchyTable,
@@ -74,8 +85,31 @@ __all__ = [
 ]
 
 
-def _sign(e: int) -> int:
-    return -1 if e % 2 else 1
+# -- the integer view ------------------------------------------------------------
+
+
+def _numerators(table: PolyCauchyTable, need: int) -> tuple[list[int], int]:
+    """C_{2m} for m = 0..need as integer numerators over D, the lcm of their denominators.
+
+    Read from the table on every call, so a changed entry shows in every result.
+    """
+    values = [table.value(m) for m in range(need + 1)]
+    denominator = lcm(*(value.denominator for value in values))
+    return [value.numerator * (denominator // value.denominator) for value in values], denominator
+
+
+def _weights(count: int) -> list[int]:
+    """w_j = (-1)^j (2j-1)!! (2j-3)!! for j = 0..count, with (-1)!! = 1 and (-3)!! = -1.
+
+    For j = n - l, binom(2n, 2l) w_j is the paper's (2n)! (-1)^j (2j-3)!! /
+    ((2l)! 2^j j!), and binom(2n, 2l) w_{j+1} is minus its (2n)! (-1)^j
+    (2j+1)!! / ((2l)! 2^j j!). Built by w_0 = -1 and w_j = -(2j-1)(2j-3)
+    w_{j-1}, which the extension a (a-2)!! = a!! makes hold from j = 1 on.
+    """
+    weights = [-1]
+    for j in range(1, count + 1):
+        weights.append(-(2 * j - 1) * (2 * j - 3) * weights[-1])
+    return weights
 
 
 # -- the convolution engine -------------------------------------------------------
@@ -98,16 +132,15 @@ def convolution_sweep(
     need = nmax + max(offsets)
     if table.max_n(1) < need:
         raise ValueError(f"table holds n <= {table.max_n(1)}, convolution needs {need}")
-    product, *rest = [[table.value(i + j) for i in range(nmax + 1)] for j in offsets]
+    numerators, denominator = _numerators(table, need)
+    product, *rest = [numerators[j : j + nmax + 1] for j in offsets]
     for factor in rest:
         product = [
-            sum(
-                (comb(2 * n, 2 * i) * product[i] * factor[n - i] for i in range(n + 1)),
-                Fraction(0),
-            )
+            sum(comb(2 * n, 2 * i) * product[i] * factor[n - i] for i in range(n + 1))
             for n in range(nmax + 1)
         ]
-    return product
+    scale = denominator ** len(offsets)
+    return [Fraction(value, scale) for value in product]
 
 
 # -- closed-form right-hand sides ---------------------------------------------------
@@ -121,16 +154,10 @@ def convolution_sweep(
 def rhs_2fold_00(n: int, table: PolyCauchyTable) -> Fraction:
     if n < 0:
         raise ValueError(f"defined for n >= 0, got {n}")
-    total = Fraction(0)
-    for l in range(n + 1):
-        total += (
-            _sign(n - l)
-            * double_factorial(2 * n - 2 * l - 3)
-            * (2 * l - 1)
-            / (Fraction(2) ** (n - l) * factorial(n - l) * factorial(2 * l))
-            * table.value(l)
-        )
-    return factorial(2 * n) * total
+    c, denominator = _numerators(table, n)
+    w = _weights(n)
+    total = sum(comb(2 * n, 2 * l) * w[n - l] * (2 * l - 1) * c[l] for l in range(n + 1))
+    return Fraction(total, denominator)
 
 
 def rhs_2fold_01(n: int, table: PolyCauchyTable, lmax: int | None = None) -> Fraction:
@@ -138,53 +165,45 @@ def rhs_2fold_01(n: int, table: PolyCauchyTable, lmax: int | None = None) -> Fra
 
     The lmax parameter exists so tests can demonstrate that dropping the top
     term breaks the identity; production callers leave it alone.
+
+    The paper's term carries 1 / (3 (j+1)) for j = n - l. Since
+    binom(2n, 2l) (2j-1)!! / (j+1) = binom(2n+2, 2l) (2j+1)!! / ((2n+1)(n+1)),
+    every term, the l = n + 1 one (j = -1) included, lies over 3 (2n+1)(n+1).
     """
     if n < 0:
         raise ValueError(f"defined for n >= 0, got {n}")
     if lmax is None:
         lmax = n + 1
-    total = Fraction(0)
-    for l in range(lmax + 1):
-        total += (
-            _sign(n - l - 1)
-            * (2 * l - 1)
-            * (3 * n * n - 3 * n * l + 2 * l * l + 4 * n - 3 * l + 1)
-            * double_factorial(2 * n - 2 * l - 1)
-            / (3 * Fraction(2) ** (n - l) * factorial(n - l + 1) * factorial(2 * l))
-            * table.value(l)
-        )
-    return factorial(2 * n) * total
+    elif lmax > n + 1:
+        raise ValueError(f"the sum stops at l = n + 1 = {n + 1}, got lmax = {lmax}")
+    c, denominator = _numerators(table, lmax)
+    w = _weights(n + 1)
+    total = sum(
+        comb(2 * n + 2, 2 * l)
+        * w[n - l + 1]
+        * (2 * l - 1)
+        * (3 * n * n - 3 * n * l + 2 * l * l + 4 * n - 3 * l + 1)
+        * c[l]
+        for l in range(lmax + 1)
+    )
+    return Fraction(total, 3 * (2 * n + 1) * (n + 1) * denominator)
 
 
 def rhs_2fold_11(n: int, table: PolyCauchyTable) -> Fraction:
     if n < 0:
         raise ValueError(f"defined for n >= 0, got {n}")
-    s1 = s2 = s3 = Fraction(0)
-    for l in range(n + 1):
-        shared = Fraction(2) ** (n - l) * factorial(n - l) * factorial(2 * l)
-        s1 += (
-            _sign(n - l)
-            * (10 * n - 8 * l + 5)
-            * double_factorial(2 * n - 2 * l - 3)
-            / shared
-            * table.value(l + 2)
+    c, denominator = _numerators(table, n + 2)
+    w = _weights(n + 1)
+    total = sum(
+        comb(2 * n, 2 * l)
+        * (
+            (10 * n - 8 * l + 5) * w[n - l] * c[l + 2]
+            + w[n - l + 1]
+            * (10 * (6 * l + 1) * c[l + 1] + (160 * l**3 - 220 * l**2 + 72 * l - 1) * c[l])
         )
-        s2 += (
-            _sign(n - l)
-            * (6 * l + 1)
-            * double_factorial(2 * n - 2 * l + 1)
-            / shared
-            * table.value(l + 1)
-        )
-        s3 += (
-            _sign(n - l)
-            * (160 * l**3 - 220 * l**2 + 72 * l - 1)
-            * double_factorial(2 * n - 2 * l + 1)
-            / shared
-            * table.value(l)
-        )
-    f2n = factorial(2 * n)
-    return Fraction(f2n, 30) * s1 - Fraction(f2n, 3) * s2 - Fraction(f2n, 30) * s3
+        for l in range(n + 1)
+    )
+    return Fraction(total, 30 * denominator)
 
 
 def rhs_3fold(n: int, table: PolyCauchyTable) -> Fraction:
@@ -198,29 +217,18 @@ def rhs_3fold(n: int, table: PolyCauchyTable) -> Fraction:
 def rhs_4fold(n: int, table: PolyCauchyTable) -> Fraction:
     if n < 1:
         raise ValueError(f"defined for n >= 1, got {n}")
-    s1 = s2 = Fraction(0)
-    for l in range(n + 1):
-        shared = Fraction(2) ** (n - l) * factorial(n - l) * factorial(2 * l)
-        s1 += (
-            _sign(n - l)
-            * double_factorial(2 * n - 2 * l - 3)
-            * (2 * l - 1)
-            * (2 * l - 2)
-            * (2 * l - 3)
-            / shared
-            * table.value(l)
+    c, denominator = _numerators(table, n)
+    w = _weights(n)
+    total = sum(
+        comb(2 * n, 2 * l)
+        * w[n - l]
+        * (
+            (2 * l - 1) * (2 * l - 2) * (2 * l - 3) * c[l]
+            + (2 * l * (2 * l - 1) * (2 * l - 3) ** 3 * c[l - 1] if l else 0)
         )
-        if l >= 1:
-            s2 += (
-                _sign(n - l)
-                * double_factorial(2 * n - 2 * l - 3)
-                * (2 * l)
-                * (2 * l - 1)
-                * (2 * l - 3) ** 3
-                / shared
-                * table.value(l - 1)
-            )
-    return Fraction(factorial(2 * n), 6) * (s1 + s2)
+        for l in range(n + 1)
+    )
+    return Fraction(total, 6 * denominator)
 
 
 def rhs_5fold(n: int, table: PolyCauchyTable) -> Fraction:
@@ -280,7 +288,9 @@ class IdentityReport:
 
     @property
     def status(self) -> str:
-        return "pass" if all(row.equal for row in self.per_n_results) else "fail"
+        # A report that compared nothing has shown nothing.
+        rows = self.per_n_results
+        return "pass" if rows and all(row.equal for row in rows) else "fail"
 
     @property
     def first_failure(self) -> CheckRow | None:
@@ -346,6 +356,8 @@ def _verify_convolution(
     table: PolyCauchyTable | None,
 ) -> IdentityReport:
     defn = CONVOLUTION_IDENTITIES[name]
+    if nmax < defn.nmin:
+        raise ValueError(f"{name} starts at n = {defn.nmin}: nmax must be >= {defn.nmin}, got {nmax}")
     if table is None:
         table = PolyCauchyTable.build(nmax + 2)
     elif table.max_n(1) < nmax + 2:
@@ -434,19 +446,23 @@ def _verify_l_second_derivative(nmax: int) -> IdentityReport:
 def _verify_arcsinh_power(nmax: int) -> IdentityReport:
     # (arcsinh t)^(2m) / (2m)! = sum over n >= m of (-4)^(n-m) [[n, m]] t^(2n) / (2n)!,
     # compared through t^nmax as integer EGF coefficients; odd ones vanish on both sides.
+    # Only powers m <= nmax / 2 reach a compared coefficient.
+    if nmax < 2:
+        raise ValueError(f"arcsinh_power starts at t^2: nmax must be >= 2, got {nmax}")
     half = nmax // 2
+    top = min(6, half)
     egf = arcsinh_power_egf(half)
     triangle = level2_by_recurrence(half)
     rows: list[CheckRow] = []
-    for m in range(1, 7):
+    for m in range(1, top + 1):
         lhs = [egf[n][m] if m <= n else 0 for n in range(half + 1)]
         rhs = [(-4) ** (n - m) * triangle.value(n, m) if m <= n else 0 for n in range(half + 1)]
         mismatch = next((n for n in range(half + 1) if lhs[n] != rhs[n]), None)
-        # Show the t^(2m) coefficient (or the last one, below it), else the first mismatch.
-        n = min(m, half) if mismatch is None else mismatch
+        # Show the t^(2m) coefficient, else the first mismatch.
+        n = m if mismatch is None else mismatch
         scale = factorial(2 * n)
         rows.append(CheckRow(m, Fraction(lhs[n], scale), Fraction(rhs[n], scale), mismatch is None))
-    return IdentityReport("arcsinh_power", nmax, f"m=1..6, coefficients through t^{nmax}", rows)
+    return IdentityReport("arcsinh_power", nmax, f"m=1..{top}, coefficients through t^{nmax}", rows)
 
 
 # -- conjecture extraction ----------------------------------------------------------
@@ -486,7 +502,7 @@ def _solve_exact(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Frac
     for col in range(ncols):
         sel = next((i for i in range(pivot_row, len(rows)) if rows[i][col] != 0), None)
         if sel is None:
-            raise ValueError("sample points produce a singular system; add or vary samples")
+            raise ArithmeticError("sample points produce a singular system; add or vary samples")
         rows[pivot_row], rows[sel] = rows[sel], rows[pivot_row]
         inv = 1 / rows[pivot_row][col]
         rows[pivot_row] = [v * inv for v in rows[pivot_row]]
@@ -643,7 +659,9 @@ def verify_identity(
 ) -> IdentityReport:
     """Sweep one named identity and report per-index equality.
 
-    Failures are recorded in the report, never raised. ``rhs_override``
+    Failures are recorded in the report, never raised; an nmax below the
+    identity's first index is a ValueError, since it would compare nothing.
+    ``rhs_override``
     replaces the registered right-hand side of a convolution identity and
     exists for negative-control tests; ``table`` supplies the C values a
     convolution identity reads. Every other identity computes its own values

@@ -264,18 +264,29 @@ class IntegralCheck:
         )
 
 
+# Stage-1 products (-1)^n prod over i < n of (z - 2i)(-z - 2i), grown lazily one
+# pair of linear factors at a time: _LINEAR_PRODUCTS[n] is the product for n.
+_LINEAR_PRODUCTS: list[list[int]] = [[1]]
+
+
+def _linear_product(n: int) -> list[int]:
+    while len(_LINEAR_PRODUCTS) <= n:
+        i = len(_LINEAR_PRODUCTS) - 1
+        negated = [-c for c in _LINEAR_PRODUCTS[i]]
+        _LINEAR_PRODUCTS.append(poly_mul(poly_mul(negated, [-2 * i, 1]), [-2 * i, -1]))
+    return _LINEAR_PRODUCTS[n]
+
+
 def integral_representation_check(n: int, k: int, triangle: Level2Triangle | None = None) -> IntegralCheck:
     if n < 0:
         raise ValueError(f"index n must be >= 0, got {n}")
     if triangle is None or triangle.nmax < n:
         triangle = level2_by_recurrence(n)
 
-    # Stage 1: expand the binomial product from scratch, factor by factor.
+    # Stage 1: expand the binomial product factor by factor, once per n.
     # (-4)^n (n!)^2 binom(z/2, n) binom(-z/2, n) = (-4)^n prod (z/2 - i)(-z/2 - i)
     # = (-1)^n prod (z - 2i)(-z - 2i), a product of integer linear factors.
-    product = [(-1) ** n]
-    for i in range(n):
-        product = poly_mul(poly_mul(product, [-2 * i, 1]), [-2 * i, -1])
+    product = _linear_product(n)
 
     expected = [0] * (2 * n + 1)
     for m in range(n + 1):

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from polycauchy2 import cache as cache_module
+from polycauchy2 import convolution as convolution_module
 from polycauchy2.cache import CACHE_FORMAT_VERSION, CacheSession
 from polycauchy2.cli import main
 from polycauchy2.convolution import CONVOLUTION_IDENTITIES
@@ -197,17 +198,59 @@ class TestVerifyCommand:
         assert "--nmax must be >= 0" in capsys.readouterr().err
 
 
-class TestBenchmarkReferences:
-    """The benchmark's sequence workload, in-process: every stdout byte as recorded."""
+    @pytest.mark.parametrize(
+        "identity,nmax,nmin", [("fold7", 2, 3), ("thm5", 0, 1), ("thm6", 0, 1), ("fold5", 1, 2)]
+    )
+    def test_nmax_below_first_index_is_usage_error(self, capsys, identity, nmax, nmin):
+        # Such a sweep compares nothing, so it must not report a pass.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["verify", identity, "--nmax", str(nmax)])
+        assert excinfo.value.code == 2
+        assert f"nmax must be >= {nmin}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("invocation", _bench_tuple("SEQUENCE"))
-    def test_sequence_stdout_matches_reference(self, capsys, invocation):
+    def test_arcsinh_power_prints_only_compared_rows(self, capsys):
+        for nmax in ("0", "1"):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["verify", "arcsinh_power", "--nmax", nmax])
+            assert excinfo.value.code == 2
+            assert "nmax must be >= 2" in capsys.readouterr().err
+        code, out, _ = run(capsys, ["verify", "arcsinh_power", "--nmax", "5"])
+        assert code == 0
+        assert out.splitlines() == [
+            "identity: arcsinh_power",
+            "range: m=1..2, coefficients through t^5",
+            "  n=1 lhs=1/2 rhs=1/2 ok",
+            "  n=2 lhs=1/24 rhs=1/24 ok",
+            "status: pass",
+        ]
+
+    def test_singular_solve_is_not_a_usage_error(self, capsys, monkeypatch):
+        # An internal failure must surface as itself, not as exit 2.
+        monkeypatch.setattr(convolution_module, "conjecture_prefactor", lambda r, k, n: 0)
+        with pytest.raises(ArithmeticError, match="singular"):
+            main(["verify", "conjecture-r1"])
+        assert "usage" not in capsys.readouterr().err
+
+
+class TestBenchmarkReferences:
+    """The benchmark's sequence and convolution workloads, in-process: every stdout byte as recorded."""
+
+    @staticmethod
+    def check(capsys, invocation):
         reference = json.loads((BENCH / "references.json").read_text())[invocation]
         code, out, _ = run(capsys, invocation.split())
         data = out.encode()
         assert code == reference["exit"]
         assert len(data) == reference["bytes"]
         assert hashlib.sha256(data).hexdigest() == reference["sha256"]
+
+    @pytest.mark.parametrize("invocation", _bench_tuple("SEQUENCE"))
+    def test_sequence_stdout_matches_reference(self, capsys, invocation):
+        self.check(capsys, invocation)
+
+    @pytest.mark.parametrize("invocation", _bench_tuple("CONVOLUTION"))
+    def test_convolution_stdout_matches_reference(self, capsys, invocation):
+        self.check(capsys, invocation)
 
 
 class TestUsageErrors:

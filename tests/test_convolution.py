@@ -4,7 +4,8 @@ The oracle for ``convolution_sweep`` is a brute-force
 enumeration over index tuples written here with itertools only; the closed
 forms are then swept against the engine, and the series side of each
 identity is checked against the convolution side through the EGF product
-rule.
+rule. The oracles for the integer sum-form right-hand sides are the paper's
+formulas as written, one Fraction per term (``paper_rhs_*``).
 """
 
 import itertools
@@ -27,10 +28,15 @@ from polycauchy2 import (
 from polycauchy2 import convolution as convolution_module
 from polycauchy2.convolution import (
     CONVOLUTION_IDENTITIES,
+    IdentityReport,
     conjecture_prefactor,
     default_conjecture_samples,
+    rhs_2fold_00,
     rhs_2fold_01,
+    rhs_2fold_11,
+    rhs_4fold,
 )
+from polycauchy2.exact import double_factorial
 from polycauchy2.polynomials import poly_eval, poly_mul
 
 
@@ -45,6 +51,109 @@ def brute_force_convolution(offsets, n, table):
             term *= table.value(i + j)
         total += term
     return total
+
+
+def _sign(e):
+    return -1 if e % 2 else 1
+
+
+def paper_rhs_2fold_00(n, table):
+    total = Fraction(0)
+    for l in range(n + 1):
+        total += (
+            _sign(n - l)
+            * double_factorial(2 * n - 2 * l - 3)
+            * (2 * l - 1)
+            / (Fraction(2) ** (n - l) * factorial(n - l) * factorial(2 * l))
+            * table.value(l)
+        )
+    return factorial(2 * n) * total
+
+
+def paper_rhs_2fold_01(n, table, lmax=None):
+    if lmax is None:
+        lmax = n + 1
+    total = Fraction(0)
+    for l in range(lmax + 1):
+        total += (
+            _sign(n - l - 1)
+            * (2 * l - 1)
+            * (3 * n * n - 3 * n * l + 2 * l * l + 4 * n - 3 * l + 1)
+            * double_factorial(2 * n - 2 * l - 1)
+            / (3 * Fraction(2) ** (n - l) * factorial(n - l + 1) * factorial(2 * l))
+            * table.value(l)
+        )
+    return factorial(2 * n) * total
+
+
+def paper_rhs_2fold_11(n, table):
+    s1 = s2 = s3 = Fraction(0)
+    for l in range(n + 1):
+        shared = Fraction(2) ** (n - l) * factorial(n - l) * factorial(2 * l)
+        s1 += (
+            _sign(n - l)
+            * (10 * n - 8 * l + 5)
+            * double_factorial(2 * n - 2 * l - 3)
+            / shared
+            * table.value(l + 2)
+        )
+        s2 += (
+            _sign(n - l)
+            * (6 * l + 1)
+            * double_factorial(2 * n - 2 * l + 1)
+            / shared
+            * table.value(l + 1)
+        )
+        s3 += (
+            _sign(n - l)
+            * (160 * l**3 - 220 * l**2 + 72 * l - 1)
+            * double_factorial(2 * n - 2 * l + 1)
+            / shared
+            * table.value(l)
+        )
+    f2n = factorial(2 * n)
+    return Fraction(f2n, 30) * s1 - Fraction(f2n, 3) * s2 - Fraction(f2n, 30) * s3
+
+
+def paper_rhs_4fold(n, table):
+    s1 = s2 = Fraction(0)
+    for l in range(n + 1):
+        shared = Fraction(2) ** (n - l) * factorial(n - l) * factorial(2 * l)
+        s1 += (
+            _sign(n - l)
+            * double_factorial(2 * n - 2 * l - 3)
+            * (2 * l - 1)
+            * (2 * l - 2)
+            * (2 * l - 3)
+            / shared
+            * table.value(l)
+        )
+        if l >= 1:
+            s2 += (
+                _sign(n - l)
+                * double_factorial(2 * n - 2 * l - 3)
+                * (2 * l)
+                * (2 * l - 1)
+                * (2 * l - 3) ** 3
+                / shared
+                * table.value(l - 1)
+            )
+    return Fraction(factorial(2 * n), 6) * (s1 + s2)
+
+
+# Integer right-hand side, paper-form oracle, first index, identity name.
+PAPER_FORMS = [
+    (rhs_2fold_00, paper_rhs_2fold_00, 0, "thm2"),
+    (rhs_2fold_01, paper_rhs_2fold_01, 0, "thm3"),
+    (rhs_2fold_11, paper_rhs_2fold_11, 0, "thm4"),
+    (rhs_4fold, paper_rhs_4fold, 1, "thm6"),
+]
+PAPER_FORM_IDS = [case[3] for case in PAPER_FORMS]
+
+
+@pytest.fixture(scope="module")
+def table32():
+    return PolyCauchyTable.build(32)
 
 
 SWEEP_CASES = [
@@ -160,6 +269,37 @@ class TestClosedFormSweeps:
         assert len(calls) == 1
 
 
+class TestPaperFormOracles:
+    @pytest.mark.parametrize("rhs,oracle,nmin,name", PAPER_FORMS, ids=PAPER_FORM_IDS)
+    def test_integer_form_equals_paper_form(self, rhs, oracle, nmin, name, table32):
+        for n in range(nmin, 31):
+            assert rhs(n, table32) == oracle(n, table32), (name, n)
+
+    def test_truncated_2fold_01_equals_paper_form(self, table32):
+        for n in range(31):
+            assert rhs_2fold_01(n, table32, lmax=n) == paper_rhs_2fold_01(n, table32, lmax=n), n
+        with pytest.raises(ValueError, match="stops at l = n \\+ 1"):
+            rhs_2fold_01(3, table32, lmax=5)
+
+    @pytest.mark.parametrize("rhs,oracle,nmin,name", PAPER_FORMS, ids=PAPER_FORM_IDS)
+    def test_perturbed_weight_is_visible(self, rhs, oracle, nmin, name, table32, monkeypatch):
+        # C9 style: one integer weight off by 1 must move the closed form off
+        # the paper's value and fail the identity's sweep.
+        real = convolution_module._weights
+
+        def perturbed(count):
+            weights = real(count)
+            if count >= 2:
+                weights[2] += 1
+            return weights
+
+        monkeypatch.setattr(convolution_module, "_weights", perturbed)
+        assert any(rhs(n, table32) != oracle(n, table32) for n in range(nmin, 9))
+        report = verify_identity(name, 8)
+        assert report.status == "fail"
+        assert report.first_failure is not None
+
+
 class TestNegativeControls:
     @pytest.mark.parametrize("name", sorted(CONVOLUTION_IDENTITIES))
     def test_perturbing_rhs_flips_to_fail(self, name):
@@ -208,6 +348,16 @@ class TestNegativeControls:
         with pytest.raises(ValueError):
             verify_identity("thm2", -1)
 
+    @pytest.mark.parametrize("name", ["thm5", "thm6", "fold5", "fold7"])
+    def test_nmax_below_first_index(self, name):
+        nmin = CONVOLUTION_IDENTITIES[name].nmin
+        with pytest.raises(ValueError, match=f"nmax must be >= {nmin}"):
+            verify_identity(name, nmin - 1)
+        assert [row.n for row in verify_identity(name, nmin).per_n_results] == [nmin]
+
+    def test_empty_report_is_no_pass(self):
+        assert IdentityReport("thm2", 0, "n=1..0", []).status == "fail"
+
     def test_perturbed_table_entry_is_visible(self, table18):
         # C9 style: one table entry off by 1 must change the sweep and fail
         # the fold7 check, so a sweep-based check is able to fail.
@@ -251,6 +401,15 @@ class TestRouteAndSeriesSweeps:
         report = verify_identity("arcsinh_power", 24)
         assert report.status == "pass"
         assert [row.n for row in report.per_n_results] == [1, 2, 3, 4, 5, 6]
+
+    def test_arcsinh_power_reports_only_compared_powers(self):
+        for nmax, powers in ((2, [1]), (3, [1]), (7, [1, 2, 3]), (11, [1, 2, 3, 4, 5])):
+            report = verify_identity("arcsinh_power", nmax)
+            assert [row.n for row in report.per_n_results] == powers
+            assert report.parameter_range.startswith(f"m=1..{powers[-1]},")
+        for nmax in (0, 1):
+            with pytest.raises(ValueError, match="nmax must be >= 2"):
+                verify_identity("arcsinh_power", nmax)
 
 
 DUALITY_CASES = [
