@@ -197,7 +197,6 @@ class TestVerifyCommand:
         assert excinfo.value.code == 2
         assert "--nmax must be >= 0" in capsys.readouterr().err
 
-
     @pytest.mark.parametrize(
         "identity,nmax,nmin", [("fold7", 2, 3), ("thm5", 0, 1), ("thm6", 0, 1), ("fold5", 1, 2)]
     )
