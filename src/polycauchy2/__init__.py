@@ -17,13 +17,11 @@ from .convolution import (
 )
 from .exact import (
     binomial,
-    double_factorial,
     harmonic,
     rational_from_text,
     rational_to_text,
 )
 from .polycauchy import (
-    DEFAULT_SERIES_ORDER,
     IntegralCheck,
     PolyCauchyTable,
     arcsinh_power_egf,
@@ -34,7 +32,7 @@ from .polycauchy import (
     level2_by_series,
     level2_series_values,
 )
-from .series import BUILTIN_SERIES_NAMES, Series, builtin_series
+from .series import BUILTIN_SERIES_NAMES, builtin_series
 from .stirling import (
     CentralFactorialTriangle,
     FormulaCheck,
@@ -57,9 +55,7 @@ __all__ = [
     "rational_to_text",
     "rational_from_text",
     "binomial",
-    "double_factorial",
     "harmonic",
-    "Series",
     "builtin_series",
     "BUILTIN_SERIES_NAMES",
     "StirlingTriangle",
@@ -81,7 +77,6 @@ __all__ = [
     "PolyCauchyTable",
     "IntegralCheck",
     "integral_representation_check",
-    "DEFAULT_SERIES_ORDER",
     "arcsinh_power_egf",
     "level2_series_values",
     "convolution_sweep",

@@ -1,8 +1,10 @@
 """Command-line front end: triangle tables, sequence tables, series dumps, verification.
 
 Exit codes are the machine contract: 0 success (or identity pass), 1 identity
-failure, 2 usage error. All numbers are printed in canonical rational text,
-so identical invocations produce byte-identical output.
+failure, 2 usage error, 3 internal error (an ArithmeticError inside a
+computation, reported on one stderr line). All numbers are printed in
+canonical rational text, so identical invocations produce byte-identical
+output.
 """
 
 from __future__ import annotations
@@ -14,13 +16,15 @@ import sys
 from .cache import CacheSession
 from .convolution import DEFAULT_NMAX, IDENTITY_NAMES, verify_identity
 from .exact import rational_to_text
-from .polycauchy import DEFAULT_SERIES_ORDER, PolyCauchyTable
+from .polycauchy import PolyCauchyTable
 from .series import BUILTIN_SERIES_NAMES, builtin_series
 from .stirling import level2_by_recurrence
 
 __all__ = ["build_parser", "main", "entry"]
 
 _FIELD_SEPARATORS = {"csv": ",", "tsv": "\t"}
+
+_DEFAULT_SERIES_ORDER = 40
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -62,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--order",
         type=int,
-        default=DEFAULT_SERIES_ORDER,
+        default=_DEFAULT_SERIES_ORDER,
         metavar="M",
         help="truncation order of the printed series",
     )
@@ -159,8 +163,7 @@ def cmd_polycauchy(args: argparse.Namespace, cache: CacheSession) -> int:
 
 
 def cmd_series(args: argparse.Namespace, cache: CacheSession) -> int:
-    series = builtin_series(args.name, args.order, k=args.k)
-    texts = [rational_to_text(series.coefficient(i)) for i in range(args.order + 1)]
+    texts = [rational_to_text(c) for c in builtin_series(args.name, args.order, k=args.k)]
     _emit_table(
         args.format,
         ["i", "coefficient"],
@@ -210,6 +213,9 @@ def main(argv: list[str] | None = None) -> int:
             code = args.handler(args, cache)
         except ValueError as exc:
             parser.error(str(exc))
+        except ArithmeticError as exc:
+            print(f"polycauchy2: internal error: {exc}", file=sys.stderr)
+            return 3
         cache.save()
     finally:
         sys.set_int_max_str_digits(digit_limit)

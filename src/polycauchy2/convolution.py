@@ -27,7 +27,10 @@ paper's right-hand sides as written, one Fraction per term
 (``tests/test_convolution.py``).
 
 ``verify_identity`` sweeps a named identity over a range and reports per-n
-equality without ever aborting on a failure.
+equality without ever aborting on a failure. The two differential equations
+for L(t) = t / arcsinh t, ``eqll`` and ``eqconvo02``, are Theorems 2 and 3
+read as power series: their checks run the thm2 and thm3 sweeps on the
+formula route's table and report row n at t^(2n), divided by (2n)!.
 
 ``extract_conjecture_polynomials`` recovers, from convolution data alone, the
 polynomials P_{r,2k}(n) in the ansatz
@@ -62,7 +65,6 @@ from .polycauchy import (
     level2_by_formula,
     level2_series_values,
 )
-from .series import Series, builtin_series
 from .stirling import level2_by_recurrence
 
 __all__ = [
@@ -406,41 +408,33 @@ def _verify_integral_representation(nmax: int) -> IdentityReport:
     return _report_over_k("cor1", nmax, _INTEGRAL_K_RANGE, check)
 
 
-def _verify_l_squared(nmax: int) -> IdentityReport:
-    # L^2 = sqrt(1+t^2) L - t sqrt(1+t^2) L', compared coefficientwise.
-    order = nmax + 1
-    big_l = builtin_series("L", order)
-    root = builtin_series("sqrt_1pt2", order)
-    lhs = big_l * big_l
-    rhs = root * big_l - (Series.x(order) * root) * big_l.derivative()
-    rows = [CheckRow.compare(i, lhs.coefficient(i), rhs.coefficient(i)) for i in range(nmax + 1)]
-    return IdentityReport("eqll", nmax, f"coefficients t^0..t^{nmax}", rows)
+def _verify_l_equation(name: str, identity: str, nmax: int) -> IdentityReport:
+    """A differential equation for L(t) = t / arcsinh t through t^nmax, as a Theorem 2 or 3 sweep.
 
+    L is lif2k(arcsinh t) at k = 1, so its EGF coefficient at t^(2n) is
+    C_{2n}, its odd ones vanish, and L'' has C_{2n+2} at t^(2n). By the EGF
+    product rule (2n)! [t^(2n)] L^2 is the (0, 0) convolution at n and
+    (2n)! [t^(2n)] L L'' the (0, 1) convolution. Both sides of each equation
+    are even, so every odd coefficient reads 0 = 0.
 
-def _verify_l_second_derivative(nmax: int) -> IdentityReport:
-    # L L'' expressed through L..L''' with rational-function prefactors, each
-    # prefactor expanded from builtins. The middle prefactor carries a 1/t;
-    # its numerator series has constant term exactly 0, so the division is a
-    # legal power-series operation.
-    order = nmax + 3
-    big_l = builtin_series("L", order)
-    l1 = big_l.derivative()
-    l2 = l1.derivative()
-    l3 = l2.derivative()
-    root = builtin_series("sqrt_1pt2", order)
-    invroot = builtin_series("invsqrt_1pt2", order)
-    inv32 = builtin_series("inv32_1pt2", order)
+    The right sides multiply out to the closed forms. eqll is
+    L^2 = sqrt(1+t^2) (L - t L'): sqrt(1+t^2) has EGF coefficient -w_j at
+    t^(2j) (see ``_weights``) and L - t L' has (1 - 2l) C_{2l} at t^(2l), so
+    the product is the sum over l of binom(2n, 2l) w_{n-l} (2l-1) C_{2l},
+    which is ``rhs_2fold_00``. eqconvo02 is, with s = 1 + t^2,
 
-    a = inv32 * Fraction(1, 2) - invroot * Fraction(1, 6)
-    b_numerator = root * Fraction(1, 6) + inv32 * Fraction(1, 2) - invroot * Fraction(2, 3)
-    b = b_numerator.divide_by(Series.x(order))
-    c = (invroot - root) * Fraction(1, 2)
-    d = (Series.x(order) * root) * Fraction(-1, 3)
+        L L'' = (s^(-3/2) / 2 - s^(-1/2) / 6) L
+              + (s^(1/2) / 6 + s^(-3/2) / 2 - 2 s^(-1/2) / 3) L' / t
+              + (s^(-1/2) - s^(1/2)) L'' / 2 - t s^(1/2) L''' / 3,
 
-    lhs = big_l * l2
-    rhs = a * big_l + b * l1 + c * l2 + d * l3
-    rows = [CheckRow.compare(i, lhs.coefficient(i), rhs.coefficient(i)) for i in range(nmax + 1)]
-    return IdentityReport("eqconvo02", nmax, f"coefficients t^0..t^{nmax}", rows)
+    whose right side, collected the same way, is ``rhs_2fold_01``. Row 2n
+    of the report is row n of the sweep divided by (2n)!.
+    """
+    rows = [CheckRow.compare(i, Fraction(0), Fraction(0)) for i in range(nmax + 1)]
+    for row in _verify_convolution(identity, nmax // 2, None, None).per_n_results:
+        scale = factorial(2 * row.n)
+        rows[2 * row.n] = CheckRow.compare(2 * row.n, row.lhs / scale, row.rhs / scale)
+    return IdentityReport(name, nmax, f"coefficients t^0..t^{nmax}", rows)
 
 
 def _verify_arcsinh_power(nmax: int) -> IdentityReport:
@@ -640,8 +634,8 @@ _CHECKERS: dict[str, Callable[..., IdentityReport]] = {
     "thm1": _verify_route_agreement,
     "cor1": _verify_integral_representation,
     **{name: partial(_verify_convolution, name) for name in CONVOLUTION_IDENTITIES},
-    "eqll": _verify_l_squared,
-    "eqconvo02": _verify_l_second_derivative,
+    "eqll": partial(_verify_l_equation, "eqll", "thm2"),
+    "eqconvo02": partial(_verify_l_equation, "eqconvo02", "thm3"),
     "arcsinh_power": _verify_arcsinh_power,
     "conjecture": partial(_verify_conjecture, "conjecture", 1),
     **{f"conjecture-r{r}": partial(_verify_conjecture, f"conjecture-r{r}", r) for r in (1, 2, 3)},

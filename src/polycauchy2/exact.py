@@ -15,7 +15,6 @@ from math import comb, factorial
 __all__ = [
     "factorial",
     "binomial",
-    "double_factorial",
     "harmonic",
     "rational_to_text",
     "rational_from_text",
@@ -37,30 +36,6 @@ def binomial(n: int, j: int) -> int:
     if n < 0 or j < 0:
         raise ValueError(f"binomial requires nonnegative arguments, got ({n}, {j})")
     return comb(n, j)
-
-
-def double_factorial(a: int) -> Fraction:
-    """Double factorial of an odd integer, extended to negative odd arguments.
-
-    For a >= 1 this is a(a-2)(a-4)...1. The extension sets (-1)!! = 1 and
-    (-(2i+1))!! = (-1)^i / (2i-1)!!, which is exactly what makes
-    a * (a-2)!! = a!! hold for every odd a.
-    """
-    if a % 2 == 0:
-        raise ValueError(f"double factorial is only defined for odd integers, got {a}")
-    if a >= 1:
-        product = 1
-        while a >= 1:
-            product *= a
-            a -= 2
-        return Fraction(product)
-    if a == -1:
-        return Fraction(1)
-    i = (-a - 1) // 2
-    odd_product = 1
-    for j in range(1, 2 * i, 2):
-        odd_product *= j
-    return Fraction(-1 if i % 2 else 1, odd_product)
 
 
 # Prefix sums of 1/i^k per order k, grown lazily: _HARMONIC[k][n] = H_n^(k).

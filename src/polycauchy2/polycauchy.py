@@ -49,10 +49,7 @@ __all__ = [
     "PolyCauchyTable",
     "IntegralCheck",
     "integral_representation_check",
-    "DEFAULT_SERIES_ORDER",
 ]
-
-DEFAULT_SERIES_ORDER = 40
 
 
 # -- the integer EGF kernel ----------------------------------------------------
@@ -147,16 +144,10 @@ def level2_by_formula(n: int, k: int = 1, triangle: Level2Triangle | None = None
     return _sum_over_powers([_formula_column(n, triangle)], n + 1, k, 2)[0]
 
 
-def level2_by_series(n: int, k: int = 1, order: int | None = None) -> Fraction:
-    """C_{2n}^(k) as the even EGF coefficient of lif2k(arcsinh t).
-
-    An explicit truncation order below 2n cannot determine the coefficient
-    and is rejected; any other order gives the same exact value.
-    """
+def level2_by_series(n: int, k: int = 1) -> Fraction:
+    """C_{2n}^(k) as the even EGF coefficient of lif2k(arcsinh t)."""
     if n < 0:
         raise ValueError(f"index n must be >= 0, got {n}")
-    if order is not None and order < 2 * n:
-        raise ValueError(f"order {order} cannot determine the coefficient at t^{2 * n}")
     return level2_series_values(arcsinh_power_egf(n), k)[n]
 
 
@@ -168,12 +159,10 @@ def level1_by_formula(n: int, k: int = 1) -> Fraction:
     return _sum_over_powers([column], n + 1, k, 1)[0]
 
 
-def level1_by_series(n: int, k: int = 1, order: int | None = None) -> Fraction:
+def level1_by_series(n: int, k: int = 1) -> Fraction:
     """Classical poly-Cauchy c_n^(k) as the EGF coefficient of lif_k(log(1+t))."""
     if n < 0:
         raise ValueError(f"index n must be >= 0, got {n}")
-    if order is not None and order < n:
-        raise ValueError(f"order {order} cannot determine the coefficient at t^{n}")
     log1p = [0] + [(-1) ** (j - 1) * factorial(j - 1) for j in range(1, n + 1)]
     return _sum_over_powers(_power_table(log1p, 1)[n:], n + 1, k, 1)[0]
 

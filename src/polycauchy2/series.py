@@ -1,307 +1,87 @@
-"""Truncated formal power series with exact rational coefficients.
+"""Ordinary coefficients of the package's builtin power series.
 
-A :class:`Series` stores ordinary coefficients c[0..order] of a power series
-in t, truncated at t^order. All operations are exact over
-:class:`fractions.Fraction`; binary operations truncate at the smaller of the
-two orders, so a coefficient is only ever reported when it is fully
-determined by the inputs.
+:func:`builtin_series` returns the coefficients c[0..order] of a named
+expansion in t as a tuple of :class:`fractions.Fraction`; ``polycauchy2
+series`` prints them. The names are arcsinh, the polylogarithm factorials
+lif_k and their level-2 variant lif2k, log(1+t), the three powers
+(1+t^2)^(e/2) for e = 1, -1, -3, and L(t) = t/arcsinh(t).
 
-:func:`builtin_series` constructs the expansions the rest of the package
-needs: arcsinh, the polylogarithm factorials lif_k and their level-2 variant
-lif2k, log(1+t), the three powers of sqrt(1+t^2), and L(t) = t/arcsinh(t),
-whose even EGF coefficients are the poly-Cauchy numbers with level 2 at
-k = 1.
+Each expansion is a closed-form coefficient generator. L(t) is lif2k at
+k = 1 composed with arcsinh, so its even EGF coefficients are the
+poly-Cauchy numbers C_{2n}^(1); they are read from the integer kernel's
+arcsinh powers, never from the triangle. The package does no power-series
+arithmetic: the identities on L are checked as convolution sweeps in
+``convolution.py``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from math import factorial
 
-from .exact import double_factorial
+from .polycauchy import arcsinh_power_egf, level2_series_values
 
-__all__ = ["Series", "builtin_series", "BUILTIN_SERIES_NAMES"]
-
-_Scalar = (int, Fraction)
-
-
-class Series:
-    """Immutable truncated power series over Fraction."""
-
-    __slots__ = ("_coeffs",)
-
-    def __init__(self, coefficients, order: int | None = None):
-        coeffs = [Fraction(c) for c in coefficients]
-        if order is not None:
-            if order < 0:
-                raise ValueError(f"series order must be >= 0, got {order}")
-            if len(coeffs) > order + 1:
-                coeffs = coeffs[: order + 1]
-            else:
-                coeffs.extend(Fraction(0) for _ in range(order + 1 - len(coeffs)))
-        elif not coeffs:
-            raise ValueError("a series needs at least the constant coefficient")
-        self._coeffs = tuple(coeffs)
-
-    # -- construction helpers -------------------------------------------------
-
-    @classmethod
-    def zero(cls, order: int) -> "Series":
-        return cls([], order)
-
-    @classmethod
-    def one(cls, order: int) -> "Series":
-        return cls([Fraction(1)], order)
-
-    @classmethod
-    def x(cls, order: int) -> "Series":
-        """The series t (requires order >= 1)."""
-        if order < 1:
-            raise ValueError("the series t needs order >= 1")
-        return cls([Fraction(0), Fraction(1)], order)
-
-    # -- inspection ------------------------------------------------------------
-
-    @property
-    def order(self) -> int:
-        return len(self._coeffs) - 1
-
-    @property
-    def coefficients(self) -> tuple[Fraction, ...]:
-        return self._coeffs
-
-    def coefficient(self, i: int) -> Fraction:
-        if not 0 <= i <= self.order:
-            raise ValueError(f"coefficient index {i} outside truncation order {self.order}")
-        return self._coeffs[i]
-
-    def valuation(self) -> int | None:
-        """Index of the first nonzero coefficient, or None for the zero series."""
-        for i, c in enumerate(self._coeffs):
-            if c != 0:
-                return i
-        return None
-
-    def egf_coefficient(self, n: int) -> Fraction:
-        """n! * c[n]: the coefficient when the series is read as an EGF."""
-        return factorial(n) * self.coefficient(n)
-
-    def egf_even_coefficient(self, n: int) -> Fraction:
-        """(2n)! * c[2n]: EGF coefficient of an even-index term."""
-        if n < 0:
-            raise ValueError(f"even EGF index must be >= 0, got {n}")
-        return factorial(2 * n) * self.coefficient(2 * n)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Series):
-            return NotImplemented
-        return self._coeffs == other._coeffs
-
-    def __hash__(self) -> int:
-        return hash(self._coeffs)
-
-    def __repr__(self) -> str:
-        head = ", ".join(str(c) for c in self._coeffs[:5])
-        tail = ", ..." if self.order >= 5 else ""
-        return f"Series([{head}{tail}], order={self.order})"
-
-    # -- ring operations -------------------------------------------------------
-
-    def __add__(self, other):
-        if isinstance(other, Series):
-            n = min(self.order, other.order)
-            return Series([a + b for a, b in zip(self._coeffs, other._coeffs)], n)
-        if isinstance(other, _Scalar):
-            coeffs = list(self._coeffs)
-            coeffs[0] += other
-            return Series(coeffs)
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Series([-c for c in self._coeffs])
-
-    def __sub__(self, other):
-        if isinstance(other, Series):
-            n = min(self.order, other.order)
-            return Series([a - b for a, b in zip(self._coeffs, other._coeffs)], n)
-        if isinstance(other, _Scalar):
-            return self + (-other)
-        return NotImplemented
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, Series):
-            n = min(self.order, other.order)
-            out = [Fraction(0)] * (n + 1)
-            for i, a in enumerate(self._coeffs[: n + 1]):
-                if a == 0:
-                    continue
-                for j in range(n + 1 - i):
-                    b = other._coeffs[j]
-                    if b:
-                        out[i + j] += a * b
-            return Series(out, n)
-        if isinstance(other, _Scalar):
-            return Series([c * other for c in self._coeffs])
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError(f"series powers take integer exponents >= 0, got {exponent!r}")
-        result = Series.one(self.order)
-        for _ in range(exponent):
-            result = result * self
-        return result
-
-    def __truediv__(self, other):
-        if isinstance(other, _Scalar):
-            if other == 0:
-                raise ZeroDivisionError("division of a series by zero")
-            return Series([c / other for c in self._coeffs])
-        if isinstance(other, Series):
-            return self.divide_by(other)
-        return NotImplemented
-
-    # -- calculus and composition ----------------------------------------------
-
-    def derivative(self, times: int = 1) -> "Series":
-        """Termwise derivative; each application lowers the order by one."""
-        if times < 0:
-            raise ValueError(f"derivative count must be >= 0, got {times}")
-        if times > self.order:
-            raise ValueError(
-                f"cannot differentiate {times} times at truncation order {self.order}"
-            )
-        coeffs = list(self._coeffs)
-        for _ in range(times):
-            coeffs = [i * coeffs[i] for i in range(1, len(coeffs))]
-        return Series(coeffs, self.order - times)
-
-    def compose(self, inner: "Series") -> "Series":
-        """self(inner(t)), exact through min(orders); inner must have no constant term."""
-        if inner._coeffs[0] != 0:
-            raise ValueError("composition requires the inner series to vanish at 0")
-        n = min(self.order, inner.order)
-        inner_t = Series(inner._coeffs, n)
-        acc = Series.zero(n)
-        for c in reversed(self._coeffs[: n + 1]):
-            acc = acc * inner_t + c
-        return acc
-
-    def reciprocal(self) -> "Series":
-        """Multiplicative inverse; requires a nonzero constant term."""
-        a = self._coeffs
-        if a[0] == 0:
-            raise ValueError("reciprocal requires a nonzero constant term")
-        out = [Fraction(0)] * (self.order + 1)
-        out[0] = 1 / a[0]
-        for n in range(1, self.order + 1):
-            s = Fraction(0)
-            for i in range(1, n + 1):
-                if a[i]:
-                    s += a[i] * out[n - i]
-            out[n] = -s / a[0]
-        return Series(out, self.order)
-
-    def divide_by(self, den: "Series") -> "Series":
-        """Exact quotient self/den, cancelling a shared power of t.
-
-        The denominator's valuation v must be matched by the numerator: the
-        low v coefficients of self must be exactly zero, otherwise the
-        quotient would not be a power series and a ValueError is raised.
-        The result is truncated at min(orders) - v.
-        """
-        v = den.valuation()
-        if v is None:
-            raise ZeroDivisionError("division by the zero series")
-        if any(c != 0 for c in self._coeffs[:v]):
-            raise ValueError(
-                f"numerator valuation is below the denominator valuation {v}"
-            )
-        n = min(self.order, den.order) - v
-        if n < 0:
-            raise ValueError("truncation order too small to divide these series")
-        num_shifted = Series(self._coeffs[v:], n)
-        den_shifted = Series(den._coeffs[v:], n)
-        return num_shifted * den_shifted.reciprocal()
-
-
-# -- builtin expansions ---------------------------------------------------------
+__all__ = ["builtin_series", "BUILTIN_SERIES_NAMES"]
 
 
 def _sign(e: int) -> int:
     return -1 if e % 2 else 1
 
 
-def _arcsinh(order: int) -> Series:
+def _arcsinh(order: int) -> tuple[Fraction, ...]:
     coeffs = [Fraction(0)] * (order + 1)
     for j in range(0, (order - 1) // 2 + 1):
         coeffs[2 * j + 1] = Fraction(
             _sign(j) * factorial(2 * j), 4**j * factorial(j) ** 2 * (2 * j + 1)
         )
-    return Series(coeffs, order)
+    return tuple(coeffs)
 
 
-def _log1p(order: int) -> Series:
+def _log1p(order: int) -> tuple[Fraction, ...]:
     coeffs = [Fraction(0)] * (order + 1)
     for m in range(1, order + 1):
         coeffs[m] = Fraction(_sign(m - 1), m)
-    return Series(coeffs, order)
+    return tuple(coeffs)
 
 
-def _lif_k(order: int, k: int) -> Series:
+def _lif_k(order: int, k: int) -> tuple[Fraction, ...]:
     coeffs = [Fraction(1, factorial(m)) * Fraction(m + 1) ** (-k) for m in range(order + 1)]
-    return Series(coeffs, order)
+    return tuple(coeffs)
 
 
-def _lif2_k(order: int, k: int) -> Series:
+def _lif2_k(order: int, k: int) -> tuple[Fraction, ...]:
     coeffs = [Fraction(0)] * (order + 1)
     for m in range(0, order // 2 + 1):
         coeffs[2 * m] = Fraction(1, factorial(2 * m)) * Fraction(2 * m + 1) ** (-k)
-    return Series(coeffs, order)
+    return tuple(coeffs)
 
 
-def _sqrt_1pt2(order: int) -> Series:
-    # sqrt(1+t^2): coefficient of t^(2j) is (-1)^(j-1) (2j-3)!! / (2^j j!)
+def _root_power(e: int, order: int) -> tuple[Fraction, ...]:
+    # (1+t^2)^(e/2): the coefficient of t^(2j) is binom(e/2, j), kept as a
+    # running product binom(e/2, j+1) = binom(e/2, j) (e/2 - j) / (j+1).
     coeffs = [Fraction(0)] * (order + 1)
+    term = Fraction(1)
     for j in range(0, order // 2 + 1):
-        coeffs[2 * j] = _sign(j - 1) * double_factorial(2 * j - 3) / (2**j * factorial(j))
-    return Series(coeffs, order)
+        coeffs[2 * j] = term
+        term = term * (Fraction(e, 2) - j) / (j + 1)
+    return tuple(coeffs)
 
 
-def _invsqrt_1pt2(order: int) -> Series:
-    # (1+t^2)^(-1/2): coefficient of t^(2j) is (-1)^j (2j-1)!! / (2^j j!)
+def _big_l(order: int) -> tuple[Fraction, ...]:
+    # L(t) = t / arcsinh(t) = lif2k(arcsinh t) at k = 1: C_{2n}^(1) / (2n)! at t^(2n).
     coeffs = [Fraction(0)] * (order + 1)
-    for j in range(0, order // 2 + 1):
-        coeffs[2 * j] = _sign(j) * double_factorial(2 * j - 1) / (2**j * factorial(j))
-    return Series(coeffs, order)
-
-
-def _inv32_1pt2(order: int) -> Series:
-    # (1+t^2)^(-3/2): coefficient of t^(2j) is (-1)^j (2j+1)!! / (2^j j!)
-    coeffs = [Fraction(0)] * (order + 1)
-    for j in range(0, order // 2 + 1):
-        coeffs[2 * j] = _sign(j) * double_factorial(2 * j + 1) / (2**j * factorial(j))
-    return Series(coeffs, order)
-
-
-def _big_l(order: int) -> Series:
-    # L(t) = t / arcsinh(t); build one order higher so the quotient lands on order.
-    return Series.x(order + 1).divide_by(_arcsinh(order + 1))
+    for n, value in enumerate(level2_series_values(arcsinh_power_egf(order // 2))):
+        coeffs[2 * n] = value / factorial(2 * n)
+    return tuple(coeffs)
 
 
 _PLAIN_BUILTINS = {
     "arcsinh": _arcsinh,
     "log1p": _log1p,
-    "sqrt_1pt2": _sqrt_1pt2,
-    "invsqrt_1pt2": _invsqrt_1pt2,
-    "inv32_1pt2": _inv32_1pt2,
+    "sqrt_1pt2": partial(_root_power, 1),
+    "invsqrt_1pt2": partial(_root_power, -1),
+    "inv32_1pt2": partial(_root_power, -3),
     "L": _big_l,
 }
 
@@ -313,8 +93,8 @@ _PARAMETRIC_BUILTINS = {
 BUILTIN_SERIES_NAMES = tuple(sorted(_PLAIN_BUILTINS)) + tuple(sorted(_PARAMETRIC_BUILTINS))
 
 
-def builtin_series(name: str, order: int, k: int | None = None) -> Series:
-    """Construct a named builtin expansion at the given truncation order.
+def builtin_series(name: str, order: int, k: int | None = None) -> tuple[Fraction, ...]:
+    """The ordinary coefficients c[0..order] of a named builtin expansion.
 
     The lif_k and lif2k families require the integer parameter k (any sign);
     the other names reject it.

@@ -29,6 +29,7 @@ from polycauchy2 import (
 from polycauchy2.cli import main
 from polycauchy2.convolution import CONVOLUTION_IDENTITIES, rhs_2fold_01, rhs_3fold
 from polycauchy2.polynomials import poly_eval, poly_mul
+from series_oracle import Series
 
 SEQUENCE_K1 = [
     "1",
@@ -117,7 +118,7 @@ def test_c07_convolution_and_series_identity_sweeps(table18):
     duality = [((0, 0),), ((0, 1),), ((1, 1),), ((0, 0, 0),), ((0,) * 4,), ((0,) * 5,), ((0,) * 7,)]
     for (offsets,) in duality:
         order = 20 + 2 * max(offsets) + 2
-        big_l = builtin_series("L", order)
+        big_l = Series(builtin_series("L", order))
         product = None
         for j in offsets:
             factor = big_l.derivative(2 * j) if j else big_l
@@ -172,7 +173,8 @@ def test_c09_negative_controls():
 
 def test_c10_odd_coefficients_vanish():
     for k in range(-2, 4):
-        composed = builtin_series("lif2k", 31, k=k).compose(builtin_series("arcsinh", 31))
+        arcsinh = Series(builtin_series("arcsinh", 31))
+        composed = Series(builtin_series("lif2k", 31, k=k)).compose(arcsinh)
         for i in range(1, 32, 2):
             assert composed.coefficient(i) == 0, (k, i)
     print("PASS C10: odd EGF coefficients vanish through order 31 for k in -2..3")

@@ -18,6 +18,8 @@ from polycauchy2 import convolution as convolution_module
 from polycauchy2.cache import CACHE_FORMAT_VERSION, CacheSession
 from polycauchy2.cli import main
 from polycauchy2.convolution import CONVOLUTION_IDENTITIES
+from polycauchy2.series import BUILTIN_SERIES_NAMES
+from series_oracle import paper_series
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -30,6 +32,12 @@ def _bench_tuple(name):
             return ast.literal_eval(node.value)
     raise LookupError(f"bench/workloads.py defines no {name}")
 
+
+SERIES_NAMES_AND_K = [
+    (name, k)
+    for name in BUILTIN_SERIES_NAMES
+    for k in ((-2, 1, 3) if name.startswith("lif") else (None,))
+]
 
 SEQUENCE_LINES = ["0,1", "1,1/3", "2,-17/15", "3,367/21", "4,-27859/45", "5,1295803/33", "6,-5329242827/1365"]
 
@@ -133,6 +141,19 @@ class TestSeriesCommand:
             main(["series", "tangent"])
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize("name,k", SERIES_NAMES_AND_K)
+    @pytest.mark.parametrize("order", [0, 1, 2, 5, 40])
+    def test_stdout_matches_paper_construction(self, capsys, name, k, order):
+        # Every coefficient as the Series oracle builds it, printed byte for byte.
+        coefficients = paper_series(name, order, k).coefficients
+        argv = ["series", name, "--order", str(order)] + ([] if k is None else ["--k", str(k)])
+        _, out, _ = run(capsys, argv)
+        assert out == "i,coefficient\n" + "".join(f"{i},{c}\n" for i, c in enumerate(coefficients))
+        _, out, _ = run(capsys, argv + ["--format", "json"])
+        values = [{"i": i, "value": str(c)} for i, c in enumerate(coefficients)]
+        payload = {"name": name, "order": order, "k": k, "coefficients": values}
+        assert out == json.dumps(payload) + "\n"
+
 
 class TestVerifyCommand:
     def test_pass_exit_code_and_schema(self, capsys):
@@ -224,11 +245,15 @@ class TestVerifyCommand:
         ]
 
     def test_singular_solve_is_not_a_usage_error(self, capsys, monkeypatch):
-        # An internal failure must surface as itself, not as exit 2.
+        # An internal failure has its own exit code: not 1 (identity failed), not 2 (usage).
         monkeypatch.setattr(convolution_module, "conjecture_prefactor", lambda r, k, n: 0)
-        with pytest.raises(ArithmeticError, match="singular"):
-            main(["verify", "conjecture-r1"])
-        assert "usage" not in capsys.readouterr().err
+        code, out, err = run(capsys, ["verify", "conjecture-r1"])
+        assert code == 3
+        assert out == ""
+        assert err.splitlines() == [
+            "polycauchy2: internal error: sample points produce a singular system; add or vary samples"
+        ]
+        assert "usage" not in err
 
 
 class TestBenchmarkReferences:

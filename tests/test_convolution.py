@@ -5,7 +5,9 @@ enumeration over index tuples written here with itertools only; the closed
 forms are then swept against the engine, and the series side of each
 identity is checked against the convolution side through the EGF product
 rule. The oracles for the integer sum-form right-hand sides are the paper's
-formulas as written, one Fraction per term (``paper_rhs_*``).
+formulas as written, one Fraction per term (``paper_rhs_*``). The oracles
+for the two differential equations for L are their power-series checks on
+``series_oracle.Series`` (``paper_l_squared``, ``paper_l_second_derivative``).
 """
 
 import itertools
@@ -19,6 +21,7 @@ from hypothesis import strategies as st
 
 from polycauchy2 import (
     IDENTITY_NAMES,
+    Level2Triangle,
     PolyCauchyTable,
     builtin_series,
     convolution_sweep,
@@ -26,8 +29,10 @@ from polycauchy2 import (
     verify_identity,
 )
 from polycauchy2 import convolution as convolution_module
+from polycauchy2 import polycauchy as polycauchy_module
 from polycauchy2.convolution import (
     CONVOLUTION_IDENTITIES,
+    CheckRow,
     IdentityReport,
     conjecture_prefactor,
     default_conjecture_samples,
@@ -36,8 +41,8 @@ from polycauchy2.convolution import (
     rhs_2fold_11,
     rhs_4fold,
 )
-from polycauchy2.exact import double_factorial
 from polycauchy2.polynomials import poly_eval, poly_mul
+from series_oracle import Series, double_factorial, paper_series
 
 
 def brute_force_convolution(offsets, n, table):
@@ -141,6 +146,43 @@ def paper_rhs_4fold(n, table):
     return Fraction(factorial(2 * n), 6) * (s1 + s2)
 
 
+def paper_l_squared(nmax):
+    # L^2 = sqrt(1+t^2) L - t sqrt(1+t^2) L', compared coefficientwise.
+    order = nmax + 1
+    big_l = paper_series("L", order)
+    root = paper_series("sqrt_1pt2", order)
+    lhs = big_l * big_l
+    rhs = root * big_l - (Series.x(order) * root) * big_l.derivative()
+    rows = [CheckRow.compare(i, lhs.coefficient(i), rhs.coefficient(i)) for i in range(nmax + 1)]
+    return IdentityReport("eqll", nmax, f"coefficients t^0..t^{nmax}", rows)
+
+
+def paper_l_second_derivative(nmax):
+    # L L'' expressed through L..L''' with rational-function prefactors, each
+    # prefactor expanded from builtins. The middle prefactor carries a 1/t;
+    # its numerator series has constant term exactly 0, so the division is a
+    # legal power-series operation.
+    order = nmax + 3
+    big_l = paper_series("L", order)
+    l1 = big_l.derivative()
+    l2 = l1.derivative()
+    l3 = l2.derivative()
+    root = paper_series("sqrt_1pt2", order)
+    invroot = paper_series("invsqrt_1pt2", order)
+    inv32 = paper_series("inv32_1pt2", order)
+
+    a = inv32 * Fraction(1, 2) - invroot * Fraction(1, 6)
+    b_numerator = root * Fraction(1, 6) + inv32 * Fraction(1, 2) - invroot * Fraction(2, 3)
+    b = b_numerator.divide_by(Series.x(order))
+    c = (invroot - root) * Fraction(1, 2)
+    d = (Series.x(order) * root) * Fraction(-1, 3)
+
+    lhs = big_l * l2
+    rhs = a * big_l + b * l1 + c * l2 + d * l3
+    rows = [CheckRow.compare(i, lhs.coefficient(i), rhs.coefficient(i)) for i in range(nmax + 1)]
+    return IdentityReport("eqconvo02", nmax, f"coefficients t^0..t^{nmax}", rows)
+
+
 # Integer right-hand side, paper-form oracle, first index, identity name.
 PAPER_FORMS = [
     (rhs_2fold_00, paper_rhs_2fold_00, 0, "thm2"),
@@ -149,6 +191,10 @@ PAPER_FORMS = [
     (rhs_4fold, paper_rhs_4fold, 1, "thm6"),
 ]
 PAPER_FORM_IDS = [case[3] for case in PAPER_FORMS]
+
+# The differential equations for L and their power-series oracles.
+L_EQUATIONS = [("eqll", paper_l_squared), ("eqconvo02", paper_l_second_derivative)]
+L_EQUATION_IDS = [case[0] for case in L_EQUATIONS]
 
 
 @pytest.fixture(scope="module")
@@ -397,6 +443,33 @@ class TestRouteAndSeriesSweeps:
         assert report.status == "pass"
         assert len(report.per_n_results) == 21
 
+    @pytest.mark.parametrize("name,oracle", L_EQUATIONS, ids=L_EQUATION_IDS)
+    def test_series_identities_match_paper_form(self, name, oracle):
+        # The sweep-based check prints what the power-series check printed.
+        for nmax in range(41):
+            report, expected = verify_identity(name, nmax), oracle(nmax)
+            assert report.to_text() == expected.to_text(), (name, nmax)
+            assert report.to_json_dict() == expected.to_json_dict(), (name, nmax)
+
+    @pytest.mark.parametrize("name,first", [("eqll", 10), ("eqconvo02", 8)])
+    def test_perturbed_triangle_fails_series_identities(self, name, first, monkeypatch):
+        # C9 style: the L equations read the formula route's table, so
+        # [[5, 2]] one too large must fail them from the first coefficient
+        # whose convolution reads C_10.
+        real = polycauchy_module.level2_by_recurrence
+
+        def bumped(nmax):
+            rows = [list(real(nmax).row(n)) for n in range(nmax + 1)]
+            if nmax >= 5:
+                rows[5][2] += 1
+            return Level2Triangle(rows)
+
+        monkeypatch.setattr(polycauchy_module, "level2_by_recurrence", bumped)
+        report = verify_identity(name, 20)
+        assert report.status == "fail"
+        assert report.first_failure.n == first
+        assert all(row.equal for row in report.per_n_results[:first])
+
     def test_arcsinh_power_identity(self):
         report = verify_identity("arcsinh_power", 24)
         assert report.status == "pass"
@@ -429,7 +502,7 @@ class TestSeriesConvolutionDuality:
         # The EGF product of derivatives L^(2j) has even coefficients equal
         # to the multinomial convolution with those offsets.
         order = 2 * 8 + 2 * max(offsets) + 2
-        big_l = builtin_series("L", order)
+        big_l = Series(builtin_series("L", order))
         product = None
         for j in offsets:
             factor = big_l.derivative(2 * j) if j else big_l
@@ -439,7 +512,7 @@ class TestSeriesConvolutionDuality:
             assert product.egf_even_coefficient(n) == rhs[n], (label, n)
 
     def test_second_derivative_square_to_12(self, table18):
-        big_l = builtin_series("L", 30)
+        big_l = Series(builtin_series("L", 30))
         square = big_l.derivative(2) * big_l.derivative(2)
         sweep = convolution_sweep((1, 1), 12, table18)
         for n in range(13):

@@ -7,13 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from polycauchy2 import (
-    binomial,
-    double_factorial,
-    harmonic,
-    rational_from_text,
-    rational_to_text,
-)
+from polycauchy2 import binomial, harmonic, rational_from_text, rational_to_text
+from series_oracle import double_factorial
 
 # Extended double factorial table, anchored by a (a-2)!! = a!! continued
 # below a = 1: each value follows from its successor by division.
