@@ -26,8 +26,6 @@ from .polycauchy import (
     PolyCauchyTable,
     arcsinh_power_egf,
     integral_representation_check,
-    level1_by_formula,
-    level1_by_series,
     level2_by_formula,
     level2_by_series,
     level2_series_values,
@@ -45,6 +43,7 @@ from .stirling import (
     level2_by_recurrence,
     level2_by_rising_factorial,
     level2_by_symmetric_sum,
+    level2_text_rows,
     stirling1,
 )
 
@@ -63,6 +62,7 @@ __all__ = [
     "CentralFactorialTriangle",
     "stirling1",
     "level2_by_recurrence",
+    "level2_text_rows",
     "level2_by_rising_factorial",
     "level2_by_symmetric_sum",
     "level2_by_classical_combination",
@@ -72,8 +72,6 @@ __all__ = [
     "FormulaCheck",
     "level2_by_formula",
     "level2_by_series",
-    "level1_by_formula",
-    "level1_by_series",
     "PolyCauchyTable",
     "IntegralCheck",
     "integral_representation_check",

@@ -18,7 +18,7 @@ from .convolution import DEFAULT_NMAX, IDENTITY_NAMES, verify_identity
 from .exact import rational_to_text
 from .polycauchy import PolyCauchyTable
 from .series import BUILTIN_SERIES_NAMES, builtin_series
-from .stirling import level2_by_recurrence
+from .stirling import level2_text_rows
 
 __all__ = ["build_parser", "main", "entry"]
 
@@ -97,14 +97,7 @@ def _emit_table(fmt: str, header: list[str], rows: list[list[str]], json_payload
 
 
 def cmd_stirling2(args: argparse.Namespace, cache: CacheSession) -> int:
-    triangle = level2_by_recurrence(args.nmax)
-    rows = [triangle.row(n) for n in range(args.nmax + 1)]
-    if args.signed:
-        rows = [
-            [value if (n - m) % 2 == 0 else -value for m, value in enumerate(row)]
-            for n, row in enumerate(rows)
-        ]
-    text_rows = [[str(value) for value in row] for row in rows]
+    text_rows = level2_text_rows(args.nmax, args.signed)
     if args.format == "json":
         print(json.dumps({"nmax": args.nmax, "signed": args.signed, "rows": text_rows}))
         return 0

@@ -21,31 +21,25 @@ binomial EGF product of those coefficients halved, and P_m is the binomial
 EGF product of P_{m-1} and P_1 divided by m(2m-1), each division checked
 exact. Either route then divides its integer column by (2m+1)^k as one
 numerator over lcm(2m+1)^k, or as a plain integer when k <= 0.
-
-Classical (level 1) poly-Cauchy numbers c_n^(k) are included as comparators:
-a signed Stirling sum, and lif_k(log(1+t)) expanded by the same kernel in t
-from the EGF coefficients (-1)^(n-1) (n-1)! of log(1+t).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, factorial, lcm
+from math import comb, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
 from .exact import rational_to_text
 from .polynomials import poly_mul
-from .stirling import Level2Triangle, level2_by_recurrence, stirling1
+from .stirling import Level2Triangle, level2_by_recurrence
 
 __all__ = [
     "level2_by_formula",
     "level2_by_series",
     "arcsinh_power_egf",
     "level2_series_values",
-    "level1_by_formula",
-    "level1_by_series",
     "PolyCauchyTable",
     "IntegralCheck",
     "integral_representation_check",
@@ -62,22 +56,21 @@ def _exact_div(numerator: int, divisor: int) -> int:
     return quotient
 
 
-def _power_table(first: Sequence[int], step: int) -> list[list[int]]:
+def _power_table(first: Sequence[int]) -> list[list[int]]:
     """Integer EGF coefficients of the powers of g, one column per index n.
 
-    ``first[n]`` is (step n)! [t^(step n)] g for a series g in t^step with
-    first[0] = 0. Entry [n][m], for m = 0..n, is the same coefficient of
-    g^m (step!)^m / (step m)!, built as the m-th row times g by the binomial
-    EGF product, divided by binom(step m, step). For g = f^step / step! that
-    is f^(step m) / (step m)!.
+    ``first[n]`` is (2n)! [t^(2n)] g for an even series g with first[0] = 0.
+    Entry [n][m], for m = 0..n, is the same coefficient of g^m 2^m / (2m)!,
+    built as the m-th row times g by the binomial EGF product, divided by
+    binom(2m, 2). For g = f^2 / 2 that is f^(2m) / (2m)!.
     """
     table = [[1]]
     for n in range(1, len(first)):
-        weights = [comb(step * n, step * i) * first[n - i] for i in range(n)]
+        weights = [comb(2 * n, 2 * i) * first[n - i] for i in range(n)]
         column = [0] * (n + 1)
         for m in range(1, n + 1):
             total = sum(weights[i] * table[i][m - 1] for i in range(m - 1, n))
-            column[m] = _exact_div(total, comb(step * m, step))
+            column[m] = _exact_div(total, comb(2 * m, 2))
         table.append(column)
     return table
 
@@ -123,7 +116,7 @@ def arcsinh_power_egf(nmax: int) -> list[list[int]]:
         _exact_div(sum(comb(2 * n, 2 * i + 1) * a[i] * a[n - 1 - i] for i in range(n)), 2)
         for n in range(1, nmax + 1)
     ]
-    return _power_table(square, 2)
+    return _power_table(square)
 
 
 def level2_series_values(egf: Sequence[Sequence[int]], k: int = 1) -> list[Fraction]:
@@ -149,22 +142,6 @@ def level2_by_series(n: int, k: int = 1) -> Fraction:
     if n < 0:
         raise ValueError(f"index n must be >= 0, got {n}")
     return level2_series_values(arcsinh_power_egf(n), k)[n]
-
-
-def level1_by_formula(n: int, k: int = 1) -> Fraction:
-    """Classical poly-Cauchy c_n^(k) = sum of (-1)^(n-m) [n, m] / (m+1)^k."""
-    if n < 0:
-        raise ValueError(f"index n must be >= 0, got {n}")
-    column = [(-1) ** (n - m) * stirling1(n, m) for m in range(n + 1)]
-    return _sum_over_powers([column], n + 1, k, 1)[0]
-
-
-def level1_by_series(n: int, k: int = 1) -> Fraction:
-    """Classical poly-Cauchy c_n^(k) as the EGF coefficient of lif_k(log(1+t))."""
-    if n < 0:
-        raise ValueError(f"index n must be >= 0, got {n}")
-    log1p = [0] + [(-1) ** (j - 1) * factorial(j - 1) for j in range(1, n + 1)]
-    return _sum_over_powers(_power_table(log1p, 1)[n:], n + 1, k, 1)[0]
 
 
 @dataclass

@@ -15,11 +15,15 @@ so they can be checked against each other:
 Central factorial numbers of even indices t(2n, 2m) carry the same data up
 to sign: [[n, m]] = (-1)^(n-m) t(2n, 2m).
 
-All entries are exact integers.
+All entries are exact integers. The rows that ``stirling2`` prints run the
+same recurrence over ``decimal.Decimal`` with every rounding trapped: an
+integer held in base 10^19 prints in linear time, where ``str`` of a binary
+int is quadratic in its length (Knuth, TAOCP Vol. 2, 4.4).
 """
 
 from __future__ import annotations
 
+import decimal
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -34,6 +38,7 @@ __all__ = [
     "CentralFactorialTriangle",
     "stirling1",
     "level2_by_recurrence",
+    "level2_text_rows",
     "level2_by_rising_factorial",
     "level2_by_symmetric_sum",
     "level2_by_classical_combination",
@@ -112,19 +117,51 @@ class Level2Triangle(_Triangle):
     """The [[n, m]] triangle; rows 0..nmax, all entries nonnegative integers."""
 
 
-def level2_by_recurrence(nmax: int) -> Level2Triangle:
-    """Build [[n, m]] rows via [[n, m]] = [[n-1, m-1]] + (n-1)^2 [[n-1, m]]."""
+def _level2_rows(nmax: int, one, sign: int = 1) -> list[list]:
+    """Rows 0..nmax of sign^(n-m) [[n, m]], with entries of the type of ``one``.
+
+    The signed triangle obeys the same recurrence with the factor -(n-1)^2.
+    """
     if nmax < 0:
         raise ValueError(f"nmax must be >= 0, got {nmax}")
-    rows = [[1]]
+    rows = [[one]]
     for n in range(1, nmax + 1):
         prev = rows[-1]
+        factor = sign * (n - 1) ** 2
         row = [0] * (n + 1)
-        for m in range(1, n + 1):
-            above = prev[m] if m <= n - 1 else 0
-            row[m] = prev[m - 1] + (n - 1) ** 2 * above
+        for m in range(1, n):
+            row[m] = prev[m - 1] + factor * prev[m]
+        row[n] = prev[n - 1]
         rows.append(row)
-    return Level2Triangle(rows)
+    return rows
+
+
+def level2_by_recurrence(nmax: int) -> Level2Triangle:
+    """Build [[n, m]] rows via [[n, m]] = [[n-1, m-1]] + (n-1)^2 [[n-1, m]]."""
+    return Level2Triangle(_level2_rows(nmax, 1))
+
+
+def level2_text_rows(nmax: int, signed: bool = False) -> list[list[str]]:
+    """Rows 0..nmax of [[n, m]], or of (-1)^(n-m) [[n, m]] if signed, as decimal text.
+
+    The recurrence runs over ``decimal.Decimal``, whose base-10^19 digits
+    print in linear time; ``str`` of the int triangle is quadratic in the
+    length of each entry. The context holds any precision and traps Inexact
+    and Rounded, so a result that would need rounding raises
+    ``ArithmeticError`` instead of printing a wrong digit.
+    """
+    with decimal.localcontext() as context:
+        # Set one by one: localcontext(**kwargs) needs Python 3.11.
+        context.prec = decimal.MAX_PREC
+        context.Emax = decimal.MAX_EMAX
+        context.Emin = decimal.MIN_EMIN
+        context.traps[decimal.Inexact] = True
+        context.traps[decimal.Rounded] = True
+        try:
+            rows = _level2_rows(nmax, decimal.Decimal(1), -1 if signed else 1)
+        except decimal.DecimalException as exc:
+            raise ArithmeticError(f"[[n, m]] text: decimal arithmetic rounded ({exc})") from exc
+    return [[str(value) for value in row] for row in rows]
 
 
 def level2_by_rising_factorial(nmax: int) -> Level2Triangle:

@@ -11,12 +11,18 @@ paper.
 powers of sqrt(1+t^2) from extended double factorials, and L(t) as the
 quotient t / arcsinh(t). It is the reference that ``polycauchy2 series``
 must reproduce byte for byte.
+
+The classical (level 1) poly-Cauchy numbers c_n^(k) are here as well, by two
+routes that share no code: the signed Stirling sum, and the EGF coefficient
+of lif_k(log(1+t)) composed on ``Series``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
+
+from polycauchy2 import stirling1
 
 _Scalar = (int, Fraction)
 
@@ -336,3 +342,19 @@ def paper_series(name: str, order: int, k: int | None = None) -> Series:
     if name in _PARAMETRIC_BUILTINS:
         return _PARAMETRIC_BUILTINS[name](order, k)
     return _PLAIN_BUILTINS[name](order)
+
+
+# -- classical (level 1) poly-Cauchy numbers --------------------------------------
+
+
+def level1_by_formula(n: int, k: int = 1) -> Fraction:
+    """Classical poly-Cauchy c_n^(k) = sum of (-1)^(n-m) [n, m] / (m+1)^k."""
+    return sum(
+        (Fraction((-1) ** (n - m) * stirling1(n, m)) / Fraction(m + 1) ** k for m in range(n + 1)),
+        Fraction(0),
+    )
+
+
+def level1_by_series(n: int, k: int = 1) -> Fraction:
+    """Classical poly-Cauchy c_n^(k) = n! [t^n] lif_k(log(1+t))."""
+    return paper_series("lif_k", n, k).compose(paper_series("log1p", n)).egf_coefficient(n)

@@ -1,6 +1,7 @@
 """Command-line behavior: formats, fixtures, exit codes, cache round-trips."""
 
 import ast
+import decimal
 import hashlib
 import json
 import os
@@ -114,6 +115,16 @@ class TestStirling2Command:
         payload = json.loads(out)
         assert payload["rows"][4] == ["0", "36", "49", "14", "1"]
         assert payload["signed"] is False
+
+    def test_rounding_is_an_internal_error(self, capsys, monkeypatch):
+        # Negative control: with 50 digits of precision row 60 must round,
+        # and a rounded entry is never printed.
+        monkeypatch.setattr(decimal, "MAX_PREC", 50)
+        code, out, err = run(capsys, ["stirling2", "--nmax", "60"])
+        assert code == 3
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("polycauchy2: internal error: ")
 
 
 class TestSeriesCommand:
@@ -257,7 +268,7 @@ class TestVerifyCommand:
 
 
 class TestBenchmarkReferences:
-    """The benchmark's sequence and convolution workloads, in-process: every stdout byte as recorded."""
+    """The benchmark's sequence, convolution and table invocations, in-process: every stdout byte as recorded."""
 
     @staticmethod
     def check(capsys, invocation):
@@ -274,6 +285,11 @@ class TestBenchmarkReferences:
 
     @pytest.mark.parametrize("invocation", _bench_tuple("CONVOLUTION"))
     def test_convolution_stdout_matches_reference(self, capsys, invocation):
+        self.check(capsys, invocation)
+
+    @pytest.mark.parametrize("invocation", _bench_tuple("TABLES"))
+    def test_tables_stdout_matches_reference(self, capsys, invocation):
+        # The benchmark adds --cache to these calls; stdout does not depend on it.
         self.check(capsys, invocation)
 
 

@@ -18,8 +18,6 @@ from polycauchy2 import (
     arcsinh_power_egf,
     builtin_series,
     integral_representation_check,
-    level1_by_formula,
-    level1_by_series,
     level2_by_formula,
     level2_by_series,
     level2_by_recurrence,
@@ -27,7 +25,7 @@ from polycauchy2 import (
 )
 from polycauchy2 import convolution as convolution_module
 from polycauchy2 import polycauchy as polycauchy_module
-from series_oracle import Series
+from series_oracle import Series, level1_by_formula, level1_by_series
 
 # C_{2n} for n = 0..6 at k = 1.
 SEQUENCE_K1 = [
@@ -145,7 +143,7 @@ class TestIntegerKernel:
         # g = t^4 / 4!: the t^8 coefficient of g^2 * 2^2 / 4! is 8! / (4! 4! 6),
         # not an integer, so the kernel must raise instead of flooring it.
         with pytest.raises(ArithmeticError):
-            polycauchy_module._power_table([0, 0, 1, 0, 0], 2)
+            polycauchy_module._power_table([0, 0, 1, 0, 0])
 
     def test_perturbed_arcsinh_coefficient_fails_the_checks(self, monkeypatch):
         # C9 style: one wrong arcsinh coefficient (t^5) must fail both

@@ -5,6 +5,7 @@ the squares 1^2..(n-1)^2), so it serves as the oracle for the recurrence and
 rising-factorial tables; frozen row fixtures below were produced by it.
 """
 
+import decimal
 import math
 
 import pytest
@@ -19,6 +20,7 @@ from polycauchy2 import (
     level2_by_recurrence,
     level2_by_rising_factorial,
     level2_by_symmetric_sum,
+    level2_text_rows,
     stirling1,
 )
 
@@ -149,3 +151,36 @@ class TestClosedForms:
         # 7 classical diagonals + 2 classical columns + 3 level-2 columns
         # + 6 level-2 diagonals
         assert len(checks) == 18
+
+
+def _int_text_rows(nmax, signed):
+    triangle = level2_by_recurrence(nmax)
+    return [
+        [str(-value if signed and (n - m) % 2 else value) for m, value in enumerate(triangle.row(n))]
+        for n in range(nmax + 1)
+    ]
+
+
+class TestLevel2TextRows:
+    """The decimal route that stirling2 prints is the int triangle, digit for digit."""
+
+    @pytest.mark.parametrize("signed", [False, True])
+    def test_matches_int_triangle(self, signed):
+        for nmax in range(61):
+            assert level2_text_rows(nmax, signed) == _int_text_rows(nmax, signed), nmax
+        rows = level2_text_rows(300, signed)
+        assert rows == _int_text_rows(300, signed)
+        for row in rows:
+            for text in row:
+                assert "E" not in text and "." not in text and "-0" not in text, text
+
+    @pytest.mark.parametrize("signed", [False, True])
+    def test_rounding_raises(self, monkeypatch, signed):
+        # Negative control at 50 digits. Rows 0..25 fit. Row 26 is the first
+        # past 50 digits, and its entries end in zeros, so they round exactly
+        # and only the Rounded trap stops them printing with an exponent.
+        monkeypatch.setattr(decimal, "MAX_PREC", 50)
+        assert level2_text_rows(25, signed) == _int_text_rows(25, signed)
+        for nmax in (26, 60):
+            with pytest.raises(ArithmeticError):
+                level2_text_rows(nmax, signed)
