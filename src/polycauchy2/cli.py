@@ -1,10 +1,10 @@
 """Command-line front end: triangle tables, sequence tables, series dumps, verification.
 
 Exit codes are the machine contract: 0 success (or identity pass), 1 identity
-failure, 2 usage error, 3 internal error (an ArithmeticError inside a
-computation, reported on one stderr line). All numbers are printed in
-canonical rational text, so identical invocations produce byte-identical
-output.
+failure, 2 usage error, 3 internal error (an ArithmeticError, reported on one
+stderr line). Numbers print as canonical rational text, so identical calls
+give identical bytes. ``stirling2`` finishes its exact arithmetic before it
+writes one row at a time, and writes its JSON directly.
 """
 
 from __future__ import annotations
@@ -99,12 +99,15 @@ def _emit_table(fmt: str, header: list[str], rows: list[list[str]], json_payload
 def cmd_stirling2(args: argparse.Namespace, cache: CacheSession) -> int:
     text_rows = level2_text_rows(args.nmax, args.signed)
     if args.format == "json":
-        print(json.dumps({"nmax": args.nmax, "signed": args.signed, "rows": text_rows}))
+        # Entries are digits and an optional "-", so none needs JSON escaping.
+        sys.stdout.write(f'{{"nmax": {args.nmax}, "signed": {str(args.signed).lower()}, "rows": [')
+        for n, row in enumerate(text_rows):
+            sys.stdout.write((', ["' if n else '["') + '", "'.join(row) + '"]')
+        sys.stdout.write("]}\n")
         return 0
-    value_sep = _FIELD_SEPARATORS[args.format]
-    print("n:values")
+    sys.stdout.write("n:values\n")
     for n, row in enumerate(text_rows):
-        print(f"{n}:{value_sep.join(row)}")
+        sys.stdout.write(f"{n}:{_FIELD_SEPARATORS[args.format].join(row)}\n")
     return 0
 
 

@@ -15,10 +15,9 @@ so they can be checked against each other:
 Central factorial numbers of even indices t(2n, 2m) carry the same data up
 to sign: [[n, m]] = (-1)^(n-m) t(2n, 2m).
 
-All entries are exact integers. The rows that ``stirling2`` prints run the
-same recurrence over ``decimal.Decimal`` with every rounding trapped: an
-integer held in base 10^19 prints in linear time, where ``str`` of a binary
-int is quadratic in its length (Knuth, TAOCP Vol. 2, 4.4).
+All entries are exact integers. ``stirling2`` runs the recurrence over trapped
+``decimal.Decimal``, whose base-10^19 digits print in linear time (``str`` of a
+binary int is quadratic; Knuth, TAOCP Vol. 2, 4.4), then renders row by row.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import factorial, prod
-from typing import Callable
+from typing import Callable, Iterator
 
 from .exact import binomial, harmonic
 
@@ -141,14 +140,12 @@ def level2_by_recurrence(nmax: int) -> Level2Triangle:
     return Level2Triangle(_level2_rows(nmax, 1))
 
 
-def level2_text_rows(nmax: int, signed: bool = False) -> list[list[str]]:
+def level2_text_rows(nmax: int, signed: bool = False) -> Iterator[list[str]]:
     """Rows 0..nmax of [[n, m]], or of (-1)^(n-m) [[n, m]] if signed, as decimal text.
 
-    The recurrence runs over ``decimal.Decimal``, whose base-10^19 digits
-    print in linear time; ``str`` of the int triangle is quadratic in the
-    length of each entry. The context holds any precision and traps Inexact
-    and Rounded, so a result that would need rounding raises
-    ``ArithmeticError`` instead of printing a wrong digit.
+    The whole recurrence runs first, over ``decimal.Decimal`` with Inexact and
+    Rounded trapped at any precision, so a rounding raises ``ArithmeticError``
+    from this call; the iterator returned then renders one row at a time.
     """
     with decimal.localcontext() as context:
         # Set one by one: localcontext(**kwargs) needs Python 3.11.
@@ -161,7 +158,7 @@ def level2_text_rows(nmax: int, signed: bool = False) -> list[list[str]]:
             rows = _level2_rows(nmax, decimal.Decimal(1), -1 if signed else 1)
         except decimal.DecimalException as exc:
             raise ArithmeticError(f"[[n, m]] text: decimal arithmetic rounded ({exc})") from exc
-    return [[str(value) for value in row] for row in rows]
+    return (list(map(str, row)) for row in rows)
 
 
 def level2_by_rising_factorial(nmax: int) -> Level2Triangle:

@@ -8,6 +8,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -16,6 +17,7 @@ import pytest
 
 from polycauchy2 import cache as cache_module
 from polycauchy2 import convolution as convolution_module
+from polycauchy2 import level2_by_recurrence
 from polycauchy2.cache import CACHE_FORMAT_VERSION, CacheSession
 from polycauchy2.cli import main
 from polycauchy2.convolution import CONVOLUTION_IDENTITIES
@@ -47,6 +49,30 @@ def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def stirling2_reference_stdout(nmax, signed, fmt):
+    """``stirling2`` stdout as ``json.dumps`` and a ``print`` per row render it, from the int triangle."""
+    triangle = level2_by_recurrence(nmax)
+    rows = [
+        [str(-value if signed and (n - m) % 2 else value) for m, value in enumerate(triangle.row(n))]
+        for n in range(nmax + 1)
+    ]
+    if fmt == "json":
+        return json.dumps({"nmax": nmax, "signed": signed, "rows": rows}) + "\n"
+    sep = {"csv": ",", "tsv": "\t"}[fmt]
+    return "n:values\n" + "".join(f"{n}:{sep.join(row)}\n" for n, row in enumerate(rows))
+
+
+class CharCounter:
+    """A text stdout that keeps only the number of characters written to it."""
+
+    def __init__(self):
+        self.chars = 0
+
+    def write(self, text):
+        self.chars += len(text)
+        return len(text)
 
 
 class TestPolycauchyCommand:
@@ -125,6 +151,47 @@ class TestStirling2Command:
         assert out == ""
         assert len(err.splitlines()) == 1
         assert err.startswith("polycauchy2: internal error: ")
+
+    @pytest.mark.parametrize(
+        "options",
+        [["--signed"], ["--format", "tsv"], ["--format", "json"], ["--signed", "--format", "json"]],
+        ids=["signed", "tsv", "json", "signed-json"],
+    )
+    def test_rounding_writes_nothing_in_any_format(self, capsys, monkeypatch, options):
+        # Rows are written as they are rendered, so the arithmetic (and its
+        # trap) must finish before the first byte, the JSON head included.
+        monkeypatch.setattr(decimal, "MAX_PREC", 50)
+        code, out, err = run(capsys, ["stirling2", "--nmax", "60"] + options)
+        assert code == 3
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("polycauchy2: internal error: ")
+
+    @pytest.mark.parametrize("fmt", ["csv", "tsv", "json"])
+    @pytest.mark.parametrize("signed", [False, True])
+    def test_stdout_matches_one_string_rendering(self, capsys, fmt, signed):
+        for nmax in range(61):
+            argv = ["stirling2", "--nmax", str(nmax), "--format", fmt] + (["--signed"] if signed else [])
+            code, out, _ = run(capsys, argv)
+            assert code == 0
+            assert out == stirling2_reference_stdout(nmax, signed, fmt), nmax
+            if fmt == "json":
+                assert json.loads(out)["rows"][nmax][nmax] == "1"
+
+    def test_json_peak_memory_below_its_output(self, monkeypatch):
+        # The text of the triangle is never held at once, so the traced
+        # peak stays below the 20 132 297 characters written.
+        sink = CharCounter()
+        monkeypatch.setattr(sys, "stdout", sink)
+        tracemalloc.start()
+        try:
+            code = main(["stirling2", "--nmax", "300", "--signed", "--format", "json"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert sink.chars == 20_132_297
+        assert peak < sink.chars, peak
 
 
 class TestSeriesCommand:

@@ -167,8 +167,8 @@ class TestLevel2TextRows:
     @pytest.mark.parametrize("signed", [False, True])
     def test_matches_int_triangle(self, signed):
         for nmax in range(61):
-            assert level2_text_rows(nmax, signed) == _int_text_rows(nmax, signed), nmax
-        rows = level2_text_rows(300, signed)
+            assert list(level2_text_rows(nmax, signed)) == _int_text_rows(nmax, signed), nmax
+        rows = list(level2_text_rows(300, signed))
         assert rows == _int_text_rows(300, signed)
         for row in rows:
             for text in row:
@@ -180,7 +180,10 @@ class TestLevel2TextRows:
         # past 50 digits, and its entries end in zeros, so they round exactly
         # and only the Rounded trap stops them printing with an exponent.
         monkeypatch.setattr(decimal, "MAX_PREC", 50)
-        assert level2_text_rows(25, signed) == _int_text_rows(25, signed)
+        assert list(level2_text_rows(25, signed)) == _int_text_rows(25, signed)
         for nmax in (26, 60):
+            with pytest.raises(ArithmeticError):
+                list(level2_text_rows(nmax, signed))
+            # The call itself raises, before any row is taken.
             with pytest.raises(ArithmeticError):
                 level2_text_rows(nmax, signed)
