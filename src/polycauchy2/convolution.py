@@ -39,13 +39,14 @@ polynomials P_{r,2k}(n) in the ansatz
         sum over k = 0..r of P_{r,2k}(n) binom(2n, 2k) binom(2n-2k-1, 2r-2k)
             * C_{2n-2k}
 
-by solving one exact linear system for all coefficient vectors at once.
-Each P gets a degree budget of 2k + 1, one slack coefficient above its
-claimed degree, and its coefficients are its block of the solution. The last
-three sample points are held out of the solve. At every sample, each P is
-also recovered pointwise, by subtracting the other solved terms from the
-convolution and dividing by its own weight; at a held-out point that value
-is an independent probe, so a wrong ansatz cannot slip through.
+by solving one exact linear system for all coefficient vectors at once,
+fraction-free on integers (Bareiss, Math. Comp. 22, 1968). Each P gets a
+degree budget of 2k + 1, one slack coefficient above its claimed degree, and
+its coefficients are its block of the solution. The last three sample points
+are held out of the solve. At every sample, each P is also recovered
+pointwise, by subtracting the other solved terms from the convolution and
+dividing by its own weight; at a held-out point that value is an independent
+probe, so a wrong ansatz cannot slip through.
 """
 
 from __future__ import annotations
@@ -59,6 +60,7 @@ from typing import Callable, Sequence
 from .exact import binomial
 from .polynomials import poly_degree, poly_eval, poly_text, poly_trim
 from .polycauchy import (
+    _exact_div,
     PolyCauchyTable,
     arcsinh_power_egf,
     integral_representation_check,
@@ -489,23 +491,31 @@ class ConjecturePolynomial:
 
 
 def _solve_exact(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Gauss-Jordan over Fraction for a square consistent system."""
-    rows = [row[:] + [value] for row, value in zip(matrix, rhs)]
-    ncols = len(matrix[0])
-    pivot_row = 0
-    for col in range(ncols):
-        sel = next((i for i in range(pivot_row, len(rows)) if rows[i][col] != 0), None)
+    """Fraction-free elimination for a square system (Bareiss, Math. Comp. 22, 1968).
+
+    On integer rows, below pivot p a row becomes (p row - f pivot_row) / p' for the previous
+    pivot p'; a zero pivot swaps rows. Every division, back-substitution's too, is checked exact.
+    """
+    augmented = [[*row, value] for row, value in zip(matrix, rhs)]
+    scales = [lcm(*(v.denominator for v in row)) for row in augmented]
+    rows = [[v.numerator * (s // v.denominator) for v in row] for row, s in zip(augmented, scales)]
+    size, previous = len(rows), 1
+    divide = partial(_exact_div, where="Bareiss solve")
+    for col in range(size):
+        sel = next((i for i in range(col, size) if rows[i][col]), None)
         if sel is None:
             raise ArithmeticError("sample points produce a singular system; add or vary samples")
-        rows[pivot_row], rows[sel] = rows[sel], rows[pivot_row]
-        inv = 1 / rows[pivot_row][col]
-        rows[pivot_row] = [v * inv for v in rows[pivot_row]]
-        for i in range(len(rows)):
-            if i != pivot_row and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[pivot_row])]
-        pivot_row += 1
-    return [rows[i][-1] for i in range(ncols)]
+        rows[col], rows[sel] = rows[sel], rows[col]
+        p, tail = rows[col][col], rows[col][col + 1 :]
+        for row in rows[col + 1 :]:
+            f = row[col]
+            row[col + 1 :] = [divide(p * a - f * b, previous) for a, b in zip(row[col + 1 :], tail)]
+        previous = p
+    numerators = [0] * size
+    for i in reversed(range(size)):
+        total = previous * rows[i][-1] - sum(a * x for a, x in zip(rows[i][i + 1 :], numerators[i + 1 :]))
+        numerators[i] = divide(total, rows[i][i])
+    return [Fraction(x, previous) for x in numerators]
 
 
 def default_conjecture_samples(r: int) -> list[int]:

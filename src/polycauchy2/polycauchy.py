@@ -49,10 +49,10 @@ __all__ = [
 # -- the integer EGF kernel ----------------------------------------------------
 
 
-def _exact_div(numerator: int, divisor: int) -> int:
+def _exact_div(numerator: int, divisor: int, where: str = "EGF kernel") -> int:
     quotient, remainder = divmod(numerator, divisor)
     if remainder:
-        raise ArithmeticError(f"EGF kernel: division by {divisor} is not exact")
+        raise ArithmeticError(f"{where}: division by {divisor} is not exact")
     return quotient
 
 
@@ -125,7 +125,8 @@ def level2_series_values(egf: Sequence[Sequence[int]], k: int = 1) -> list[Fract
 
 
 def _formula_column(n: int, triangle: Level2Triangle) -> list[int]:
-    return [(-4) ** (n - m) * value for m, value in enumerate(triangle.row(n))]
+    """(-4)^(n-m) [[n, m]] for m = 0..n, as a shift by 2(n - m) bits and a sign."""
+    return [-(v << 2 * (n - m)) if (n - m) % 2 else v << 2 * (n - m) for m, v in enumerate(triangle.row(n))]
 
 
 def level2_by_formula(n: int, k: int = 1, triangle: Level2Triangle | None = None) -> Fraction:
@@ -255,8 +256,7 @@ def integral_representation_check(n: int, k: int, triangle: Level2Triangle | Non
     product = _linear_product(n)
 
     expected = [0] * (2 * n + 1)
-    for m in range(n + 1):
-        expected[2 * m] = (-4) ** (n - m) * triangle.value(n, m)
+    expected[::2] = _formula_column(n, triangle)
     polynomial_match = product == expected
 
     # Stage 2: integrate the stage-1 product, which never read the triangle,

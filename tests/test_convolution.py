@@ -8,9 +8,12 @@ rule. The oracles for the integer sum-form right-hand sides are the paper's
 formulas as written, one Fraction per term (``paper_rhs_*``). The oracles
 for the two differential equations for L are their power-series checks on
 ``series_oracle.Series`` (``paper_l_squared``, ``paper_l_second_derivative``).
+The oracle for the fraction-free conjecture solve is Gauss-Jordan elimination
+over Fraction (``gauss_jordan``).
 """
 
 import itertools
+import random
 from dataclasses import replace
 from fractions import Fraction
 from math import factorial
@@ -181,6 +184,24 @@ def paper_l_second_derivative(nmax):
     rhs = a * big_l + b * l1 + c * l2 + d * l3
     rows = [CheckRow.compare(i, lhs.coefficient(i), rhs.coefficient(i)) for i in range(nmax + 1)]
     return IdentityReport("eqconvo02", nmax, f"coefficients t^0..t^{nmax}", rows)
+
+
+def gauss_jordan(matrix, rhs):
+    # Reduce to the identity over Fraction, normalizing at every step.
+    rows = [[Fraction(v) for v in row] + [Fraction(value)] for row, value in zip(matrix, rhs)]
+    size = len(rows)
+    for col in range(size):
+        sel = next((i for i in range(col, size) if rows[i][col] != 0), None)
+        if sel is None:
+            raise ArithmeticError("singular system")
+        rows[col], rows[sel] = rows[sel], rows[col]
+        inv = 1 / rows[col][col]
+        rows[col] = [v * inv for v in rows[col]]
+        for i in range(size):
+            if i != col and rows[i][col] != 0:
+                f = rows[i][col]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[col])]
+    return [row[-1] for row in rows]
 
 
 # Integer right-hand side, paper-form oracle, first index, identity name.
@@ -605,3 +626,109 @@ class TestConjectureExtraction:
     def test_identity_names_cover_registry(self):
         for name in CONVOLUTION_IDENTITIES:
             assert name in IDENTITY_NAMES
+
+
+# Square systems of mixed signs and denominators, with zeros often enough to
+# make some of them singular: a size, then the augmented rows flattened.
+_ENTRY = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 12))
+_SYSTEMS = st.integers(1, 6).flatmap(
+    lambda size: st.lists(_ENTRY, min_size=size * (size + 1), max_size=size * (size + 1)).map(
+        lambda flat: [flat[i : i + size + 1] for i in range(0, len(flat), size + 1)]
+    )
+)
+
+
+def _random_fractions(generator, count):
+    return [Fraction(generator.randint(-40, 40), generator.randint(1, 12)) for _ in range(count)]
+
+
+class TestBareissSolve:
+    """``_solve_exact`` against the Gauss-Jordan oracle, and the checks inside it."""
+
+    @staticmethod
+    def solves(matrix, rhs, solution):
+        return all(sum(a * x for a, x in zip(row, solution)) == b for row, b in zip(matrix, rhs))
+
+    @settings(max_examples=150, deadline=None)
+    @given(_SYSTEMS)
+    def test_matches_gauss_jordan(self, augmented):
+        # A singular draw must raise on both sides.
+        matrix, rhs = [row[:-1] for row in augmented], [row[-1] for row in augmented]
+        try:
+            expected = gauss_jordan(matrix, rhs)
+        except ArithmeticError:
+            with pytest.raises(ArithmeticError, match="singular"):
+                convolution_module._solve_exact(matrix, rhs)
+            return
+        assert convolution_module._solve_exact(matrix, rhs) == expected
+
+    def test_seeded_systems_up_to_the_r3_size(self):
+        generator = random.Random(20260)
+        for size in range(1, 21):
+            matrix = [_random_fractions(generator, size) for _ in range(size)]
+            rhs = _random_fractions(generator, size)
+            solution = convolution_module._solve_exact(matrix, rhs)
+            assert solution == gauss_jordan(matrix, rhs), size
+            assert self.solves(matrix, rhs, solution)
+            assert all(type(x) is Fraction for x in solution)
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_conjecture_systems_match_gauss_jordan(self, r, monkeypatch):
+        real, systems = convolution_module._solve_exact, []
+
+        def record(matrix, rhs):
+            systems.append((matrix, rhs))
+            return real(matrix, rhs)
+
+        monkeypatch.setattr(convolution_module, "_solve_exact", record)
+        extract_conjecture_polynomials(r)
+        (matrix, rhs), = systems
+        assert len(matrix) == (r + 1) * (r + 2)
+        assert real(matrix, rhs) == gauss_jordan(matrix, rhs)
+
+    def test_zero_leading_pivot_swaps_rows(self):
+        matrix = [[Fraction(0), Fraction(1, 2)], [Fraction(-3, 4), Fraction(5)]]
+        rhs = [Fraction(1), Fraction(2, 3)]
+        solution = convolution_module._solve_exact(matrix, rhs)
+        assert solution == gauss_jordan(matrix, rhs) == [Fraction(112, 9), Fraction(2)]
+
+    def test_zero_pivot_in_the_middle_swaps_rows(self):
+        # Scaled to integers, the second pivot after the first step is
+        # 4 - 2 * 2 = 0, while the third row has 3 - 2 = 1 there; det = -1/27.
+        matrix = [[1, 2, 3], [2, 4, 7], [1, 3, 4]]
+        matrix = [[Fraction(v, 3) for v in row] for row in matrix]
+        rhs = [Fraction(1), Fraction(-2, 5), Fraction(7)]
+        solution = convolution_module._solve_exact(matrix, rhs)
+        assert solution == gauss_jordan(matrix, rhs)
+        assert self.solves(matrix, rhs, solution)
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            [[1, 2], [2, 4]],
+            [[Fraction(1, 2), 3, 1], [1, 6, Fraction(1, 3)], [2, 12, 5]],
+            [[1, 0, 2], [3, 0, 4], [5, 0, 6]],
+            [[0, 0], [0, 0]],
+        ],
+        ids=["rank-1", "dependent-columns", "zero-column", "zero-matrix"],
+    )
+    def test_singular_system_raises(self, matrix):
+        matrix = [[Fraction(v) for v in row] for row in matrix]
+        with pytest.raises(ArithmeticError, match="singular system"):
+            convolution_module._solve_exact(matrix, [Fraction(1)] * len(matrix))
+
+    def test_every_division_is_checked(self, monkeypatch):
+        # Negative control: a wrong divisor (twice the true one) must raise,
+        # not return a wrong solution. Unchecked, the same divisor floors
+        # its way to a wrong answer, so the check is what catches it.
+        matrix, rhs = [[2, 3, 5], [7, 11, 13], [17, 19, 23]], [1, 2, 3]
+        matrix = [[Fraction(v) for v in row] for row in matrix]
+        rhs = [Fraction(v) for v in rhs]
+        real = polycauchy_module._exact_div
+        monkeypatch.setattr(convolution_module, "_exact_div", lambda a, d, where: real(a, 2 * d, where))
+        with pytest.raises(ArithmeticError, match="Bareiss solve: division by .* is not exact"):
+            convolution_module._solve_exact(matrix, rhs)
+        with pytest.raises(ArithmeticError, match="Bareiss solve"):
+            extract_conjecture_polynomials(1)
+        monkeypatch.setattr(convolution_module, "_exact_div", lambda a, d, where: a // (2 * d))
+        assert convolution_module._solve_exact(matrix, rhs) != gauss_jordan(matrix, rhs)

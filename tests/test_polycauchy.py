@@ -120,6 +120,15 @@ class TestIntegerKernel:
             assert egf[n] == [(-4) ** (n - m) * triangle.value(n, m) for m in range(n + 1)]
             assert all(type(value) is int for value in egf[n])
 
+    def test_formula_column_is_the_signed_triangle(self):
+        # The shift-and-sign column against the power it replaced, at every
+        # parity of n - m, including the single entry of row 0.
+        triangle = level2_by_recurrence(60)
+        for n in range(61):
+            column = polycauchy_module._formula_column(n, triangle)
+            assert column == [(-4) ** (n - m) * triangle.value(n, m) for m in range(n + 1)], n
+            assert all(type(value) is int for value in column)
+
     def test_series_route_never_reads_the_triangle(self, monkeypatch):
         expected = [level2_by_formula(n, -2) for n in range(9)]
 
@@ -220,6 +229,16 @@ class TestIntegralRepresentation:
     def test_rejects_negative_index(self):
         with pytest.raises(ValueError):
             integral_representation_check(-1, 1)
+
+    def test_perturbed_triangle_fails_polynomial_stage(self):
+        # Stage 1 compares the expanded product with the triangle's row, so a
+        # wrong [[5, 2]] must show there too, at the coefficient of z^4.
+        true = level2_by_recurrence(5)
+        rows = [list(true.row(n)) for n in range(6)]
+        rows[5][2] += 1
+        check = integral_representation_check(5, 1, Level2Triangle(rows))
+        assert check.polynomial_match is False
+        assert integral_representation_check(5, 1, true).polynomial_match is True
 
     def test_perturbed_triangle_fails_value_stage(self):
         # C9 style: stage 2 integrates the expanded product, which does not
