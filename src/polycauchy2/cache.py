@@ -11,7 +11,9 @@ Saves write a temporary file beside the target and rename it into place, so
 an interrupted save leaves the previous document intact.
 
 Triangle rows are not cached: the recurrence rebuilds them faster than a
-cache file can be read.
+cache file can be read. The spot check builds none either. It runs the
+formula route's weighted-sum recurrence once per sampled k, up to the
+largest n sampled at that k, and compares only the sampled entries.
 """
 
 from __future__ import annotations
@@ -23,8 +25,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .exact import rational_from_text, rational_to_text
-from .polycauchy import level2_by_formula
-from .stirling import level2_by_recurrence
+from .polycauchy import _formula_numerators
 
 __all__ = ["CACHE_FORMAT_VERSION", "CacheSession"]
 
@@ -73,7 +74,8 @@ class CacheSession:
                 values[(int(n), int(k))] = rational_from_text(text)
         except (TypeError, ValueError):
             return
-        if not self._spot_check(values):
+        # A negative n is malformed, and the spot check would read it from the end of its pass.
+        if any(n < 0 for n, _ in values) or not self._spot_check(values):
             return
         self._values = values
 
@@ -83,10 +85,13 @@ class CacheSession:
         rng = random.Random(_REVALIDATION_SEED)
         keys = sorted(values)
         picks = keys if len(keys) <= _SPOT_CHECKS else sorted(rng.sample(keys, _SPOT_CHECKS))
-        triangle = level2_by_recurrence(max(n for n, _ in picks))
+        # Picks are sorted by n, so the last n seen for a k is its largest.
+        tops = {k: n for n, k in picks}
+        recomputed = {k: _formula_numerators(top, k) for k, top in tops.items()}
         for n, k in picks:
             self.revalidated += 1
-            if values[(n, k)] != level2_by_formula(n, k, triangle):
+            numerators, denominator = recomputed[k]
+            if values[(n, k)] != Fraction(numerators[n], denominator):
                 self.revalidated = 0
                 return False
         return True

@@ -64,7 +64,6 @@ from .polycauchy import (
     PolyCauchyTable,
     arcsinh_power_egf,
     integral_representation_check,
-    level2_by_formula,
     level2_series_values,
 )
 from .stirling import level2_by_recurrence
@@ -389,22 +388,31 @@ def _report_over_k(
     return IdentityReport(name, nmax, f"n=0..{nmax}, k={k_range[0]}..{k_range[-1]}", rows)
 
 
+def _formula_table(nmax: int, k_range: range) -> PolyCauchyTable:
+    """The formula route for n = 0..nmax at every k in range, one pass per k."""
+    table = PolyCauchyTable()
+    for k in k_range:
+        table.ensure(nmax, k)
+    return table
+
+
 def _verify_route_agreement(nmax: int) -> IdentityReport:
-    triangle = level2_by_recurrence(nmax)
+    formula = _formula_table(nmax, _ROUTE_K_RANGE)
     egf = arcsinh_power_egf(nmax)
     series = {k: level2_series_values(egf, k) for k in _ROUTE_K_RANGE}
 
     def check(n: int, k: int) -> CheckRow:
-        return CheckRow.compare(n, level2_by_formula(n, k, triangle), series[k][n])
+        return CheckRow.compare(n, formula.value(n, k), series[k][n])
 
     return _report_over_k("thm1", nmax, _ROUTE_K_RANGE, check)
 
 
 def _verify_integral_representation(nmax: int) -> IdentityReport:
     triangle = level2_by_recurrence(nmax)
+    table = _formula_table(nmax, _INTEGRAL_K_RANGE)
 
     def check(n: int, k: int) -> CheckRow:
-        result = integral_representation_check(n, k, triangle)
+        result = integral_representation_check(n, k, triangle, table)
         return CheckRow(n, result.integral_value, result.reference_value, result.passed)
 
     return _report_over_k("cor1", nmax, _INTEGRAL_K_RANGE, check)

@@ -9,8 +9,18 @@ with C_0^(k) = 1, where [[n, m]] is the level-2 triangle. Both routes are
 implemented and checked against each other; the index parameter k may be
 any integer, including zero and negatives.
 
-Both routes run on one exact-integer kernel (Knuth, TAOCP Vol. 2, 4.7). The
-series route expands lif2k(arcsinh t) as the sum over m of
+Both routes run on exact integers (Knuth, TAOCP Vol. 2, 4.7), over one
+common denominator D = lcm(2m+1)^k, or D = 1 when k <= 0. Write
+s_m = D / (2m+1)^k. The formula route never builds the triangle. It runs
+the triangle's own recurrence [[n, m]] = [[n-1, m-1]] + (n-1)^2 [[n-1, m]],
+summed in the other order, on the weighted sums
+
+    S_n(j) = sum over m of (-4)^(n-m) [[n, m]] s_(m+j):
+
+S_0(j) = s_j and S_n(j) = S_(n-1)(j+1) - 4(n-1)^2 S_(n-1)(j), so S_n(0) is
+D C_{2n}^(k). Every step multiplies a big integer by a small one.
+
+The series route expands lif2k(arcsinh t) as the sum over m of
 (arcsinh t)^(2m) / ((2m)! (2m+1)^k), whose EGF coefficients
 
     P_m[n] = (2n)! [t^(2n)] (arcsinh t)^(2m) / (2m)!
@@ -19,8 +29,8 @@ are integers. ``arcsinh_power_egf`` builds them from the arcsinh
 coefficients (-1)^j ((2j-1)!!)^2 alone, never from the triangle: P_1 is one
 binomial EGF product of those coefficients halved, and P_m is the binomial
 EGF product of P_{m-1} and P_1 divided by m(2m-1), each division checked
-exact. Either route then divides its integer column by (2m+1)^k as one
-numerator over lcm(2m+1)^k, or as a plain integer when k <= 0.
+exact. It then takes the dot product of each column with s_m over D. The
+two routes share only the weights s_m: neither reads the other's integers.
 """
 
 from __future__ import annotations
@@ -75,6 +85,15 @@ def _power_table(first: Sequence[int]) -> list[list[int]]:
     return table
 
 
+def _power_weights(size: int, k: int, step: int) -> tuple[list[int], int]:
+    """D / (step m + 1)^k for m = 0..size-1, and D, the lcm of those powers (1 when k <= 0)."""
+    bases = [step * m + 1 for m in range(size)]
+    if k <= 0:
+        return [base**-k for base in bases], 1
+    denominator = lcm(*bases) ** k
+    return [_exact_div(denominator, base**k) for base in bases], denominator
+
+
 def _sum_over_powers(
     columns: Iterable[Sequence[int]], size: int, k: int, step: int
 ) -> list[Fraction]:
@@ -82,14 +101,22 @@ def _sum_over_powers(
 
     Columns hold at most ``size`` entries; they may be generated one at a time.
     """
-    bases = [step * m + 1 for m in range(size)]
-    if k <= 0:
-        denominator = 1
-        weights = [base**-k for base in bases]
-    else:
-        denominator = lcm(*bases) ** k
-        weights = [_exact_div(denominator, base**k) for base in bases]
+    weights, denominator = _power_weights(size, k, step)
     return [Fraction(sum(map(mul, column, weights)), denominator) for column in columns]
+
+
+def _formula_numerators(nmax: int, k: int) -> tuple[list[int], int]:
+    """D C_{2n}^(k) for n = 0..nmax, and D: the weighted-sum recurrence of the module docstring.
+
+    Row n holds S_n(j) for j = 0..nmax-n; no triangle entry is built.
+    """
+    sums, denominator = _power_weights(nmax + 1, k, 2)
+    numerators = [sums[0]]
+    for n in range(1, nmax + 1):
+        weight = 4 * (n - 1) ** 2
+        sums = [b - weight * a for a, b in zip(sums, sums[1:])]
+        numerators.append(sums[0])
+    return numerators, denominator
 
 
 def _arcsinh_egf(count: int) -> list[int]:
@@ -129,13 +156,12 @@ def _formula_column(n: int, triangle: Level2Triangle) -> list[int]:
     return [-(v << 2 * (n - m)) if (n - m) % 2 else v << 2 * (n - m) for m, v in enumerate(triangle.row(n))]
 
 
-def level2_by_formula(n: int, k: int = 1, triangle: Level2Triangle | None = None) -> Fraction:
-    """C_{2n}^(k) via the level-2 triangle sum. Exact for any integer k."""
+def level2_by_formula(n: int, k: int = 1) -> Fraction:
+    """C_{2n}^(k) via the level-2 triangle sum, run as the weighted-sum recurrence. Exact for any integer k."""
     if n < 0:
         raise ValueError(f"index n must be >= 0, got {n}")
-    if triangle is None or triangle.nmax < n:
-        triangle = level2_by_recurrence(n)
-    return _sum_over_powers([_formula_column(n, triangle)], n + 1, k, 2)[0]
+    numerators, denominator = _formula_numerators(n, k)
+    return Fraction(numerators[n], denominator)
 
 
 def level2_by_series(n: int, k: int = 1) -> Fraction:
@@ -171,11 +197,11 @@ class PolyCauchyTable:
         if start > nmax:
             return
         if route == "formula":
-            triangle = level2_by_recurrence(nmax)
-            columns = (_formula_column(n, triangle) for n in range(start, nmax + 1))
+            numerators, denominator = _formula_numerators(nmax, k)
+            values = [Fraction(x, denominator) for x in numerators[start:]]
         else:
-            columns = arcsinh_power_egf(nmax)[start:]
-        for n, value in enumerate(_sum_over_powers(columns, nmax + 1, k, 2), start):
+            values = _sum_over_powers(arcsinh_power_egf(nmax)[start:], nmax + 1, k, 2)
+        for n, value in enumerate(values, start):
             self._store(n, k, value, route)
 
     def _store(self, n: int, k: int, value: Fraction, route: str) -> None:
@@ -205,9 +231,10 @@ class IntegralCheck:
     linear factors, must equal sum over m of (-4)^(n-m) [[n, m]] z^(2m).
     Stage 2 integrates the expanded product, not the triangle side, termwise
     over the unit cube in k variables (each monomial (x_1...x_k)^j
-    contributes 1/(j+1)^k) and compares the result with the triangle-sum
-    route, so a wrong triangle entry fails both stages. Failed stages are
-    recorded, never raised.
+    contributes 1/(j+1)^k) and compares the result with the formula route,
+    which reads no triangle either. A wrong triangle entry fails stage 1 and
+    a wrong formula-route value fails stage 2. Failed stages are recorded,
+    never raised.
     """
 
     n: int
@@ -244,11 +271,20 @@ def _linear_product(n: int) -> list[int]:
     return _LINEAR_PRODUCTS[n]
 
 
-def integral_representation_check(n: int, k: int, triangle: Level2Triangle | None = None) -> IntegralCheck:
+def integral_representation_check(
+    n: int, k: int, triangle: Level2Triangle | None = None, table: PolyCauchyTable | None = None
+) -> IntegralCheck:
+    """Both stages at (n, k): ``triangle`` serves stage 1 and ``table`` stage 2's reference.
+
+    Either is built or extended when it does not reach n.
+    """
     if n < 0:
         raise ValueError(f"index n must be >= 0, got {n}")
     if triangle is None or triangle.nmax < n:
         triangle = level2_by_recurrence(n)
+    if table is None:
+        table = PolyCauchyTable()
+    table.ensure(n, k)
 
     # Stage 1: expand the binomial product factor by factor, once per n.
     # (-4)^n (n!)^2 binom(z/2, n) binom(-z/2, n) = (-4)^n prod (z/2 - i)(-z/2 - i)
@@ -263,7 +299,7 @@ def integral_representation_check(n: int, k: int, triangle: Level2Triangle | Non
     # termwise over the unit cube: z^j becomes 1/(j+1)^k, summed over one
     # common denominator. The k-fold integral is never evaluated numerically.
     integral_value = _sum_over_powers([product], 2 * n + 1, k, 1)[0]
-    reference_value = level2_by_formula(n, k, triangle)
+    reference_value = table.value(n, k)
     value_match = integral_value == reference_value
 
     return IntegralCheck(n, k, polynomial_match, value_match, integral_value, reference_value)

@@ -474,6 +474,36 @@ class TestCache:
         assert out.splitlines()[1:] == SEQUENCE_LINES
         assert err.strip() == "cache: hits=0 misses=7 revalidated=0"
 
+    # Both files hold three k. The seed samples only k = 1 from the first;
+    # from the second it samples (0, 1), (5, -1) and (6, 2), one per k.
+    @pytest.mark.parametrize("tops", [{1: 12, 2: 4, -1: 8}, {1: 2, 2: 6, -1: 8}])
+    def test_file_of_several_k_is_spot_checked(self, capsys, tmp_path, tops):
+        cache_path = tmp_path / "cache.json"
+        for k, nmax in tops.items():
+            run(capsys, ["polycauchy", "--k", str(k), "--nmax", str(nmax), "--cache", str(cache_path)])
+        untampered = cache_path.read_text()
+        picks = _sampled_keys((n, k) for k, nmax in tops.items() for n in range(nmax + 1))
+        assert CacheSession(cache_path).revalidated == 3
+        for key in picks:
+            cache_path.write_text(untampered)
+            _tamper(cache_path, key, "12345", resign=True)
+            session = CacheSession(cache_path)
+            assert session.revalidated == 0, key
+            assert all(session.get_values(k, 0) is None for k in tops), key
+
+    def test_negative_index_is_discarded(self, capsys, tmp_path):
+        # A signed document with an entry at n = -1 is malformed, whatever its value.
+        cache_path = tmp_path / "cache.json"
+        run(capsys, ["polycauchy", "--nmax", "2", "--cache", str(cache_path)])
+        document = json.loads(cache_path.read_text())
+        document["polycauchy_entries"].insert(0, [-1, 1, "1"])
+        document["entries_sha256"] = cache_module._entries_digest(document["polycauchy_entries"])
+        cache_path.write_text(json.dumps(document))
+        code, out, err = run(capsys, ["polycauchy", "--nmax", "2", "--cache", str(cache_path), "--stats"])
+        assert code == 0
+        assert out.splitlines()[1:] == SEQUENCE_LINES[:3]
+        assert err.strip() == "cache: hits=0 misses=3 revalidated=0"
+
     def test_unknown_format_version_recomputes(self, capsys, tmp_path):
         cache_path = tmp_path / "cache.json"
         cache_path.write_text(json.dumps({"format_version": 99, "polycauchy_entries": [[1, 1, "5"]]}))

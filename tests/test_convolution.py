@@ -24,7 +24,6 @@ from hypothesis import strategies as st
 
 from polycauchy2 import (
     IDENTITY_NAMES,
-    Level2Triangle,
     PolyCauchyTable,
     builtin_series,
     convolution_sweep,
@@ -473,19 +472,10 @@ class TestRouteAndSeriesSweeps:
             assert report.to_json_dict() == expected.to_json_dict(), (name, nmax)
 
     @pytest.mark.parametrize("name,first", [("eqll", 10), ("eqconvo02", 8)])
-    def test_perturbed_triangle_fails_series_identities(self, name, first, monkeypatch):
-        # C9 style: the L equations read the formula route's table, so
-        # [[5, 2]] one too large must fail them from the first coefficient
-        # whose convolution reads C_10.
-        real = polycauchy_module.level2_by_recurrence
-
-        def bumped(nmax):
-            rows = [list(real(nmax).row(n)) for n in range(nmax + 1)]
-            if nmax >= 5:
-                rows[5][2] += 1
-            return Level2Triangle(rows)
-
-        monkeypatch.setattr(polycauchy_module, "level2_by_recurrence", bumped)
+    def test_wrong_c10_fails_series_identities(self, name, first, bumped_c10):
+        # C9 style: the L equations read the formula route's table, so a
+        # wrong C_10 must fail them from the first coefficient whose
+        # convolution reads it.
         report = verify_identity(name, 20)
         assert report.status == "fail"
         assert report.first_failure.n == first

@@ -3,10 +3,13 @@
 The series route (polyfactorial composed with arcsinh) and the triangle-sum
 route are implemented independently; each acts as the other's oracle. The
 frozen list below was produced by the series route and cross-checked against
-the triangle sum before freezing.
+the triangle sum before freezing. The oracle for the formula route's
+weighted-sum recurrence is the route it replaced: each signed triangle row
+dotted with D / (2m+1)^k (``triangle_dot_product``).
 """
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +28,8 @@ from polycauchy2 import (
 )
 from polycauchy2 import convolution as convolution_module
 from polycauchy2 import polycauchy as polycauchy_module
+from polycauchy2 import stirling as stirling_module
+from polycauchy2.cache import CacheSession
 from series_oracle import Series, level1_by_formula, level1_by_series
 
 # C_{2n} for n = 0..6 at k = 1.
@@ -46,6 +51,23 @@ LEVEL1_K1 = [
     Fraction(1, 4),
     Fraction(-19, 30),
 ]
+
+
+def triangle_dot_product(nmax, k):
+    """C_{2n}^(k) for n = 0..nmax: the signed row n of the triangle dotted with D / (2m+1)^k, over D."""
+    triangle = level2_by_recurrence(nmax)
+    bases = [2 * m + 1 for m in range(nmax + 1)]
+    denominator = lcm(*bases) ** k if k > 0 else 1
+    weights = [denominator * base**-k if k <= 0 else denominator // base**k for base in bases]
+    return [
+        Fraction(sum((-4) ** (n - m) * v * weights[m] for m, v in enumerate(triangle.row(n))), denominator)
+        for n in range(nmax + 1)
+    ]
+
+
+def formula_values(nmax, k):
+    numerators, denominator = polycauchy_module._formula_numerators(nmax, k)
+    return [Fraction(x, denominator) for x in numerators]
 
 
 def horner_composition(k, order):
@@ -129,8 +151,55 @@ class TestIntegerKernel:
             assert column == [(-4) ** (n - m) * triangle.value(n, m) for m in range(n + 1)], n
             assert all(type(value) is int for value in column)
 
+    def test_formula_route_matches_the_triangle_dot_product(self):
+        # Every nmax has its own D, so each n is also run as its own pass.
+        for k in range(-3, 4):
+            oracle = triangle_dot_product(60, k)
+            assert formula_values(60, k) == oracle, k
+            assert [level2_by_formula(n, k) for n in range(61)] == oracle, k
+
+    @pytest.mark.parametrize("k,nmax", [(1, 300), (3, 200), (-2, 200)])
+    def test_formula_route_matches_the_oracle_at_benchmark_sizes(self, k, nmax):
+        assert formula_values(nmax, k) == triangle_dot_product(nmax, k)
+
+    def test_formula_route_reads_no_triangle_and_no_arcsinh_kernel(self, monkeypatch, tmp_path):
+        # The formula table, level2_by_formula, the sweeps' formula tables
+        # and a warm cache's spot check share one kernel that never reads
+        # the other routes' data, so thm1 compares two independent routes.
+        expected = {k: triangle_dot_product(12, k) for k in (-2, 0, 1, 3)}
+        session = CacheSession(tmp_path / "cache.json")
+        session.put_values(1, expected[1])
+        session.put_values(3, expected[3][:7])
+        session.save()
+        triangle = level2_by_recurrence(3)
+
+        def refuse(*args):
+            raise AssertionError("the formula route read another route's kernel")
+
+        for module in (stirling_module, polycauchy_module, convolution_module):
+            monkeypatch.setattr(module, "level2_by_recurrence", refuse)
+        monkeypatch.setattr(Level2Triangle, "row", refuse)
+        monkeypatch.setattr(Level2Triangle, "value", refuse)
+        for module in (polycauchy_module, convolution_module):
+            monkeypatch.setattr(module, "arcsinh_power_egf", refuse)
+        for k, values in expected.items():
+            table = PolyCauchyTable.build(12, k, "formula")
+            assert [table.value(n, k) for n in range(13)] == values, k
+            assert level2_by_formula(12, k) == values[12], k
+        swept = convolution_module._formula_table(12, range(-2, 2))
+        assert [swept.value(n, 0) for n in range(13)] == expected[0]
+        warm = CacheSession(tmp_path / "cache.json")
+        assert warm.revalidated == 3
+        assert warm.get_values(1, 12) == expected[1]
+        # The guards are live: the series route and stage 1 of cor1 trip them.
+        with pytest.raises(AssertionError):
+            level2_by_series(3)
+        with pytest.raises(AssertionError):
+            integral_representation_check(3, 1, triangle)
+
     def test_series_route_never_reads_the_triangle(self, monkeypatch):
         expected = [level2_by_formula(n, -2) for n in range(9)]
+        triangle = level2_by_recurrence(3)
 
         def refuse(*args):
             raise AssertionError("the series route read the triangle")
@@ -142,8 +211,9 @@ class TestIntegerKernel:
         assert [level2_by_series(n, -2) for n in range(9)] == expected
         table = PolyCauchyTable.build(8, k=-2, route="series")
         assert [table.value(n, -2) for n in range(9)] == expected
+        # The guard is live: stage 1 of cor1 reads the triangle's rows.
         with pytest.raises(AssertionError):
-            level2_by_formula(3)
+            integral_representation_check(3, 1, triangle)
 
     def test_inexact_division_raises(self):
         assert polycauchy_module._exact_div(-6, 3) == -2
@@ -240,17 +310,21 @@ class TestIntegralRepresentation:
         assert check.polynomial_match is False
         assert integral_representation_check(5, 1, true).polynomial_match is True
 
-    def test_perturbed_triangle_fails_value_stage(self):
-        # C9 style: stage 2 integrates the expanded product, which does not
-        # read the triangle, so a wrong [[5, 2]] must change the comparison.
-        true = level2_by_recurrence(5)
-        rows = [list(true.row(n)) for n in range(6)]
-        rows[5][2] += 1
+    def test_wrong_c10_fails_value_stage(self, bumped_c10):
+        # C9 style: stage 2 integrates the expanded product, which reads
+        # neither the triangle nor the formula route, so a wrong C_10 from
+        # the formula route must fail the value stage and only that stage.
+        truth = {k: triangle_dot_product(5, k)[5] for k in range(1, 4)}
         for k in range(1, 4):
-            check = integral_representation_check(5, k, Level2Triangle(rows))
+            check = integral_representation_check(5, k)
+            assert check.polynomial_match is True
             assert check.value_match is False
-            assert check.integral_value == level2_by_formula(5, k)
+            assert check.integral_value == truth[k]
+            assert check.reference_value != truth[k]
             assert not check.passed
+        report = convolution_module.verify_identity("cor1", 8)
+        assert report.status == "fail"
+        assert report.first_failure.n == 5
 
 
 class TestOddVanishing:
