@@ -18,7 +18,6 @@ from .convolution import (
 from .exact import (
     binomial,
     harmonic,
-    rational_from_text,
     rational_to_text,
 )
 from .polycauchy import (
@@ -52,7 +51,6 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     "rational_to_text",
-    "rational_from_text",
     "binomial",
     "harmonic",
     "builtin_series",

@@ -2,18 +2,20 @@
 
 Exit codes are the machine contract: 0 success (or identity pass), 1 identity
 failure, 2 usage error, 3 internal error (an ArithmeticError, reported on one
-stderr line). Numbers print as canonical rational text, so identical calls
-give identical bytes. ``stirling2`` finishes its exact arithmetic before it
-writes one row at a time, and writes its JSON directly.
+stderr line), 141 stdout closed early (128 + SIGPIPE). Numbers print as
+canonical rational text, so identical calls give identical bytes. Every value
+is recomputed on every call; ``--cache PATH`` is accepted and ignored.
+``stirling2`` finishes its exact arithmetic before it writes one row at a
+time, and writes its JSON directly.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
-from .cache import CacheSession
 from .convolution import DEFAULT_NMAX, IDENTITY_NAMES, verify_identity
 from .exact import rational_to_text
 from .polycauchy import PolyCauchyTable
@@ -32,10 +34,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--format", choices=("csv", "tsv", "json"), default="csv", help="output format"
     )
-    common.add_argument("--cache", metavar="PATH", default=None, help="JSON cache of polycauchy values")
-    common.add_argument(
-        "--stats", action="store_true", help="print cache statistics to stderr"
-    )
+    common.add_argument("--cache", metavar="PATH", help="ignored; no file is read or written")
 
     parser = argparse.ArgumentParser(
         prog="polycauchy2",
@@ -96,7 +95,7 @@ def _emit_table(fmt: str, header: list[str], rows: list[list[str]], json_payload
         print(sep.join(row))
 
 
-def cmd_stirling2(args: argparse.Namespace, cache: CacheSession) -> int:
+def cmd_stirling2(args: argparse.Namespace) -> int:
     text_rows = level2_text_rows(args.nmax, args.signed)
     if args.format == "json":
         # Entries are digits and an optional "-", so none needs JSON escaping.
@@ -111,10 +110,8 @@ def cmd_stirling2(args: argparse.Namespace, cache: CacheSession) -> int:
     return 0
 
 
-def cmd_polycauchy(args: argparse.Namespace, cache: CacheSession) -> int:
+def cmd_polycauchy(args: argparse.Namespace) -> int:
     if args.route == "both":
-        # Both routes are always recomputed; caching one would collapse the
-        # comparison this mode exists to display.
         formula = PolyCauchyTable.build(args.nmax, args.k, "formula")
         series = PolyCauchyTable.build(args.nmax, args.k, "series")
         pairs = [
@@ -138,12 +135,8 @@ def cmd_polycauchy(args: argparse.Namespace, cache: CacheSession) -> int:
             },
         )
         return 0
-    values = cache.get_values(args.k, args.nmax)
-    if values is None:
-        table = PolyCauchyTable.build(args.nmax, args.k, args.route)
-        values = [table.value(n, args.k) for n in range(args.nmax + 1)]
-        cache.put_values(args.k, values)
-    texts = [rational_to_text(value) for value in values]
+    table = PolyCauchyTable.build(args.nmax, args.k, args.route)
+    texts = [rational_to_text(table.value(n, args.k)) for n in range(args.nmax + 1)]
     _emit_table(
         args.format,
         ["n", "value"],
@@ -158,7 +151,7 @@ def cmd_polycauchy(args: argparse.Namespace, cache: CacheSession) -> int:
     return 0
 
 
-def cmd_series(args: argparse.Namespace, cache: CacheSession) -> int:
+def cmd_series(args: argparse.Namespace) -> int:
     texts = [rational_to_text(c) for c in builtin_series(args.name, args.order, k=args.k)]
     _emit_table(
         args.format,
@@ -174,7 +167,7 @@ def cmd_series(args: argparse.Namespace, cache: CacheSession) -> int:
     return 0
 
 
-def cmd_verify(args: argparse.Namespace, cache: CacheSession) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
     nmax = args.nmax
     if nmax is None:
         nmax = DEFAULT_NMAX
@@ -197,31 +190,30 @@ def main(argv: list[str] | None = None) -> int:
     if getattr(args, "order", 0) < 0:
         parser.error("--order must be >= 0")
     # Exact values routinely pass Python's default 4300-digit limit on
-    # int <-> text conversion, both in output and in cache files.
+    # int -> text conversion in output.
     digit_limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        # Only sequence values are cached, and `polycauchy --route both`
-        # recomputes both routes, so no other call opens the file.
-        uses_cache = args.command == "polycauchy" and args.route != "both"
-        cache = CacheSession(args.cache if uses_cache else None)
-        try:
-            code = args.handler(args, cache)
-        except ValueError as exc:
-            parser.error(str(exc))
-        except ArithmeticError as exc:
-            print(f"polycauchy2: internal error: {exc}", file=sys.stderr)
-            return 3
-        cache.save()
+        return args.handler(args)
+    except ValueError as exc:
+        parser.error(str(exc))
+    except ArithmeticError as exc:
+        print(f"polycauchy2: internal error: {exc}", file=sys.stderr)
+        return 3
     finally:
         sys.set_int_max_str_digits(digit_limit)
-    if args.stats:
-        print(cache.stats_line(), file=sys.stderr)
-    return code
 
 
 def entry() -> None:
-    raise SystemExit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader left early. Point stdout at devnull so the interpreter's
+        # own flush at exit cannot raise again, and exit as SIGPIPE would.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

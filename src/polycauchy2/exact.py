@@ -3,32 +3,26 @@
 Everything in this package is an exact integer or rational; floats never
 appear. Rationals are :class:`fractions.Fraction`, which keeps values
 normalized (lowest terms, positive denominator, zero as 0/1). Their string
-form is the canonical text format used throughout the CLI and cache files:
-"p/q" in lowest terms, plain "p" for integers, sign on the numerator.
+form is the canonical text format of the CLI's output: "p/q" in lowest
+terms, plain "p" for integers, sign on the numerator; ``Fraction(text)``
+parses it back.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb
 
 __all__ = [
-    "factorial",
     "binomial",
     "harmonic",
     "rational_to_text",
-    "rational_from_text",
 ]
 
 
 def rational_to_text(value: Fraction | int) -> str:
     """Canonical text form of a rational: "p/q", or "p" when the value is integral."""
     return str(Fraction(value))
-
-
-def rational_from_text(text: str) -> Fraction:
-    """Parse the canonical text form back into a Fraction."""
-    return Fraction(text)
 
 
 def binomial(n: int, j: int) -> int:

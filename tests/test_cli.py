@@ -1,24 +1,21 @@
-"""Command-line behavior: formats, fixtures, exit codes, cache round-trips."""
+"""Command-line behavior: formats, fixtures, exit codes, the ignored --cache flag."""
 
 import ast
 import decimal
 import hashlib
 import json
 import os
-import random
 import subprocess
 import sys
 import tracemalloc
 from dataclasses import replace
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from polycauchy2 import cache as cache_module
+import polycauchy2
 from polycauchy2 import convolution as convolution_module
 from polycauchy2 import level2_by_recurrence
-from polycauchy2.cache import CACHE_FORMAT_VERSION, CacheSession
 from polycauchy2.cli import main
 from polycauchy2.convolution import CONVOLUTION_IDENTITIES
 from polycauchy2.series import BUILTIN_SERIES_NAMES
@@ -338,9 +335,9 @@ class TestBenchmarkReferences:
     """The benchmark's sequence, convolution and table invocations, in-process: every stdout byte as recorded."""
 
     @staticmethod
-    def check(capsys, invocation):
+    def check(capsys, invocation, extra_args=()):
         reference = json.loads((BENCH / "references.json").read_text())[invocation]
-        code, out, _ = run(capsys, invocation.split())
+        code, out, _ = run(capsys, invocation.split() + list(extra_args))
         data = out.encode()
         assert code == reference["exit"]
         assert len(data) == reference["bytes"]
@@ -355,9 +352,13 @@ class TestBenchmarkReferences:
         self.check(capsys, invocation)
 
     @pytest.mark.parametrize("invocation", _bench_tuple("TABLES"))
-    def test_tables_stdout_matches_reference(self, capsys, invocation):
-        # The benchmark adds --cache to these calls; stdout does not depend on it.
+    def test_tables_stdout_matches_reference(self, capsys, tmp_path, invocation):
+        # The benchmark adds --cache PATH to these calls, as Runner.argv does;
+        # the flag changes no byte of stdout and creates no file.
         self.check(capsys, invocation)
+        cache_path = tmp_path / "c.json"
+        self.check(capsys, invocation, ["--cache", str(cache_path)])
+        assert not cache_path.exists()
 
 
 class TestUsageErrors:
@@ -372,6 +373,13 @@ class TestUsageErrors:
             main(["verify", "thm2", "--jobs", "2"])
         assert excinfo.value.code == 2
         assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+
+    def test_stats_is_unknown(self, capsys):
+        # --stats went with the cache it reported on.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["polycauchy", "--nmax", "2", "--stats"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --stats" in capsys.readouterr().err
 
     def test_order_only_on_series(self, capsys):
         for argv in (
@@ -393,56 +401,13 @@ class TestUsageErrors:
         assert excinfo.value.code == 2
 
 
-def _sampled_keys(keys):
-    """The entries the seeded spot check recomputes, as CacheSession picks them."""
-    keys = sorted(keys)
-    if len(keys) <= cache_module._SPOT_CHECKS:
-        return keys
-    rng = random.Random(cache_module._REVALIDATION_SEED)
-    return sorted(rng.sample(keys, cache_module._SPOT_CHECKS))
-
-
-def _tamper(cache_path, key, text, resign):
-    document = json.loads(cache_path.read_text())
-    for entry in document["polycauchy_entries"]:
-        if (entry[0], entry[1]) == key:
-            entry[2] = text
-    if resign:
-        document["entries_sha256"] = cache_module._entries_digest(document["polycauchy_entries"])
-    cache_path.write_text(json.dumps(document))
-
-
 class TestCache:
-    def test_round_trip_identical_output_and_hits(self, capsys, tmp_path):
-        cache = str(tmp_path / "cache.json")
-        argv = ["polycauchy", "--nmax", "6", "--cache", cache, "--stats"]
-        code1, out1, err1 = run(capsys, argv)
-        code2, out2, err2 = run(capsys, argv)
-        assert (code1, code2) == (0, 0)
-        assert out1 == out2
-        assert out2.splitlines()[1:] == SEQUENCE_LINES
-        assert err1.strip() == "cache: hits=0 misses=7 revalidated=0"
-        assert err2.strip() == "cache: hits=7 misses=0 revalidated=3"
-
-    def test_polycauchy_values_cached(self, capsys, tmp_path):
-        cache = str(tmp_path / "cache.json")
-        run(capsys, ["polycauchy", "--nmax", "5", "--cache", cache])
-        # A longer request misses and extends the file; another k is kept beside it.
-        assert "misses=8" in run(capsys, ["polycauchy", "--nmax", "7", "--cache", cache, "--stats"])[2]
-        assert "misses=4" in run(capsys, ["polycauchy", "--k", "2", "--nmax", "3", "--cache", cache, "--stats"])[2]
-        _, out, err = run(capsys, ["polycauchy", "--nmax", "6", "--cache", cache, "--stats"])
-        assert out.splitlines()[1:] == SEQUENCE_LINES
-        assert "hits=7 misses=0" in err
-        assert "hits=4 misses=0" in run(capsys, ["polycauchy", "--k", "2", "--nmax", "3", "--cache", cache, "--stats"])[2]
-
-    def test_stats_without_cache(self, capsys):
-        _, _, err = run(capsys, ["polycauchy", "--nmax", "2", "--stats"])
-        assert err.strip() == "cache: off"
+    """``--cache PATH`` is accepted and ignored: the file is never read, created or written."""
 
     def test_tampered_row_is_discarded(self, capsys, tmp_path):
-        # A version-1 document with triangle rows, [[6, 1]] raised from 14400
-        # to 15400 in a row the old spot check did not sample. Rows are no
-        # longer cached, so stirling2 recomputes them and leaves the file alone.
+        # A version-1 document from an earlier cache, with [[6, 1]] raised
+        # from 14400 to 15400. stirling2 recomputes the row and leaves the
+        # file alone.
         cache_path = tmp_path / "cache.json"
         rows = [[1], [0, 1], [0, 1, 1], [0, 4, 5, 1], [0, 36, 49, 14, 1],
                 [0, 576, 820, 273, 30, 1], [0, 14400, 21076, 7645, 1023, 55, 1]]
@@ -454,63 +419,14 @@ class TestCache:
         assert out.splitlines()[-1] == "6:0,14400,21076,7645,1023,55,1"
         assert cache_path.read_text() == text
 
-    def test_tampered_unsampled_entry_is_discarded(self, capsys, tmp_path):
-        cache_path = tmp_path / "cache.json"
-        run(capsys, ["polycauchy", "--nmax", "6", "--cache", str(cache_path)])
-        assert (6, 1) not in _sampled_keys((n, 1) for n in range(7))
-        _tamper(cache_path, (6, 1), "12345", resign=False)
-        _, out, err = run(capsys, ["polycauchy", "--nmax", "6", "--cache", str(cache_path), "--stats"])
-        assert out.splitlines()[1:] == SEQUENCE_LINES
-        assert err.strip() == "cache: hits=0 misses=7 revalidated=0"
-
-    def test_tampered_sampled_entry_is_discarded(self, capsys, tmp_path):
-        # The digest is recomputed over the bad value, as a different version
-        # of the code would have written it; the recomputation still catches it.
-        cache_path = tmp_path / "cache.json"
-        run(capsys, ["polycauchy", "--nmax", "6", "--cache", str(cache_path)])
-        picked = _sampled_keys((n, 1) for n in range(7))[-1]
-        _tamper(cache_path, picked, "12345", resign=True)
-        _, out, err = run(capsys, ["polycauchy", "--nmax", "6", "--cache", str(cache_path), "--stats"])
-        assert out.splitlines()[1:] == SEQUENCE_LINES
-        assert err.strip() == "cache: hits=0 misses=7 revalidated=0"
-
-    # Both files hold three k. The seed samples only k = 1 from the first;
-    # from the second it samples (0, 1), (5, -1) and (6, 2), one per k.
-    @pytest.mark.parametrize("tops", [{1: 12, 2: 4, -1: 8}, {1: 2, 2: 6, -1: 8}])
-    def test_file_of_several_k_is_spot_checked(self, capsys, tmp_path, tops):
-        cache_path = tmp_path / "cache.json"
-        for k, nmax in tops.items():
-            run(capsys, ["polycauchy", "--k", str(k), "--nmax", str(nmax), "--cache", str(cache_path)])
-        untampered = cache_path.read_text()
-        picks = _sampled_keys((n, k) for k, nmax in tops.items() for n in range(nmax + 1))
-        assert CacheSession(cache_path).revalidated == 3
-        for key in picks:
-            cache_path.write_text(untampered)
-            _tamper(cache_path, key, "12345", resign=True)
-            session = CacheSession(cache_path)
-            assert session.revalidated == 0, key
-            assert all(session.get_values(k, 0) is None for k in tops), key
-
-    def test_negative_index_is_discarded(self, capsys, tmp_path):
-        # A signed document with an entry at n = -1 is malformed, whatever its value.
-        cache_path = tmp_path / "cache.json"
-        run(capsys, ["polycauchy", "--nmax", "2", "--cache", str(cache_path)])
-        document = json.loads(cache_path.read_text())
-        document["polycauchy_entries"].insert(0, [-1, 1, "1"])
-        document["entries_sha256"] = cache_module._entries_digest(document["polycauchy_entries"])
-        cache_path.write_text(json.dumps(document))
-        code, out, err = run(capsys, ["polycauchy", "--nmax", "2", "--cache", str(cache_path), "--stats"])
-        assert code == 0
-        assert out.splitlines()[1:] == SEQUENCE_LINES[:3]
-        assert err.strip() == "cache: hits=0 misses=3 revalidated=0"
-
     def test_unknown_format_version_recomputes(self, capsys, tmp_path):
         cache_path = tmp_path / "cache.json"
-        cache_path.write_text(json.dumps({"format_version": 99, "polycauchy_entries": [[1, 1, "5"]]}))
-        _, out, err = run(capsys, ["polycauchy", "--nmax", "2", "--cache", str(cache_path), "--stats"])
+        text = json.dumps({"format_version": 99, "polycauchy_entries": [[1, 1, "5"]]})
+        cache_path.write_text(text)
+        code, out, _ = run(capsys, ["polycauchy", "--nmax", "2", "--cache", str(cache_path)])
+        assert code == 0
         assert out.splitlines()[1:] == SEQUENCE_LINES[:3]
-        assert "misses=3" in err
-        assert json.loads(cache_path.read_text())["format_version"] == CACHE_FORMAT_VERSION
+        assert cache_path.read_text() == text
 
     def test_malformed_file_recomputes(self, capsys, tmp_path):
         cache_path = tmp_path / "cache.json"
@@ -518,75 +434,64 @@ class TestCache:
         code, out, _ = run(capsys, ["polycauchy", "--nmax", "2", "--cache", str(cache_path)])
         assert code == 0
         assert out.splitlines()[1:] == SEQUENCE_LINES[:3]
-
-    def test_session_object_direct(self, tmp_path):
-        values = [Fraction(1), Fraction(1, 3), Fraction(-17, 15)]
-        session = CacheSession(tmp_path / "c.json")
-        assert session.get_values(1, 2) is None
-        session.put_values(1, values)
-        session.save()
-        fresh = CacheSession(tmp_path / "c.json")
-        assert fresh.get_values(1, 2) == values
-        assert fresh.get_values(1, 3) is None
-        assert fresh.get_values(2, 0) is None
-        assert (fresh.hits, fresh.misses, fresh.revalidated) == (3, 5, 3)
-
-    def test_interrupted_save_keeps_previous_document(self, capsys, tmp_path, monkeypatch):
-        cache_path = tmp_path / "cache.json"
-        run(capsys, ["polycauchy", "--nmax", "4", "--cache", str(cache_path)])
-        write_text = Path.write_text
-
-        def torn_write(path, data, *args, **kwargs):
-            write_text(path, data[: len(data) // 2], *args, **kwargs)
-            raise OSError("no space left on device")
-
-        monkeypatch.setattr(Path, "write_text", torn_write)
-        with pytest.raises(OSError):
-            main(["polycauchy", "--nmax", "6", "--cache", str(cache_path)])
-        monkeypatch.undo()
-        session = CacheSession(cache_path)
-        assert session.get_values(1, 4) == [Fraction(line.split(",")[1]) for line in SEQUENCE_LINES[:5]]
-        assert session.revalidated == 3
-        assert list(tmp_path.iterdir()) == [cache_path]
+        assert cache_path.read_text() == "{not json"
 
     def test_stirling2_never_writes_the_cache(self, capsys, tmp_path):
         cache_path = tmp_path / "cache.json"
-        code, out, err = run(capsys, ["stirling2", "--nmax", "6", "--cache", str(cache_path), "--stats"])
+        code, out, _ = run(capsys, ["stirling2", "--nmax", "6", "--cache", str(cache_path)])
         assert code == 0
         assert out.splitlines()[4] == "3:0,4,5,1"
         assert not cache_path.exists()
-        assert err.strip() == "cache: off"
 
     def test_route_both_never_opens_the_cache(self, capsys, tmp_path):
         cache_path = tmp_path / "cache.json"
-        run(capsys, ["polycauchy", "--k", "-2", "--nmax", "6", "--cache", str(cache_path)])
-        before = cache_path.read_bytes()
-        argv = ["polycauchy", "--k", "-2", "--nmax", "8", "--route", "both", "--stats"]
-        code, _, err = run(capsys, argv + ["--cache", str(cache_path)])
-        assert code == 0
-        assert err.strip() == "cache: off"
-        assert cache_path.read_bytes() == before
+        cache_path.write_text("{not json")
+        argv = ["polycauchy", "--k", "-2", "--nmax", "8", "--route", "both"]
+        expected = run(capsys, argv)
+        assert run(capsys, argv + ["--cache", str(cache_path)]) == expected
+        assert cache_path.read_text() == "{not json"
 
-    def test_values_past_the_digit_limit_round_trip(self, capsys, tmp_path):
-        cache = str(tmp_path / "cache.json")
-        argv = ["polycauchy", "--k", "-6200", "--nmax", "2", "--cache", cache, "--stats"]
-        code1, out1, _ = run(capsys, argv)
-        code2, out2, err2 = run(capsys, argv)
-        assert (code1, code2) == (0, 0)
-        assert out1 == out2
-        assert err2.strip() == "cache: hits=3 misses=0 revalidated=3"
+    @pytest.mark.parametrize("argv", [["series", "L", "--order", "6"], ["verify", "thm2", "--nmax", "6"]])
+    def test_series_and_verify_accept_it(self, capsys, tmp_path, argv):
+        cache_path = tmp_path / "cache.json"
+        expected = run(capsys, argv)
+        assert run(capsys, argv + ["--cache", str(cache_path)]) == expected
+        assert not cache_path.exists()
 
 
 class TestEntryPoint:
-    def test_module_invocation(self):
+    @staticmethod
+    def child_env():
         # The child finds the package where this process imported it from.
-        source_root = str(Path(cache_module.__file__).parents[1])
+        source_root = str(Path(polycauchy2.__file__).parents[1])
         paths = [source_root, *filter(None, [os.environ.get("PYTHONPATH")])]
+        return {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+
+    def test_module_invocation(self):
         result = subprocess.run(
             [sys.executable, "-m", "polycauchy2.cli", "polycauchy", "--nmax", "1"],
             capture_output=True,
             text=True,
-            env={**os.environ, "PYTHONPATH": os.pathsep.join(paths)},
+            env=self.child_env(),
         )
         assert result.returncode == 0
         assert result.stdout.splitlines() == ["n,value", "0,1", "1,1/3"]
+
+    def test_closed_stdout_exits_141_without_traceback(self):
+        # A reader that leaves early, as `| head -1` does: exit 128 + SIGPIPE,
+        # not 1 ("identity failed"), and no traceback.
+        with subprocess.Popen(
+            [sys.executable, "-m", "polycauchy2.cli", "stirling2", "--nmax", "300"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=self.child_env(),
+        ) as child:
+            assert child.stdout.readline() == b"n:values\n"
+            child.stdout.close()
+            try:
+                code = child.wait(timeout=60)
+            finally:
+                child.kill()
+            err = child.stderr.read()
+        assert code == 141
+        assert b"Traceback" not in err, err

@@ -29,7 +29,6 @@ from polycauchy2 import (
 from polycauchy2 import convolution as convolution_module
 from polycauchy2 import polycauchy as polycauchy_module
 from polycauchy2 import stirling as stirling_module
-from polycauchy2.cache import CacheSession
 from series_oracle import Series, level1_by_formula, level1_by_series
 
 # C_{2n} for n = 0..6 at k = 1.
@@ -162,15 +161,11 @@ class TestIntegerKernel:
     def test_formula_route_matches_the_oracle_at_benchmark_sizes(self, k, nmax):
         assert formula_values(nmax, k) == triangle_dot_product(nmax, k)
 
-    def test_formula_route_reads_no_triangle_and_no_arcsinh_kernel(self, monkeypatch, tmp_path):
-        # The formula table, level2_by_formula, the sweeps' formula tables
-        # and a warm cache's spot check share one kernel that never reads
-        # the other routes' data, so thm1 compares two independent routes.
+    def test_formula_route_reads_no_triangle_and_no_arcsinh_kernel(self, monkeypatch):
+        # The formula table, level2_by_formula and the sweeps' formula tables
+        # share one kernel that never reads the other routes' data, so thm1
+        # compares two independent routes.
         expected = {k: triangle_dot_product(12, k) for k in (-2, 0, 1, 3)}
-        session = CacheSession(tmp_path / "cache.json")
-        session.put_values(1, expected[1])
-        session.put_values(3, expected[3][:7])
-        session.save()
         triangle = level2_by_recurrence(3)
 
         def refuse(*args):
@@ -188,9 +183,6 @@ class TestIntegerKernel:
             assert level2_by_formula(12, k) == values[12], k
         swept = convolution_module._formula_table(12, range(-2, 2))
         assert [swept.value(n, 0) for n in range(13)] == expected[0]
-        warm = CacheSession(tmp_path / "cache.json")
-        assert warm.revalidated == 3
-        assert warm.get_values(1, 12) == expected[1]
         # The guards are live: the series route and stage 1 of cor1 trip them.
         with pytest.raises(AssertionError):
             level2_by_series(3)
