@@ -12,14 +12,18 @@ and two sequences a, b combine into c_n = sum over i of binom(2n, 2i)
 a_i b_{n-i}. The coefficient (2n)! / ((2 i_1)! ... (2 i_k)!) is a product of
 such binomials, so by associativity this is exactly the defining sum.
 
-Both the sweep and the sum-form right-hand sides run on integers (Knuth,
-TAOCP Vol. 2, 4.7). Each call reads the C_{2m} it needs from the table and
-writes them as integer numerators over D, the lcm of their denominators.
-The sweep multiplies those integers and divides by D^k once per n. The
-closed forms of Theorems 2-4 and 6 weight C_{2l} by (2n)! / ((2l)! 2^(n-l)
-(n-l)!) = binom(2n, 2l) (2n-2l-1)!! (Concrete Mathematics, 7.6) times a sign
-and a second odd double factorial, so each is one integer sum over D times a
-small constant per n. Only the final division builds a Fraction.
+The right-hand sides are sweeps too: each returns its closed form at every
+n of a range in one call. Both sides run on integers (Knuth, TAOCP Vol. 2,
+4.7). A sweep reads the C_{2m} it needs from the table once and writes them
+as integer numerators over D, the lcm of their denominators. The left sweep
+multiplies those integers and divides by D^k once per n. The closed forms of
+Theorems 2-4 and 6 weight C_{2l} by (2n)! / ((2l)! 2^(n-l) (n-l)!) =
+binom(2n, 2l) (2n-2l-1)!! (Concrete Mathematics, 7.6) times a sign and a
+second odd double factorial, so at each n each is one integer sum over D
+times a small constant. The sweep builds the weights once for all n. Every
+binomial-weighted sum, on either side, is one ``_binomial_dot``: products
+and sum run inside ``map`` and ``sum``. Only the final division builds a
+Fraction.
 
 The test suite holds the oracles: ``brute_force_convolution`` enumerates the
 defining sum term by term, and the ``paper_rhs_*`` functions evaluate the
@@ -54,8 +58,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from math import comb, factorial, lcm
-from typing import Callable, Sequence
+from itertools import repeat
+from math import comb, factorial, gcd, lcm
+from operator import mul
+from typing import Callable, Iterable, Sequence
 
 from .exact import binomial
 from .polynomials import poly_degree, poly_eval, poly_text, poly_trim
@@ -94,7 +100,7 @@ __all__ = [
 def _numerators(table: PolyCauchyTable, need: int) -> tuple[list[int], int]:
     """C_{2m} for m = 0..need as integer numerators over D, the lcm of their denominators.
 
-    Read from the table on every call, so a changed entry shows in every result.
+    Read from the table once per sweep, so a changed entry shows in every result.
     """
     values = [table.value(m) for m in range(need + 1)]
     denominator = lcm(*(value.denominator for value in values))
@@ -113,6 +119,16 @@ def _weights(count: int) -> list[int]:
     for j in range(1, count + 1):
         weights.append(-(2 * j - 1) * (2 * j - 3) * weights[-1])
     return weights
+
+
+def _binomial_dot(top: int, xs: Iterable[int], ys: Iterable[int]) -> int:
+    """The sum over i of binom(top, 2i) x_i y_i, up to the shortest of the three rows.
+
+    Every product and the sum run inside ``map`` and ``sum``, with no Python
+    frame per term. Callers pass ys reversed, so that at top = 2n this is the
+    binomial EGF product sum over i of binom(2n, 2i) a_i b_(n-i).
+    """
+    return sum(map(mul, map(mul, map(comb, repeat(top), range(0, top + 1, 2)), xs), ys))
 
 
 # -- the convolution engine -------------------------------------------------------
@@ -138,130 +154,132 @@ def convolution_sweep(
     numerators, denominator = _numerators(table, need)
     product, *rest = [numerators[j : j + nmax + 1] for j in offsets]
     for factor in rest:
-        product = [
-            sum(comb(2 * n, 2 * i) * product[i] * factor[n - i] for i in range(n + 1))
-            for n in range(nmax + 1)
-        ]
+        product = [_binomial_dot(2 * n, product, factor[n::-1]) for n in range(nmax + 1)]
     scale = denominator ** len(offsets)
     return [Fraction(value, scale) for value in product]
 
 
 # -- closed-form right-hand sides ---------------------------------------------------
 #
-# Each evaluator takes the index n and a table of C_{2m} values and returns the
-# claimed closed form exactly. Offsets in the name describe the convolution it
-# matches: rhs_2fold_01 is the closed form for the 2-fold convolution with
-# offsets (0, 1), rhs_5fold for the 5-fold with all offsets 0, and so on.
+# Each evaluator is a sweep: it takes nmax and a table of C_{2m} values and
+# returns the claimed closed form exactly at every n from the identity's first
+# index to nmax, first index first. Offsets in the name describe the
+# convolution it matches: rhs_2fold_01 is the closed form for the 2-fold
+# convolution with offsets (0, 1), rhs_5fold for the 5-fold with all offsets
+# 0, and so on. The sum forms read the table and build the weights once; a
+# factor of a term that depends on both n and l is one small-int row per n.
 
 
-def rhs_2fold_00(n: int, table: PolyCauchyTable) -> Fraction:
-    if n < 0:
-        raise ValueError(f"defined for n >= 0, got {n}")
-    c, denominator = _numerators(table, n)
-    w = _weights(n)
-    total = sum(comb(2 * n, 2 * l) * w[n - l] * (2 * l - 1) * c[l] for l in range(n + 1))
-    return Fraction(total, denominator)
+def _check_first_index(nmax: int, nmin: int) -> None:
+    if nmax < nmin:
+        raise ValueError(f"defined for n >= {nmin}, got nmax = {nmax}")
 
 
-def rhs_2fold_01(n: int, table: PolyCauchyTable, lmax: int | None = None) -> Fraction:
-    """Closed form for offsets (0, 1); the sum runs to l = n + 1 unless truncated.
+def _odd_scaled(c: list[int]) -> list[int]:
+    """(2l - 1) c_l for every l: the factor of C_{2l} that Theorems 2 and 3 share."""
+    return [(2 * l - 1) * value for l, value in enumerate(c)]
 
-    The lmax parameter exists so tests can demonstrate that dropping the top
-    term breaks the identity; production callers leave it alone.
+
+def rhs_2fold_00(nmax: int, table: PolyCauchyTable) -> list[Fraction]:
+    _check_first_index(nmax, 0)
+    c, denominator = _numerators(table, nmax)
+    w = _weights(nmax)
+    x = _odd_scaled(c)
+    return [Fraction(_binomial_dot(2 * n, x, w[n::-1]), denominator) for n in range(nmax + 1)]
+
+
+def rhs_2fold_01(nmax: int, table: PolyCauchyTable) -> list[Fraction]:
+    """Closed form for offsets (0, 1); at index n the sum runs to l = n + 1.
 
     The paper's term carries 1 / (3 (j+1)) for j = n - l. Since
     binom(2n, 2l) (2j-1)!! / (j+1) = binom(2n+2, 2l) (2j+1)!! / ((2n+1)(n+1)),
     every term, the l = n + 1 one (j = -1) included, lies over 3 (2n+1)(n+1).
     """
-    if n < 0:
-        raise ValueError(f"defined for n >= 0, got {n}")
-    if lmax is None:
-        lmax = n + 1
-    elif lmax > n + 1:
-        raise ValueError(f"the sum stops at l = n + 1 = {n + 1}, got lmax = {lmax}")
-    c, denominator = _numerators(table, lmax)
-    w = _weights(n + 1)
-    total = sum(
-        comb(2 * n + 2, 2 * l)
-        * w[n - l + 1]
-        * (2 * l - 1)
-        * (3 * n * n - 3 * n * l + 2 * l * l + 4 * n - 3 * l + 1)
-        * c[l]
-        for l in range(lmax + 1)
-    )
-    return Fraction(total, 3 * (2 * n + 1) * (n + 1) * denominator)
+    _check_first_index(nmax, 0)
+    c, denominator = _numerators(table, nmax + 1)
+    w = _weights(nmax + 1)
+    x = _odd_scaled(c)
+    values = []
+    for n in range(nmax + 1):
+        q = [3 * n * n - 3 * n * l + 2 * l * l + 4 * n - 3 * l + 1 for l in range(n + 2)]
+        total = _binomial_dot(2 * n + 2, map(mul, q, x), w[n + 1 :: -1])
+        values.append(Fraction(total, 3 * (2 * n + 1) * (n + 1) * denominator))
+    return values
 
 
-def rhs_2fold_11(n: int, table: PolyCauchyTable) -> Fraction:
-    if n < 0:
-        raise ValueError(f"defined for n >= 0, got {n}")
-    c, denominator = _numerators(table, n + 2)
-    w = _weights(n + 1)
-    total = sum(
-        comb(2 * n, 2 * l)
-        * (
-            (10 * n - 8 * l + 5) * w[n - l] * c[l + 2]
-            + w[n - l + 1]
-            * (10 * (6 * l + 1) * c[l + 1] + (160 * l**3 - 220 * l**2 + 72 * l - 1) * c[l])
-        )
-        for l in range(n + 1)
-    )
-    return Fraction(total, 30 * denominator)
+def rhs_2fold_11(nmax: int, table: PolyCauchyTable) -> list[Fraction]:
+    """Closed form for offsets (1, 1); its C_{2l+2} and C_{2l} terms carry w_{n-l+1}.
+
+    The C_{2l+4} term's factor 10n - 8l + 5 runs down from 10n + 5 in steps of 8.
+    """
+    _check_first_index(nmax, 0)
+    c, denominator = _numerators(table, nmax + 2)
+    w = _weights(nmax + 1)
+    shifted = c[2:]
+    y = [
+        10 * (6 * l + 1) * c[l + 1] + (160 * l**3 - 220 * l**2 + 72 * l - 1) * c[l]
+        for l in range(nmax + 1)
+    ]
+    values = []
+    for n in range(nmax + 1):
+        total = _binomial_dot(
+            2 * n, map(mul, range(10 * n + 5, 2 * n + 4, -8), shifted), w[n::-1]
+        ) + _binomial_dot(2 * n, y, w[n + 1 : 0 : -1])
+        values.append(Fraction(total, 30 * denominator))
+    return values
 
 
-def rhs_3fold(n: int, table: PolyCauchyTable) -> Fraction:
-    if n < 1:
-        raise ValueError(f"defined for n >= 1, got {n}")
-    return (2 * n - 1) * (n - 1) * table.value(n) + n * (2 * n - 1) * (2 * n - 3) ** 2 * table.value(
-        n - 1
-    )
+def rhs_3fold(nmax: int, table: PolyCauchyTable) -> list[Fraction]:
+    _check_first_index(nmax, 1)
+    value = table.value
+    return [
+        (2 * n - 1) * (n - 1) * value(n) + n * (2 * n - 1) * (2 * n - 3) ** 2 * value(n - 1)
+        for n in range(1, nmax + 1)
+    ]
 
 
-def rhs_4fold(n: int, table: PolyCauchyTable) -> Fraction:
-    if n < 1:
-        raise ValueError(f"defined for n >= 1, got {n}")
-    c, denominator = _numerators(table, n)
-    w = _weights(n)
-    total = sum(
-        comb(2 * n, 2 * l)
-        * w[n - l]
-        * (
-            (2 * l - 1) * (2 * l - 2) * (2 * l - 3) * c[l]
-            + (2 * l * (2 * l - 1) * (2 * l - 3) ** 3 * c[l - 1] if l else 0)
-        )
-        for l in range(n + 1)
-    )
-    return Fraction(total, 6 * denominator)
+def rhs_4fold(nmax: int, table: PolyCauchyTable) -> list[Fraction]:
+    _check_first_index(nmax, 1)
+    c, denominator = _numerators(table, nmax)
+    w = _weights(nmax)
+    x = [
+        (2 * l - 1) * (2 * l - 2) * (2 * l - 3) * c[l]
+        + (2 * l * (2 * l - 1) * (2 * l - 3) ** 3 * c[l - 1] if l else 0)
+        for l in range(nmax + 1)
+    ]
+    return [Fraction(_binomial_dot(2 * n, x, w[n::-1]), 6 * denominator) for n in range(1, nmax + 1)]
 
 
-def rhs_5fold(n: int, table: PolyCauchyTable) -> Fraction:
-    if n < 2:
-        raise ValueError(f"defined for n >= 2, got {n}")
-    return (
-        binomial(2 * n - 1, 4) * table.value(n)
+def rhs_5fold(nmax: int, table: PolyCauchyTable) -> list[Fraction]:
+    _check_first_index(nmax, 2)
+    value = table.value
+    return [
+        binomial(2 * n - 1, 4) * value(n)
         + Fraction(4 * n * n - 16 * n + 17, 3)
         * binomial(2 * n, 2)
         * binomial(2 * n - 3, 2)
-        * table.value(n - 1)
-        + binomial(2 * n, 4) * (2 * n - 5) ** 4 * table.value(n - 2)
-    )
+        * value(n - 1)
+        + binomial(2 * n, 4) * (2 * n - 5) ** 4 * value(n - 2)
+        for n in range(2, nmax + 1)
+    ]
 
 
-def rhs_7fold(n: int, table: PolyCauchyTable) -> Fraction:
-    if n < 3:
-        raise ValueError(f"defined for n >= 3, got {n}")
-    return (
-        binomial(2 * n - 1, 6) * table.value(n)
+def rhs_7fold(nmax: int, table: PolyCauchyTable) -> list[Fraction]:
+    _check_first_index(nmax, 3)
+    value = table.value
+    return [
+        binomial(2 * n - 1, 6) * value(n)
         + Fraction(12 * n * n - 60 * n + 83, 15)
         * binomial(2 * n, 2)
         * binomial(2 * n - 3, 4)
-        * table.value(n - 1)
+        * value(n - 1)
         + Fraction((4 * n * n - 24 * n + 39) * (12 * n * n - 72 * n + 109), 15)
         * binomial(2 * n, 4)
         * binomial(2 * n - 5, 2)
-        * table.value(n - 2)
-        + binomial(2 * n, 6) * (2 * n - 7) ** 6 * table.value(n - 3)
-    )
+        * value(n - 2)
+        + binomial(2 * n, 6) * (2 * n - 7) ** 6 * value(n - 3)
+        for n in range(3, nmax + 1)
+    ]
 
 
 # -- reports ------------------------------------------------------------------------
@@ -330,7 +348,7 @@ class IdentityReport:
 @dataclass(frozen=True)
 class _ConvolutionIdentity:
     offsets: tuple[int, ...]
-    rhs: Callable[[int, PolyCauchyTable], Fraction]
+    rhs: Callable[[int, PolyCauchyTable], list[Fraction]]
     nmin: int
 
 
@@ -355,7 +373,7 @@ _INTEGRAL_K_RANGE = range(1, 4)
 def _verify_convolution(
     name: str,
     nmax: int,
-    rhs_override: Callable[[int, PolyCauchyTable], Fraction] | None,
+    rhs_override: Callable[[int, PolyCauchyTable], list[Fraction]] | None,
     table: PolyCauchyTable | None,
 ) -> IdentityReport:
     defn = CONVOLUTION_IDENTITIES[name]
@@ -365,9 +383,10 @@ def _verify_convolution(
         table = PolyCauchyTable.build(nmax + 2)
     elif table.max_n(1) < nmax + 2:
         table.ensure(nmax + 2)
-    rhs = rhs_override if rhs_override is not None else defn.rhs
     lhs = convolution_sweep(defn.offsets, nmax, table)
-    rows = [CheckRow.compare(n, lhs[n], rhs(n, table)) for n in range(defn.nmin, nmax + 1)]
+    rhs = (rhs_override if rhs_override is not None else defn.rhs)(nmax, table)
+    ns = range(defn.nmin, nmax + 1)
+    rows = [CheckRow.compare(n, lhs[n], value) for n, value in zip(ns, rhs, strict=True)]
     return IdentityReport(name, nmax, f"n={defn.nmin}..{nmax}", rows)
 
 
@@ -498,15 +517,23 @@ class ConjecturePolynomial:
         return all(self.evaluate(n) == value for n, value in self.sample_points)
 
 
-def _solve_exact(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
+def _solve_exact(
+    matrix: list[list[int | Fraction]], rhs: list[int | Fraction]
+) -> list[Fraction]:
     """Fraction-free elimination for a square system (Bareiss, Math. Comp. 22, 1968).
 
-    On integer rows, below pivot p a row becomes (p row - f pivot_row) / p' for the previous
-    pivot p'; a zero pivot swaps rows. Every division, back-substitution's too, is checked exact.
+    Each row is first made primitive: scaled to integers by the lcm of its denominators, then
+    divided by the gcd of its entries. Then below pivot p a row becomes (p row - f pivot_row) / p'
+    for the previous pivot p'; a zero pivot swaps rows. Every division, back-substitution's too,
+    is checked exact.
     """
-    augmented = [[*row, value] for row, value in zip(matrix, rhs)]
-    scales = [lcm(*(v.denominator for v in row)) for row in augmented]
-    rows = [[v.numerator * (s // v.denominator) for v in row] for row, s in zip(augmented, scales)]
+    rows = []
+    for row, value in zip(matrix, rhs):
+        augmented = [*row, value]
+        scale = lcm(*(v.denominator for v in augmented))
+        integers = [v.numerator * (scale // v.denominator) for v in augmented]
+        content = gcd(*integers) or 1
+        rows.append([v // content for v in integers])
     size, previous = len(rows), 1
     divide = partial(_exact_div, where="Bareiss solve")
     for col in range(size):
@@ -566,25 +593,26 @@ def extract_conjecture_polynomials(
 def _extract(
     r: int, samples: list[int], table: PolyCauchyTable
 ) -> tuple[list[ConjecturePolynomial], list[Fraction]]:
-    """The recovered polynomials, and the convolution sweep they came from."""
+    """The recovered polynomials, and the convolution sweep they came from.
+
+    Both sides of every equation are scaled by D, the common denominator of
+    the C_{2m} read: the weight of P_{r,2k} at n is then the integer
+    conjecture_prefactor(r, k, n) D C_{2n-2k}, and each solve row is those
+    weights times powers of n. No step relies on the shape of a P.
+    """
     lhs = convolution_sweep((0,) * (2 * r + 1), samples[-1], table)
+    c, denominator = _numerators(table, samples[-1])
     budgets = [2 * k + 1 for k in range(r + 1)]
     unknowns = sum(b + 1 for b in budgets)
-    weights = {
-        (k, n): Fraction(conjecture_prefactor(r, k, n)) * table.value(n - k)
-        for k in range(r + 1)
-        for n in samples
-    }
+    weights = {(k, n): conjecture_prefactor(r, k, n) * c[n - k] for k in range(r + 1) for n in samples}
+    targets = {n: denominator * lhs[n] for n in samples}
 
     solve_points = samples[:unknowns]
-    matrix = []
-    for n in solve_points:
-        row: list[Fraction] = []
-        for k in range(r + 1):
-            base = weights[(k, n)]
-            row.extend(base * Fraction(n) ** j for j in range(budgets[k] + 1))
-        matrix.append(row)
-    solution = _solve_exact(matrix, [lhs[n] for n in solve_points])
+    matrix = [
+        [weights[(k, n)] * n**j for k in range(r + 1) for j in range(budgets[k] + 1)]
+        for n in solve_points
+    ]
+    solution = _solve_exact(matrix, [targets[n] for n in solve_points])
 
     solved: list[list[Fraction]] = []
     position = 0
@@ -592,6 +620,7 @@ def _extract(
         solved.append(solution[position : position + budgets[k] + 1])
         position += budgets[k] + 1
 
+    terms = {key: poly_eval(solved[key[0]], key[1]) * weight for key, weight in weights.items()}
     polynomials: list[ConjecturePolynomial] = []
     for k in range(r + 1):
         points: list[tuple[int, Fraction]] = []
@@ -599,14 +628,11 @@ def _extract(
             # Subtract the other recovered terms, divide by this term's
             # weight; at solve points this reproduces the solved polynomial,
             # at held-out points it is an independent probe of the ansatz.
-            denominator = weights[(k, n)]
-            if denominator == 0:
+            weight = weights[(k, n)]
+            if weight == 0:
                 continue
-            residual = lhs[n]
-            for other in range(r + 1):
-                if other != k:
-                    residual -= poly_eval(solved[other], n) * weights[(other, n)]
-            points.append((n, residual / denominator))
+            others = sum(terms[(other, n)] for other in range(r + 1) if other != k)
+            points.append((n, (targets[n] - others) / weight))
         coefficients = poly_trim(solved[k])
         degree_ok = poly_degree(coefficients) <= 2 * k
         polynomials.append(ConjecturePolynomial(r, k, points, coefficients, degree_ok))
@@ -666,7 +692,7 @@ def verify_identity(
     name: str,
     nmax: int = DEFAULT_NMAX,
     *,
-    rhs_override: Callable[[int, PolyCauchyTable], Fraction] | None = None,
+    rhs_override: Callable[[int, PolyCauchyTable], list[Fraction]] | None = None,
     table: PolyCauchyTable | None = None,
 ) -> IdentityReport:
     """Sweep one named identity and report per-index equality.

@@ -27,9 +27,10 @@ from polycauchy2 import (
     verify_identity,
 )
 from polycauchy2.cli import main
-from polycauchy2.convolution import CONVOLUTION_IDENTITIES, rhs_2fold_01, rhs_3fold
+from polycauchy2.convolution import CONVOLUTION_IDENTITIES, rhs_3fold
 from polycauchy2.polynomials import poly_eval, poly_mul
 from series_oracle import Series
+from test_convolution import paper_rhs_2fold_01
 
 SEQUENCE_K1 = [
     "1",
@@ -144,12 +145,13 @@ def test_c08_conjecture_extraction():
     # r = 1 reproduces the 3-fold closed form exactly
     p0, p2 = extract_conjecture_polynomials(1)
     table = PolyCauchyTable.build(14)
+    closed_form = rhs_3fold(12, table)  # n = 1..12
     for n in range(2, 13):
         reconstructed = (
             poly_eval(p0.interpolated_coefficients, n) * (2 * n - 1) * (n - 1) * table.value(n)
             + poly_eval(p2.interpolated_coefficients, n) * n * (2 * n - 1) * table.value(n - 1)
         )
-        assert reconstructed == rhs_3fold(n, table)
+        assert reconstructed == closed_form[n - 1]
     print("PASS C8: conjecture polynomials extracted for r=1,2,3 with the claimed degrees and edges")
 
 
@@ -157,17 +159,24 @@ def test_c09_negative_controls():
     for name, defn in sorted(CONVOLUTION_IDENTITIES.items()):
         target = defn.nmin + 1
 
-        def perturbed(n, table, _defn=defn, _target=target):
-            return _defn.rhs(n, table) + (1 if n == _target else 0)
+        def perturbed(nmax, table, _defn=defn, _target=target):
+            values = enumerate(_defn.rhs(nmax, table), _defn.nmin)
+            return [value + (1 if n == _target else 0) for n, value in values]
 
         report = verify_identity(name, target + 2, rhs_override=perturbed)
         assert report.status == "fail", name
         assert report.first_failure is not None and report.first_failure.n == target, name
+    # Theorem 3's sum without its l = n + 1 term, from the paper-form oracle;
+    # that term vanishes at n = 0, so the first failure is n = 1.
     truncated = verify_identity(
-        "thm3", 12, rhs_override=lambda n, table: rhs_2fold_01(n, table, lmax=n)
+        "thm3",
+        12,
+        rhs_override=lambda nmax, table: [
+            paper_rhs_2fold_01(n, table, lmax=n) for n in range(nmax + 1)
+        ],
     )
     assert truncated.status == "fail"
-    assert truncated.first_failure is not None
+    assert truncated.first_failure is not None and truncated.first_failure.n == 1
     print("PASS C9: every perturbed right-hand side fails with first_failure populated")
 
 

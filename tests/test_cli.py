@@ -254,7 +254,7 @@ class TestVerifyCommand:
         original = CONVOLUTION_IDENTITIES["thm2"].rhs
         broken = replace(
             CONVOLUTION_IDENTITIES["thm2"],
-            rhs=lambda n, table: original(n, table) + (n == 4),
+            rhs=lambda nmax, table: [v + (n == 4) for n, v in enumerate(original(nmax, table))],
         )
         monkeypatch.setitem(CONVOLUTION_IDENTITIES, "thm2", broken)
         code, out, _ = run(capsys, ["verify", "thm2", "--nmax", "6", "--format", "json"])

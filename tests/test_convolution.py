@@ -222,6 +222,17 @@ def table32():
     return PolyCauchyTable.build(32)
 
 
+@pytest.fixture(scope="module")
+def table42():
+    return PolyCauchyTable.build(42)
+
+
+@pytest.fixture(scope="module")
+def paper_values_to_40(table42):
+    """Each paper-form oracle at every n from its first index to 40, by identity name."""
+    return {name: [oracle(n, table42) for n in range(nmin, 41)] for _, oracle, nmin, name in PAPER_FORMS}
+
+
 SWEEP_CASES = [
     ((0, 0), 8),
     ((0, 1), 8),
@@ -294,8 +305,10 @@ class TestClosedFormSweeps:
     def test_rhs_matches_convolution(self, name, table18):
         defn = CONVOLUTION_IDENTITIES[name]
         lhs = convolution_sweep(defn.offsets, 10, table18)
-        for n in range(defn.nmin, 11):
-            assert lhs[n] == defn.rhs(n, table18), (name, n)
+        rhs = defn.rhs(10, table18)
+        assert len(rhs) == 11 - defn.nmin
+        for n, value in enumerate(rhs, defn.nmin):
+            assert lhs[n] == value, (name, n)
 
     @pytest.mark.parametrize(
         "name", ["thm5", "thm6", "fold5", "fold7"]
@@ -322,6 +335,28 @@ class TestClosedFormSweeps:
         assert list(first) == ["n", "lhs", "rhs", "equal"]
         assert first == {"n": 0, "lhs": "1", "rhs": "1", "equal": True}
 
+    @pytest.mark.parametrize("name", PAPER_FORM_IDS)
+    def test_one_table_read_and_one_weight_row_per_side(self, name, monkeypatch):
+        # The left sweep reads the table once and the right sweep once more;
+        # only the right side builds weights. Neither count grows with nmax.
+        calls = {"_numerators": 0, "_weights": 0}
+
+        def counting(attr):
+            real = getattr(convolution_module, attr)
+
+            def counted(*args):
+                calls[attr] += 1
+                return real(*args)
+
+            return counted
+
+        for attr in calls:
+            monkeypatch.setattr(convolution_module, attr, counting(attr))
+        for nmax in (6, 30):
+            calls.update(dict.fromkeys(calls, 0))
+            assert verify_identity(name, nmax).status == "pass"
+            assert calls == {"_numerators": 2, "_weights": 1}, (name, nmax)
+
     def test_one_sweep_per_conjecture_invocation(self, monkeypatch):
         calls = []
         real = convolution_module.convolution_sweep
@@ -338,14 +373,17 @@ class TestClosedFormSweeps:
 class TestPaperFormOracles:
     @pytest.mark.parametrize("rhs,oracle,nmin,name", PAPER_FORMS, ids=PAPER_FORM_IDS)
     def test_integer_form_equals_paper_form(self, rhs, oracle, nmin, name, table32):
-        for n in range(nmin, 31):
-            assert rhs(n, table32) == oracle(n, table32), (name, n)
+        assert rhs(30, table32) == [oracle(n, table32) for n in range(nmin, 31)], name
 
-    def test_truncated_2fold_01_equals_paper_form(self, table32):
-        for n in range(31):
-            assert rhs_2fold_01(n, table32, lmax=n) == paper_rhs_2fold_01(n, table32, lmax=n), n
-        with pytest.raises(ValueError, match="stops at l = n \\+ 1"):
-            rhs_2fold_01(3, table32, lmax=5)
+    @settings(max_examples=40, deadline=None)
+    @given(case=st.sampled_from(PAPER_FORMS), nmax=st.integers(0, 40))
+    def test_every_sweep_equals_its_paper_form(self, case, nmax, table42, paper_values_to_40):
+        rhs, _, nmin, name = case
+        if nmax < nmin:
+            with pytest.raises(ValueError, match=f"defined for n >= {nmin}"):
+                rhs(nmax, table42)
+            return
+        assert rhs(nmax, table42) == paper_values_to_40[name][: nmax + 1 - nmin], (name, nmax)
 
     @pytest.mark.parametrize("rhs,oracle,nmin,name", PAPER_FORMS, ids=PAPER_FORM_IDS)
     def test_perturbed_weight_is_visible(self, rhs, oracle, nmin, name, table32, monkeypatch):
@@ -360,7 +398,7 @@ class TestPaperFormOracles:
             return weights
 
         monkeypatch.setattr(convolution_module, "_weights", perturbed)
-        assert any(rhs(n, table32) != oracle(n, table32) for n in range(nmin, 9))
+        assert rhs(8, table32) != [oracle(n, table32) for n in range(nmin, 9)]
         report = verify_identity(name, 8)
         assert report.status == "fail"
         assert report.first_failure is not None
@@ -372,8 +410,9 @@ class TestNegativeControls:
         defn = CONVOLUTION_IDENTITIES[name]
         target = defn.nmin + 2
 
-        def perturbed(n, table):
-            return defn.rhs(n, table) + (1 if n == target else 0)
+        def perturbed(nmax, table):
+            values = enumerate(defn.rhs(nmax, table), defn.nmin)
+            return [value + (1 if n == target else 0) for n, value in values]
 
         report = verify_identity(name, target + 3, rhs_override=perturbed)
         assert report.status == "fail"
@@ -384,12 +423,30 @@ class TestNegativeControls:
         assert payload["first_failure"]["n"] == target
 
     def test_truncating_2fold_01_sum_breaks(self):
-        def truncated(n, table):
-            return rhs_2fold_01(n, table, lmax=n)
+        # The paper's form without its l = n + 1 term. That term vanishes at
+        # n = 0, so the truncated sum first fails at n = 1.
+        def truncated(nmax, table):
+            return [paper_rhs_2fold_01(n, table, lmax=n) for n in range(nmax + 1)]
 
         report = verify_identity("thm3", 12, rhs_override=truncated)
         assert report.status == "fail"
         assert report.first_failure is not None
+        assert report.first_failure.n == 1
+        assert report.per_n_results[0].equal
+
+    def test_one_wrong_binomial_fails_at_the_first_row_reading_it(self, monkeypatch):
+        # binom(12, 4) one too big, in the kernel both sides share. Theorem 2
+        # reads binom(2n, 2l) at row n, so it first fails at n = 6; Theorem 3's
+        # sum reads binom(2n + 2, 2l), so it first fails at n = 5.
+        real = convolution_module.comb
+        monkeypatch.setattr(
+            convolution_module, "comb", lambda top, bottom: real(top, bottom) + ((top, bottom) == (12, 4))
+        )
+        for name, first in (("thm2", 6), ("thm3", 5)):
+            report = verify_identity(name, 9)
+            assert report.status == "fail", name
+            assert report.first_failure.n == first, name
+            assert all(row.equal for row in report.per_n_results[:first]), name
 
     def test_override_limited_to_convolutions(self):
         with pytest.raises(ValueError):
@@ -675,6 +732,20 @@ class TestBareissSolve:
         (matrix, rhs), = systems
         assert len(matrix) == (r + 1) * (r + 2)
         assert real(matrix, rhs) == gauss_jordan(matrix, rhs)
+        # Each integer row is the paper's row, weights conjecture_prefactor
+        # C_{2n-2k} times n^j over Fraction, scaled by one factor.
+        samples = default_conjecture_samples(r)
+        table = PolyCauchyTable.build(samples[-1])
+        lhs = convolution_sweep((0,) * (2 * r + 1), samples[-1], table)
+        for n, row, value in zip(samples, matrix, rhs):
+            assert all(type(v) is int for v in row)
+            paper_row = [
+                Fraction(conjecture_prefactor(r, k, n)) * table.value(n - k) * n**j
+                for k in range(r + 1)
+                for j in range(2 * k + 2)
+            ]
+            scale = row[0] / paper_row[0]
+            assert [scale * v for v in [*paper_row, lhs[n]]] == [*row, value], (r, n)
 
     def test_zero_leading_pivot_swaps_rows(self):
         matrix = [[Fraction(0), Fraction(1, 2)], [Fraction(-3, 4), Fraction(5)]]
