@@ -7,10 +7,16 @@ The k-fold convolution with offsets (j_1, ..., j_k) at index n is
 
 over a table of exact values; it is the left-hand side of every closed-form
 check. ``convolution_sweep`` evaluates it for every n = 0..N in one pass, as
-k - 1 binary EGF products in t^2: factor j is the sequence i -> C_{2i+2j},
-and two sequences a, b combine into c_n = sum over i of binom(2n, 2i)
-a_i b_{n-i}. The coefficient (2n)! / ((2 i_1)! ... (2 i_k)!) is a product of
-such binomials, so by associativity this is exactly the defining sum.
+binary EGF products in t^2: factor j is the sequence i -> C_{2i+2j}, and two
+sequences a, b combine into c_n = sum over i of binom(2n, 2i) a_i b_{n-i}.
+The coefficient (2n)! / ((2 i_1)! ... (2 i_k)!) is a product of such
+binomials, and the product commutes and associates, so any grouping gives
+exactly the defining sum. The sweep groups equal offsets: it raises each
+distinct offset's sequence to its multiplicity by square-and-multiply
+(Knuth, TAOCP Vol. 2, 4.6.3), then multiplies the groups. A square sums
+only the terms below the middle, since terms i and n - i are equal, doubles
+them and adds the middle term when n is even. The 7-fold convolution is
+thus 4 products, 2 of them squares, instead of 6.
 
 The right-hand sides are sweeps too: each returns its closed form at every
 n of a range in one call. Both sides run on integers (Knuth, TAOCP Vol. 2,
@@ -20,10 +26,12 @@ multiplies those integers and divides by D^k once per n. The closed forms of
 Theorems 2-4 and 6 weight C_{2l} by (2n)! / ((2l)! 2^(n-l) (n-l)!) =
 binom(2n, 2l) (2n-2l-1)!! (Concrete Mathematics, 7.6) times a sign and a
 second odd double factorial, so at each n each is one integer sum over D
-times a small constant. The sweep builds the weights once for all n. Every
-binomial-weighted sum, on either side, is one ``_binomial_dot``: products
-and sum run inside ``map`` and ``sum``. Only the final division builds a
-Fraction.
+times a small constant. The sweep builds the weights once for all n. The
+other closed forms are a few terms per n over D times a small constant.
+Every binomial-weighted sum, on either side, is one ``_binomial_dot``:
+products and sum run inside ``map`` and ``sum``, over row n of the rows of
+binom(2n, 2i) that ``exact`` builds once per process and the series route
+reads too. Only the final division builds a Fraction.
 
 The test suite holds the oracles: ``brute_force_convolution`` enumerates the
 defining sum term by term, and the ``paper_rhs_*`` functions evaluate the
@@ -58,12 +66,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from itertools import repeat
-from math import comb, factorial, gcd, lcm
+from math import factorial, gcd, lcm
 from operator import mul
 from typing import Callable, Iterable, Sequence
 
-from .exact import binomial
+from .exact import _even_binomials, binomial
 from .polynomials import poly_degree, poly_eval, poly_text, poly_trim
 from .polycauchy import (
     _exact_div,
@@ -121,17 +128,47 @@ def _weights(count: int) -> list[int]:
     return weights
 
 
-def _binomial_dot(top: int, xs: Iterable[int], ys: Iterable[int]) -> int:
-    """The sum over i of binom(top, 2i) x_i y_i, up to the shortest of the three rows.
+def _binomial_dot(n: int, xs: Iterable[int], ys: Iterable[int]) -> int:
+    """The sum over i of binom(2n, 2i) x_i y_i, up to the shortest of the three rows.
 
-    Every product and the sum run inside ``map`` and ``sum``, with no Python
-    frame per term. Callers pass ys reversed, so that at top = 2n this is the
-    binomial EGF product sum over i of binom(2n, 2i) a_i b_(n-i).
+    The binomials are row n of the shared rows of ``exact``. Every product and
+    the sum run inside ``map`` and ``sum``, with no Python frame per term.
+    Callers pass ys reversed, so that this is the binomial EGF product sum
+    over i of binom(2n, 2i) a_i b_(n-i).
     """
-    return sum(map(mul, map(mul, map(comb, repeat(top), range(0, top + 1, 2)), xs), ys))
+    return sum(map(mul, map(mul, _even_binomials(n)[n], xs), ys))
 
 
 # -- the convolution engine -------------------------------------------------------
+
+
+def _egf_product(xs: Sequence[int], ys: Sequence[int], nmax: int) -> list[int]:
+    """The binomial EGF product of xs and ys at n = 0..nmax."""
+    return [_binomial_dot(n, xs, ys[n::-1]) for n in range(nmax + 1)]
+
+
+def _egf_square(xs: Sequence[int], nmax: int) -> list[int]:
+    """The binomial EGF product of xs with itself at n = 0..nmax, in half the terms.
+
+    Terms i and n - i are equal, so the terms below the middle are summed once
+    and doubled, and the middle term is added when n is even.
+    """
+    rows = _even_binomials(nmax)
+    return [
+        2 * _binomial_dot(n, xs[: (n + 1) // 2], xs[n::-1])
+        + (0 if n % 2 else rows[n][n // 2] * xs[n // 2] ** 2)
+        for n in range(nmax + 1)
+    ]
+
+
+def _egf_power(xs: Sequence[int], exponent: int, nmax: int) -> list[int]:
+    """xs to a binomial EGF power, by square-and-multiply (Knuth, TAOCP Vol. 2, 4.6.3)."""
+    result = xs
+    for bit in bin(exponent)[3:]:
+        result = _egf_square(result, nmax)
+        if bit == "1":
+            result = _egf_product(result, xs, nmax)
+    return result
 
 
 def convolution_sweep(
@@ -152,9 +189,10 @@ def convolution_sweep(
     if table.max_n(1) < need:
         raise ValueError(f"table holds n <= {table.max_n(1)}, convolution needs {need}")
     numerators, denominator = _numerators(table, need)
-    product, *rest = [numerators[j : j + nmax + 1] for j in offsets]
+    multiplicity = {j: offsets.count(j) for j in offsets}
+    product, *rest = [_egf_power(numerators[j : j + nmax + 1], m, nmax) for j, m in multiplicity.items()]
     for factor in rest:
-        product = [_binomial_dot(2 * n, product, factor[n::-1]) for n in range(nmax + 1)]
+        product = _egf_product(product, factor, nmax)
     scale = denominator ** len(offsets)
     return [Fraction(value, scale) for value in product]
 
@@ -185,7 +223,7 @@ def rhs_2fold_00(nmax: int, table: PolyCauchyTable) -> list[Fraction]:
     c, denominator = _numerators(table, nmax)
     w = _weights(nmax)
     x = _odd_scaled(c)
-    return [Fraction(_binomial_dot(2 * n, x, w[n::-1]), denominator) for n in range(nmax + 1)]
+    return [Fraction(_binomial_dot(n, x, w[n::-1]), denominator) for n in range(nmax + 1)]
 
 
 def rhs_2fold_01(nmax: int, table: PolyCauchyTable) -> list[Fraction]:
@@ -202,7 +240,7 @@ def rhs_2fold_01(nmax: int, table: PolyCauchyTable) -> list[Fraction]:
     values = []
     for n in range(nmax + 1):
         q = [3 * n * n - 3 * n * l + 2 * l * l + 4 * n - 3 * l + 1 for l in range(n + 2)]
-        total = _binomial_dot(2 * n + 2, map(mul, q, x), w[n + 1 :: -1])
+        total = _binomial_dot(n + 1, map(mul, q, x), w[n + 1 :: -1])
         values.append(Fraction(total, 3 * (2 * n + 1) * (n + 1) * denominator))
     return values
 
@@ -223,17 +261,17 @@ def rhs_2fold_11(nmax: int, table: PolyCauchyTable) -> list[Fraction]:
     values = []
     for n in range(nmax + 1):
         total = _binomial_dot(
-            2 * n, map(mul, range(10 * n + 5, 2 * n + 4, -8), shifted), w[n::-1]
-        ) + _binomial_dot(2 * n, y, w[n + 1 : 0 : -1])
+            n, map(mul, range(10 * n + 5, 2 * n + 4, -8), shifted), w[n::-1]
+        ) + _binomial_dot(n, y, w[n + 1 : 0 : -1])
         values.append(Fraction(total, 30 * denominator))
     return values
 
 
 def rhs_3fold(nmax: int, table: PolyCauchyTable) -> list[Fraction]:
     _check_first_index(nmax, 1)
-    value = table.value
+    c, denominator = _numerators(table, nmax)
     return [
-        (2 * n - 1) * (n - 1) * value(n) + n * (2 * n - 1) * (2 * n - 3) ** 2 * value(n - 1)
+        Fraction((2 * n - 1) * ((n - 1) * c[n] + n * (2 * n - 3) ** 2 * c[n - 1]), denominator)
         for n in range(1, nmax + 1)
     ]
 
@@ -247,37 +285,40 @@ def rhs_4fold(nmax: int, table: PolyCauchyTable) -> list[Fraction]:
         + (2 * l * (2 * l - 1) * (2 * l - 3) ** 3 * c[l - 1] if l else 0)
         for l in range(nmax + 1)
     ]
-    return [Fraction(_binomial_dot(2 * n, x, w[n::-1]), 6 * denominator) for n in range(1, nmax + 1)]
+    return [Fraction(_binomial_dot(n, x, w[n::-1]), 6 * denominator) for n in range(1, nmax + 1)]
 
 
 def rhs_5fold(nmax: int, table: PolyCauchyTable) -> list[Fraction]:
+    """The middle term carries a factor 1/3, so every term lies over 3 D."""
     _check_first_index(nmax, 2)
-    value = table.value
+    c, denominator = _numerators(table, nmax)
     return [
-        binomial(2 * n - 1, 4) * value(n)
-        + Fraction(4 * n * n - 16 * n + 17, 3)
-        * binomial(2 * n, 2)
-        * binomial(2 * n - 3, 2)
-        * value(n - 1)
-        + binomial(2 * n, 4) * (2 * n - 5) ** 4 * value(n - 2)
+        Fraction(
+            3 * binomial(2 * n - 1, 4) * c[n]
+            + (4 * n * n - 16 * n + 17) * binomial(2 * n, 2) * binomial(2 * n - 3, 2) * c[n - 1]
+            + 3 * binomial(2 * n, 4) * (2 * n - 5) ** 4 * c[n - 2],
+            3 * denominator,
+        )
         for n in range(2, nmax + 1)
     ]
 
 
 def rhs_7fold(nmax: int, table: PolyCauchyTable) -> list[Fraction]:
+    """The two middle terms carry a factor 1/15, so every term lies over 15 D."""
     _check_first_index(nmax, 3)
-    value = table.value
+    c, denominator = _numerators(table, nmax)
     return [
-        binomial(2 * n - 1, 6) * value(n)
-        + Fraction(12 * n * n - 60 * n + 83, 15)
-        * binomial(2 * n, 2)
-        * binomial(2 * n - 3, 4)
-        * value(n - 1)
-        + Fraction((4 * n * n - 24 * n + 39) * (12 * n * n - 72 * n + 109), 15)
-        * binomial(2 * n, 4)
-        * binomial(2 * n - 5, 2)
-        * value(n - 2)
-        + binomial(2 * n, 6) * (2 * n - 7) ** 6 * value(n - 3)
+        Fraction(
+            15 * binomial(2 * n - 1, 6) * c[n]
+            + (12 * n * n - 60 * n + 83) * binomial(2 * n, 2) * binomial(2 * n - 3, 4) * c[n - 1]
+            + (4 * n * n - 24 * n + 39)
+            * (12 * n * n - 72 * n + 109)
+            * binomial(2 * n, 4)
+            * binomial(2 * n - 5, 2)
+            * c[n - 2]
+            + 15 * binomial(2 * n, 6) * (2 * n - 7) ** 6 * c[n - 3],
+            15 * denominator,
+        )
         for n in range(3, nmax + 1)
     ]
 

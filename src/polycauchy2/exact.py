@@ -11,7 +11,9 @@ parses it back.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
 from math import comb
+from operator import floordiv, mul
 
 __all__ = [
     "binomial",
@@ -30,6 +32,25 @@ def binomial(n: int, j: int) -> int:
     if n < 0 or j < 0:
         raise ValueError(f"binomial requires nonnegative arguments, got ({n}, {j})")
     return comb(n, j)
+
+
+# Rows of binom(2n, 2i) for i = 0..n, grown lazily: _EVEN_BINOMIALS[n] is row n.
+_EVEN_BINOMIALS: list[list[int]] = [[1]]
+
+
+def _even_binomials(n: int) -> list[list[int]]:
+    """The shared rows of binom(2n, 2i), grown through row n, built once per process.
+
+    Row n comes from row n - 1 alone: binom(2n, 2i) = binom(2n-2, 2i)
+    2n(2n-1) / ((2n-2i)(2n-2i-1)) for i < n, and binom(2n, 2n) = 1. Each step
+    is a big integer times and divided by a small one, inside ``map``.
+    """
+    rows = _EVEN_BINOMIALS
+    while len(rows) <= n:
+        m = len(rows)
+        divisors = [(2 * m - 2 * i) * (2 * m - 2 * i - 1) for i in range(m)]
+        rows.append([*map(floordiv, map(mul, rows[-1], repeat(2 * m * (2 * m - 1))), divisors), 1])
+    return rows
 
 
 # Prefix sums of 1/i^k per order k, grown lazily: _HARMONIC[k][n] = H_n^(k).

@@ -41,7 +41,7 @@ from math import comb, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
-from .exact import rational_to_text
+from .exact import _even_binomials, rational_to_text
 from .polynomials import poly_mul
 from .stirling import Level2Triangle, level2_by_recurrence
 
@@ -72,15 +72,21 @@ def _power_table(first: Sequence[int]) -> list[list[int]]:
     ``first[n]`` is (2n)! [t^(2n)] g for an even series g with first[0] = 0.
     Entry [n][m], for m = 0..n, is the same coefficient of g^m 2^m / (2m)!,
     built as the m-th row times g by the binomial EGF product, divided by
-    binom(2m, 2). For g = f^2 / 2 that is f^(2m) / (2m)!.
+    binom(2m, 2). For g = f^2 / 2 that is f^(2m) / (2m)!. The binomials are
+    the shared rows of ``exact``, and each entry is one ``sum(map(mul, ...))``.
     """
+    rows = _even_binomials(len(first) - 1)
     table = [[1]]
+    # by_power[m] holds entry [i][m] for i = m, m + 1, ... of the columns built so far.
+    by_power = [[1]]
     for n in range(1, len(first)):
-        weights = [comb(2 * n, 2 * i) * first[n - i] for i in range(n)]
+        weights = list(map(mul, rows[n][:n], first[n:0:-1]))
         column = [0] * (n + 1)
         for m in range(1, n + 1):
-            total = sum(weights[i] * table[i][m - 1] for i in range(m - 1, n))
-            column[m] = _exact_div(total, comb(2 * m, 2))
+            column[m] = _exact_div(sum(map(mul, weights[m - 1 :], by_power[m - 1])), rows[m][1])
+        for entries, value in zip(by_power, column):
+            entries.append(value)
+        by_power.append([column[n]])
         table.append(column)
     return table
 

@@ -4,7 +4,7 @@ The oracle for ``convolution_sweep`` is a brute-force
 enumeration over index tuples written here with itertools only; the closed
 forms are then swept against the engine, and the series side of each
 identity is checked against the convolution side through the EGF product
-rule. The oracles for the integer sum-form right-hand sides are the paper's
+rule. The oracles for the integer right-hand sides are the paper's
 formulas as written, one Fraction per term (``paper_rhs_*``). The oracles
 for the two differential equations for L are their power-series checks on
 ``series_oracle.Series`` (``paper_l_squared``, ``paper_l_second_derivative``).
@@ -16,7 +16,7 @@ import itertools
 import random
 from dataclasses import replace
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
@@ -31,7 +31,9 @@ from polycauchy2 import (
     verify_identity,
 )
 from polycauchy2 import convolution as convolution_module
+from polycauchy2 import exact as exact_module
 from polycauchy2 import polycauchy as polycauchy_module
+from polycauchy2.cli import main
 from polycauchy2.convolution import (
     CONVOLUTION_IDENTITIES,
     CheckRow,
@@ -41,7 +43,10 @@ from polycauchy2.convolution import (
     rhs_2fold_00,
     rhs_2fold_01,
     rhs_2fold_11,
+    rhs_3fold,
     rhs_4fold,
+    rhs_5fold,
+    rhs_7fold,
 )
 from polycauchy2.polynomials import poly_eval, poly_mul
 from series_oracle import Series, double_factorial, paper_series
@@ -148,6 +153,33 @@ def paper_rhs_4fold(n, table):
     return Fraction(factorial(2 * n), 6) * (s1 + s2)
 
 
+def paper_rhs_3fold(n, table):
+    value = table.value
+    return (2 * n - 1) * (n - 1) * value(n) + n * (2 * n - 1) * (2 * n - 3) ** 2 * value(n - 1)
+
+
+def paper_rhs_5fold(n, table):
+    value = table.value
+    return (
+        comb(2 * n - 1, 4) * value(n)
+        + Fraction(4 * n * n - 16 * n + 17, 3) * comb(2 * n, 2) * comb(2 * n - 3, 2) * value(n - 1)
+        + comb(2 * n, 4) * (2 * n - 5) ** 4 * value(n - 2)
+    )
+
+
+def paper_rhs_7fold(n, table):
+    value = table.value
+    return (
+        comb(2 * n - 1, 6) * value(n)
+        + Fraction(12 * n * n - 60 * n + 83, 15) * comb(2 * n, 2) * comb(2 * n - 3, 4) * value(n - 1)
+        + Fraction((4 * n * n - 24 * n + 39) * (12 * n * n - 72 * n + 109), 15)
+        * comb(2 * n, 4)
+        * comb(2 * n - 5, 2)
+        * value(n - 2)
+        + comb(2 * n, 6) * (2 * n - 7) ** 6 * value(n - 3)
+    )
+
+
 def paper_l_squared(nmax):
     # L^2 = sqrt(1+t^2) L - t sqrt(1+t^2) L', compared coefficientwise.
     order = nmax + 1
@@ -211,6 +243,14 @@ PAPER_FORMS = [
     (rhs_4fold, paper_rhs_4fold, 1, "thm6"),
 ]
 PAPER_FORM_IDS = [case[3] for case in PAPER_FORMS]
+# The closed forms that are a few terms, not a weighted sum, in the same layout.
+SHORT_FORMS = [
+    (rhs_3fold, paper_rhs_3fold, 1, "thm5"),
+    (rhs_5fold, paper_rhs_5fold, 2, "fold5"),
+    (rhs_7fold, paper_rhs_7fold, 3, "fold7"),
+]
+ALL_FORMS = PAPER_FORMS + SHORT_FORMS
+ALL_FORM_IDS = [case[3] for case in ALL_FORMS]
 
 # The differential equations for L and their power-series oracles.
 L_EQUATIONS = [("eqll", paper_l_squared), ("eqconvo02", paper_l_second_derivative)]
@@ -230,7 +270,7 @@ def table42():
 @pytest.fixture(scope="module")
 def paper_values_to_40(table42):
     """Each paper-form oracle at every n from its first index to 40, by identity name."""
-    return {name: [oracle(n, table42) for n in range(nmin, 41)] for _, oracle, nmin, name in PAPER_FORMS}
+    return {name: [oracle(n, table42) for n in range(nmin, 41)] for _, oracle, nmin, name in ALL_FORMS}
 
 
 SWEEP_CASES = [
@@ -242,6 +282,13 @@ SWEEP_CASES = [
     ((0, 1, 2), 6),
     ((0,) * 5, 6),
     ((0,) * 7, 6),
+    ((0,) * 4, 7),
+    ((0,) * 6, 6),
+    ((0,) * 8, 5),
+    ((1, 1, 1), 6),
+    ((2, 2), 7),
+    ((0, 0, 1), 6),
+    ((1, 0, 0, 1), 6),
 ]
 
 
@@ -285,6 +332,31 @@ class TestConvolveOracle:
             reference = convolution_sweep((0, 1, 2), n, table18)[n]
             for offsets in itertools.permutations((0, 1, 2)):
                 assert convolution_sweep(offsets, n, table18)[n] == reference
+
+    @pytest.mark.parametrize(
+        "offsets,squares,products",
+        [
+            ((0, 0), 1, 0),
+            ((1, 1), 1, 0),
+            ((0, 1), 0, 1),
+            ((0,) * 4, 2, 0),
+            ((0,) * 7, 2, 2),
+            ((1, 0, 0, 1), 2, 1),
+        ],
+    )
+    def test_repeated_offsets_are_squared(self, offsets, squares, products, table18, monkeypatch):
+        # Square-and-multiply per distinct offset, then one product per further group.
+        calls = {"_egf_square": 0, "_egf_product": 0}
+        for attr in calls:
+            real = getattr(convolution_module, attr)
+
+            def counted(*args, attr=attr, real=real):
+                calls[attr] += 1
+                return real(*args)
+
+            monkeypatch.setattr(convolution_module, attr, counted)
+        convolution_sweep(offsets, 5, table18)
+        assert calls == {"_egf_square": squares, "_egf_product": products}
 
     def test_spec_validation(self, table18):
         with pytest.raises(ValueError, match="at least two factors"):
@@ -371,12 +443,12 @@ class TestClosedFormSweeps:
 
 
 class TestPaperFormOracles:
-    @pytest.mark.parametrize("rhs,oracle,nmin,name", PAPER_FORMS, ids=PAPER_FORM_IDS)
+    @pytest.mark.parametrize("rhs,oracle,nmin,name", ALL_FORMS, ids=ALL_FORM_IDS)
     def test_integer_form_equals_paper_form(self, rhs, oracle, nmin, name, table32):
         assert rhs(30, table32) == [oracle(n, table32) for n in range(nmin, 31)], name
 
     @settings(max_examples=40, deadline=None)
-    @given(case=st.sampled_from(PAPER_FORMS), nmax=st.integers(0, 40))
+    @given(case=st.sampled_from(ALL_FORMS), nmax=st.integers(0, 40))
     def test_every_sweep_equals_its_paper_form(self, case, nmax, table42, paper_values_to_40):
         rhs, _, nmin, name = case
         if nmax < nmin:
@@ -384,6 +456,18 @@ class TestPaperFormOracles:
                 rhs(nmax, table42)
             return
         assert rhs(nmax, table42) == paper_values_to_40[name][: nmax + 1 - nmin], (name, nmax)
+
+    @pytest.mark.parametrize("rhs,oracle,nmin,name", SHORT_FORMS, ids=[case[3] for case in SHORT_FORMS])
+    def test_short_form_moves_from_the_first_index_reading_a_wrong_entry(
+        self, rhs, oracle, nmin, name, table18
+    ):
+        # Each short form reads C_{2n} at index n, so C_10 + 1 first shows at n = 5.
+        perturbed = PolyCauchyTable.build(18)
+        perturbed.entries[(5, 1)] += 1
+        values = rhs(12, perturbed)
+        truth = [oracle(n, table18) for n in range(nmin, 13)]
+        assert values[: 5 - nmin] == truth[: 5 - nmin]
+        assert values[5 - nmin] != truth[5 - nmin]
 
     @pytest.mark.parametrize("rhs,oracle,nmin,name", PAPER_FORMS, ids=PAPER_FORM_IDS)
     def test_perturbed_weight_is_visible(self, rhs, oracle, nmin, name, table32, monkeypatch):
@@ -435,18 +519,45 @@ class TestNegativeControls:
         assert report.per_n_results[0].equal
 
     def test_one_wrong_binomial_fails_at_the_first_row_reading_it(self, monkeypatch):
-        # binom(12, 4) one too big, in the kernel both sides share. Theorem 2
-        # reads binom(2n, 2l) at row n, so it first fails at n = 6; Theorem 3's
-        # sum reads binom(2n + 2, 2l), so it first fails at n = 5.
-        real = convolution_module.comb
-        monkeypatch.setattr(
-            convolution_module, "comb", lambda top, bottom: real(top, bottom) + ((top, bottom) == (12, 4))
-        )
+        # binom(12, 4) one too big, in the shared rows both sides read. The
+        # rows are a patched copy, so no wrong row outlives the test. Theorem
+        # 2 reads binom(2n, 2l) at row n, so it first fails at n = 6; Theorem
+        # 3's sum reads binom(2n + 2, 2l), so it first fails at n = 5.
+        rows = [list(row) for row in exact_module._even_binomials(12)]
+        rows[6][2] += 1
+        monkeypatch.setattr(exact_module, "_EVEN_BINOMIALS", rows)
         for name, first in (("thm2", 6), ("thm3", 5)):
             report = verify_identity(name, 9)
             assert report.status == "fail", name
             assert report.first_failure.n == first, name
             assert all(row.equal for row in report.per_n_results[:first]), name
+        # The series route reads the same rows; its checked division by
+        # binom(2m, 2) catches the wrong weight at n = 6, before thm1
+        # compares a value with the formula route, which reads no binomial.
+        with pytest.raises(ArithmeticError, match="not exact"):
+            verify_identity("thm1", 9)
+        assert verify_identity("thm1", 5).status == "pass"
+
+    def test_square_without_its_middle_term_fails_at_n_0(self, monkeypatch):
+        # At n = 0 the middle term is the whole square.
+        def halves_only(xs, nmax):
+            dot = convolution_module._binomial_dot
+            return [2 * dot(n, xs[: (n + 1) // 2], xs[n::-1]) for n in range(nmax + 1)]
+
+        monkeypatch.setattr(convolution_module, "_egf_square", halves_only)
+        report = verify_identity("thm2", 6)
+        assert report.status == "fail"
+        assert report.first_failure.n == 0
+
+    def test_a_second_verify_builds_no_row(self, monkeypatch):
+        rows = [[1]]
+        monkeypatch.setattr(exact_module, "_EVEN_BINOMIALS", rows)
+        assert main(["verify", "thm2", "--nmax", "30"]) == 0
+        built = list(rows)
+        assert len(built) == 31
+        assert main(["verify", "thm2", "--nmax", "30"]) == 0
+        assert len(rows) == 31
+        assert all(a is b for a, b in zip(rows, built))
 
     def test_override_limited_to_convolutions(self):
         with pytest.raises(ValueError):

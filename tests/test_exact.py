@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from polycauchy2 import binomial, harmonic, rational_to_text
+from polycauchy2 import exact as exact_module
 from series_oracle import double_factorial
 
 # Extended double factorial table, anchored by a (a-2)!! = a!! continued
@@ -67,6 +68,18 @@ class TestBinomial:
     def test_symmetry(self, n, j):
         if j <= n:
             assert binomial(n, j) == binomial(n, n - j)
+
+
+class TestEvenBinomialRows:
+    @pytest.mark.parametrize(
+        "order", [range(125, -1, -1), range(126)], ids=["largest-first", "smallest-first"]
+    )
+    def test_rows_equal_comb_for_every_top_to_250(self, order, monkeypatch):
+        monkeypatch.setattr(exact_module, "_EVEN_BINOMIALS", [[1]])
+        for n in order:
+            expected = [math.comb(2 * n, 2 * i) for i in range(n + 1)]
+            assert exact_module._even_binomials(n)[n] == expected, n
+        assert len(exact_module._EVEN_BINOMIALS) == 126
 
 
 class TestDoubleFactorial:
