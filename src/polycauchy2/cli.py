@@ -7,14 +7,21 @@ canonical rational text, so identical calls give identical bytes. Every value
 is recomputed on every call; ``--cache PATH`` is accepted and ignored.
 ``stirling2`` finishes its exact arithmetic before it writes one row at a
 time, and writes its JSON directly.
+
+One table, ``_COMMANDS``, states the grammar. Plain calls are parsed straight
+from it: ``--opt value``, flags, one positional from its choices, and ints
+as ASCII digits with an optional "-". Help, usage errors and every other
+spelling (``--opt=value``, abbreviations, ...) go to the argparse parser
+that ``build_parser`` builds from the same table. Argparse stays the
+reference grammar, and it is imported only on those calls.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
+from types import SimpleNamespace
 
 from .convolution import DEFAULT_NMAX, IDENTITY_NAMES, verify_identity
 from .exact import rational_to_text
@@ -29,62 +36,6 @@ _FIELD_SEPARATORS = {"csv": ",", "tsv": "\t"}
 _DEFAULT_SERIES_ORDER = 40
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format", choices=("csv", "tsv", "json"), default="csv", help="output format"
-    )
-    common.add_argument("--cache", metavar="PATH", help="ignored; no file is read or written")
-
-    parser = argparse.ArgumentParser(
-        prog="polycauchy2",
-        description="Exact tables and identity checks for the level-2 poly-Cauchy sequence.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("stirling2", parents=[common], help="level-2 triangle rows")
-    p.add_argument("--nmax", type=int, default=12, help="last row to print")
-    p.add_argument(
-        "--signed", action="store_true", help="apply the sign (-1)^(n-m) to each entry"
-    )
-    p.set_defaults(handler=cmd_stirling2)
-
-    p = sub.add_parser("polycauchy", parents=[common], help="sequence values C_{2n}^(k)")
-    p.add_argument("--k", type=int, default=1, help="weight index, any integer")
-    p.add_argument("--nmax", type=int, default=12, help="last index to print")
-    p.add_argument(
-        "--route",
-        choices=("formula", "series", "both"),
-        default="formula",
-        help="computation route; 'both' prints the two side by side",
-    )
-    p.set_defaults(handler=cmd_polycauchy)
-
-    p = sub.add_parser("series", parents=[common], help="ordinary coefficients of a builtin series")
-    p.add_argument("name", choices=BUILTIN_SERIES_NAMES)
-    p.add_argument(
-        "--order",
-        type=int,
-        default=_DEFAULT_SERIES_ORDER,
-        metavar="M",
-        help="truncation order of the printed series",
-    )
-    p.add_argument("--k", type=int, default=None, help="weight for the lif families")
-    p.set_defaults(handler=cmd_series)
-
-    p = sub.add_parser("verify", parents=[common], help="sweep one identity and report")
-    p.add_argument("identity", choices=IDENTITY_NAMES)
-    p.add_argument(
-        "--nmax",
-        type=int,
-        default=None,
-        help=f"sweep bound (default {DEFAULT_NMAX}); conjecture identities take none",
-    )
-    p.set_defaults(handler=cmd_verify)
-
-    return parser
-
-
 def _emit_table(fmt: str, header: list[str], rows: list[list[str]], json_payload: dict) -> None:
     if fmt == "json":
         print(json.dumps(json_payload))
@@ -95,7 +46,7 @@ def _emit_table(fmt: str, header: list[str], rows: list[list[str]], json_payload
         print(sep.join(row))
 
 
-def cmd_stirling2(args: argparse.Namespace) -> int:
+def cmd_stirling2(args) -> int:
     text_rows = level2_text_rows(args.nmax, args.signed)
     if args.format == "json":
         # Entries are digits and an optional "-", so none needs JSON escaping.
@@ -110,48 +61,28 @@ def cmd_stirling2(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_polycauchy(args: argparse.Namespace) -> int:
-    if args.route == "both":
-        formula = PolyCauchyTable.build(args.nmax, args.k, "formula")
-        series = PolyCauchyTable.build(args.nmax, args.k, "series")
-        pairs = [
-            (
-                rational_to_text(formula.value(n, args.k)),
-                rational_to_text(series.value(n, args.k)),
-            )
-            for n in range(args.nmax + 1)
-        ]
-        _emit_table(
-            args.format,
-            ["n", "formula", "series"],
-            [[str(n), f, s] for n, (f, s) in enumerate(pairs)],
-            {
-                "k": args.k,
-                "nmax": args.nmax,
-                "route": "both",
-                "values": [
-                    {"n": n, "formula": f, "series": s} for n, (f, s) in enumerate(pairs)
-                ],
-            },
-        )
-        return 0
-    table = PolyCauchyTable.build(args.nmax, args.k, args.route)
-    texts = [rational_to_text(table.value(n, args.k)) for n in range(args.nmax + 1)]
+def cmd_polycauchy(args) -> int:
+    # 'both' prints the formula and series routes side by side.
+    both = args.route == "both"
+    columns = ["formula", "series"] if both else ["value"]
+    routes = columns if both else [args.route]
+    tables = [PolyCauchyTable.build(args.nmax, args.k, route) for route in routes]
+    texts = [[rational_to_text(table.value(n, args.k)) for table in tables] for n in range(args.nmax + 1)]
     _emit_table(
         args.format,
-        ["n", "value"],
-        [[str(n), text] for n, text in enumerate(texts)],
+        ["n", *columns],
+        [[str(n), *row] for n, row in enumerate(texts)],
         {
             "k": args.k,
             "nmax": args.nmax,
             "route": args.route,
-            "values": [{"n": n, "value": text} for n, text in enumerate(texts)],
+            "values": [{"n": n, **dict(zip(columns, row))} for n, row in enumerate(texts)],
         },
     )
     return 0
 
 
-def cmd_series(args: argparse.Namespace) -> int:
+def cmd_series(args) -> int:
     texts = [rational_to_text(c) for c in builtin_series(args.name, args.order, k=args.k)]
     _emit_table(
         args.format,
@@ -167,7 +98,7 @@ def cmd_series(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args) -> int:
     nmax = args.nmax
     if nmax is None:
         nmax = DEFAULT_NMAX
@@ -181,14 +112,117 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report.status == "pass" else 1
 
 
+# The grammar. A command is (help, handler, positional, options), with the
+# positional as (name, choices) or None. An option is (name, kind, default,
+# help, metavar), spelled "--" + name; its kind is bool for a flag, int, str
+# or a tuple of choices.
+_FORMAT_AND_CACHE = (
+    ("format", ("csv", "tsv", "json"), "csv", "output format", None),
+    ("cache", str, None, "ignored; no file is read or written", "PATH"),
+)
+
+_COMMANDS = {
+    "stirling2": ("level-2 triangle rows", cmd_stirling2, None, (
+        *_FORMAT_AND_CACHE,
+        ("nmax", int, 12, "last row to print", None),
+        ("signed", bool, False, "apply the sign (-1)^(n-m) to each entry", None),
+    )),
+    "polycauchy": ("sequence values C_{2n}^(k)", cmd_polycauchy, None, (
+        *_FORMAT_AND_CACHE,
+        ("k", int, 1, "weight index, any integer", None),
+        ("nmax", int, 12, "last index to print", None),
+        ("route", ("formula", "series", "both"), "formula",
+         "computation route; 'both' prints the two side by side", None),
+    )),
+    "series": ("ordinary coefficients of a builtin series", cmd_series, ("name", BUILTIN_SERIES_NAMES), (
+        *_FORMAT_AND_CACHE,
+        ("order", int, _DEFAULT_SERIES_ORDER, "truncation order of the printed series", "M"),
+        ("k", int, None, "weight for the lif families", None),
+    )),
+    "verify": ("sweep one identity and report", cmd_verify, ("identity", IDENTITY_NAMES), (
+        *_FORMAT_AND_CACHE,
+        ("nmax", int, None, f"sweep bound (default {DEFAULT_NMAX}); conjecture identities take none", None),
+    )),
+}
+
+
+def build_parser():
+    """The argparse parser of ``_COMMANDS``: help, usage errors and every spelling it accepts."""
+    import argparse
+
+    parser = argparse.ArgumentParser(
+        prog="polycauchy2",
+        description="Exact tables and identity checks for the level-2 poly-Cauchy sequence.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (help_text, handler, positional, options) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for name, kind, default, option_help, metavar in options:
+            if kind is bool:
+                p.add_argument(f"--{name}", action="store_true", help=option_help)
+            elif isinstance(kind, tuple):
+                p.add_argument(f"--{name}", choices=kind, default=default, help=option_help)
+            else:
+                p.add_argument(f"--{name}", type=kind, default=default, metavar=metavar, help=option_help)
+        if positional is not None:
+            p.add_argument(positional[0], choices=positional[1])
+        p.set_defaults(handler=handler)
+    return parser
+
+
+def _parse_plain(argv: list[str]) -> SimpleNamespace | None:
+    """The args of a plain call, equal to argparse's, or None to leave argv to argparse.
+
+    Plain is a flag, ``--opt value`` with a value that does not start with
+    "-" (an int may be ASCII digits after one "-"), and one positional from
+    its choices. A repeated option keeps its last value.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, handler, positional, options = _COMMANDS[argv[0]]
+    values = {"command": argv[0], "handler": handler}
+    values.update((name, default) for name, _, default, _, _ in options)
+    kinds = {f"--{name}": (name, kind) for name, kind, _, _, _ in options}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        name, kind = kinds.get(token, (None, None))
+        if kind is bool:
+            values[name] = True
+        elif kind is not None:
+            value = next(tokens, None)
+            if value is None:
+                return None
+            if kind is int:
+                digits = value.removeprefix("-")
+                if not (digits.isascii() and digits.isdigit()):
+                    return None
+                try:
+                    value = int(value)
+                except ValueError:  # past the int-from-text digit limit
+                    return None
+            elif value.startswith("-") or (kind is not str and value not in kind):
+                return None
+            values[name] = value
+        elif positional is not None and positional[0] not in values and token in positional[1]:
+            values[positional[0]] = token
+        else:
+            return None
+    if positional is not None and positional[0] not in values:
+        return None
+    return SimpleNamespace(**values)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _parse_plain(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     nmax = getattr(args, "nmax", None)
     if nmax is not None and nmax < 0:
-        parser.error("--nmax must be >= 0")
+        build_parser().error("--nmax must be >= 0")
     if getattr(args, "order", 0) < 0:
-        parser.error("--order must be >= 0")
+        build_parser().error("--order must be >= 0")
     # Exact values routinely pass Python's default 4300-digit limit on
     # int -> text conversion in output.
     digit_limit = sys.get_int_max_str_digits()
@@ -196,7 +230,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.handler(args)
     except ValueError as exc:
-        parser.error(str(exc))
+        build_parser().error(str(exc))
     except ArithmeticError as exc:
         print(f"polycauchy2: internal error: {exc}", file=sys.stderr)
         return 3

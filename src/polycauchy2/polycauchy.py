@@ -145,10 +145,13 @@ def arcsinh_power_egf(nmax: int) -> list[list[int]]:
         raise ValueError(f"nmax must be >= 0, got {nmax}")
     a = _arcsinh_egf(nmax)
     # (arcsinh t)^2 / 2: the product of two odd series lands on even indices.
-    square = [0] + [
-        _exact_div(sum(comb(2 * n, 2 * i + 1) * a[i] * a[n - 1 - i] for i in range(n)), 2)
-        for n in range(1, nmax + 1)
-    ]
+    # Term i equals term n - 1 - i, so the terms below the middle count
+    # twice, and the middle term (n odd) once.
+    square = [0]
+    for n in range(1, nmax + 1):
+        half = sum(comb(2 * n, 2 * i + 1) * a[i] * a[n - 1 - i] for i in range(n // 2))
+        middle = comb(2 * n, n) * a[n // 2] ** 2 if n % 2 else 0
+        square.append(_exact_div(2 * half + middle, 2))
     return _power_table(square)
 
 

@@ -1,7 +1,9 @@
-"""Command-line behavior: formats, fixtures, exit codes, the ignored --cache flag."""
+"""Command-line behavior: formats, fixtures, exit codes, the ignored --cache flag, the two parsers."""
 
 import ast
+import contextlib
 import decimal
+import io
 import hashlib
 import json
 import os
@@ -12,11 +14,14 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import polycauchy2
+from polycauchy2 import cli
 from polycauchy2 import convolution as convolution_module
 from polycauchy2 import level2_by_recurrence
-from polycauchy2.cli import main
+from polycauchy2.cli import build_parser, main
 from polycauchy2.convolution import CONVOLUTION_IDENTITIES
 from polycauchy2.series import BUILTIN_SERIES_NAMES
 from series_oracle import paper_series
@@ -399,6 +404,181 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as excinfo:
             main([])
         assert excinfo.value.code == 2
+
+
+def _value(kind):
+    """A plain value for an option of this kind; a flag takes none."""
+    if kind is bool:
+        return st.just([])
+    if kind is int:
+        return st.integers(-(10**30), 10**30).map(lambda value: [str(value)])
+    if kind is str:
+        return st.text(max_size=8).filter(lambda text: not text.startswith("-")).map(lambda text: [text])
+    return st.sampled_from(kind).map(lambda choice: [choice])
+
+
+def _plain_option(options):
+    return st.sampled_from(options).flatmap(
+        lambda option: _value(option[1]).map(lambda value: [f"--{option[0]}", *value])
+    )
+
+
+@st.composite
+def plain_calls(draw):
+    """A call the direct parse must accept: options in any order, repeats, the positional anywhere."""
+    command = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    _, _, positional, options = cli._COMMANDS[command]
+    groups = draw(st.lists(_plain_option(options), max_size=6))
+    if positional is not None:
+        groups.insert(draw(st.integers(0, len(groups))), [draw(st.sampled_from(positional[1]))])
+    return [command, *(token for group in groups for token in group)]
+
+
+IDENTITY_AND_SERIES_NAMES = sorted(set(polycauchy2.IDENTITY_NAMES) | set(BUILTIN_SERIES_NAMES))
+
+
+ODD_TOKENS = [
+    "-h", "--help", "--", "-", "--jobs", "--stats", "--order", "--identity", "bogus", "",
+    "-x", "--5", "+5", " 5", "5 ", "1_0", "٣", "-٣", "5.0", "-1.5", "9" * 4301,
+    "stirling2", "verify", "thm2", "L", "csv", "--format=json", "--nmax=3", "--k=-2",
+]
+
+
+@st.composite
+def odd_calls(draw):
+    """A plain call with up to three other spellings put in anywhere, the command's place included.
+
+    They are abbreviations, ``--opt=value``, an option with an odd value or
+    none, odd ints (non-ASCII digits, "+5", "1_0", past the digit limit),
+    help, unknown options and stray positionals.
+    """
+    argv = draw(plain_calls())
+    names = [name for name, *_ in cli._COMMANDS[argv[0]][3]]
+    odd_token = st.sampled_from(ODD_TOKENS) | st.text(max_size=4)
+    odd = st.one_of(
+        st.sampled_from(names).map(lambda name: [f"--{name}"]),
+        st.sampled_from(names).flatmap(lambda name: st.integers(1, len(name)).map(lambda j: [f"--{name[:j]}"])),
+        st.tuples(st.sampled_from(names), odd_token).map(lambda pair: [f"--{pair[0]}={pair[1]}"]),
+        st.tuples(st.sampled_from(names), odd_token).map(lambda pair: [f"--{pair[0]}", pair[1]]),
+        odd_token.map(lambda token: [token]),
+        st.sampled_from(IDENTITY_AND_SERIES_NAMES).map(lambda token: [token]),
+    )
+    for _ in range(draw(st.integers(0, 3))):
+        position = draw(st.integers(0, len(argv)))
+        argv[position:position] = draw(odd)
+    return argv
+
+
+# Built once from the true table; parse_args leaves a parser unchanged.
+REFERENCE_PARSER = build_parser()
+
+
+def parse_both(argv):
+    """vars() of the direct parse and of argparse's, or (None, None) when the direct parse declines."""
+    args = cli._parse_plain(list(argv))
+    if args is None:
+        return None, None
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            reference = REFERENCE_PARSER.parse_args(list(argv))
+    except SystemExit as exc:
+        raise AssertionError(f"direct parse accepted {argv!r}, argparse exits {exc.code}") from None
+    return vars(args), vars(reference)
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=plain_calls())
+def plain_calls_agree(argv):
+    direct, reference = parse_both(argv)
+    assert direct is not None, argv
+    assert direct == reference, argv
+
+
+class TestDirectParse:
+    """Plain calls skip argparse; whenever the direct parse answers, it answers as argparse would."""
+
+    def test_plain_calls_are_parsed_as_argparse_parses_them(self):
+        plain_calls_agree()
+
+    @settings(max_examples=400, deadline=None)
+    @given(argv=odd_calls())
+    def test_other_spellings_agree_or_go_to_argparse(self, argv):
+        direct, reference = parse_both(argv)
+        assert direct == reference, argv
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "-h"], ["verify", "thm2", "--nmax=3"], ["verify", "thm2", "--nm", "3"],
+            ["polycauchy", "--k", "-٣"], ["polycauchy", "--k", "+3"], ["polycauchy", "--nmax", "9" * 4301],
+            ["verify", "thm2", "--nmax"], ["verify", "thm2", "thm3"], ["verify"], ["series", "tangent"],
+            ["polycauchy", "--format", "xml"], ["polycauchy", "--cache", "-x"], ["--format", "csv", "verify", "thm2"],
+            ["stirling2", "--signed", "5"], ["verify", "thm2", "--"], [],
+        ],
+    )
+    def test_other_spellings_go_to_argparse(self, argv):
+        assert cli._parse_plain(argv) is None
+
+    @pytest.mark.parametrize(
+        "invocation",
+        [*_bench_tuple("SEQUENCE"), *_bench_tuple("CONVOLUTION"), *_bench_tuple("TABLES"), _bench_tuple("PROBE")],
+    )
+    def test_benchmark_calls_are_parsed_directly(self, tmp_path, invocation):
+        # The benchmark's calls, with and without the --cache PATH its runner adds.
+        for argv in (invocation.split(), [*invocation.split(), "--cache", str(tmp_path / "c.json")]):
+            direct, reference = parse_both(argv)
+            assert direct is not None, argv
+            assert direct == reference, argv
+
+    def test_wrong_option_type_fails_the_differential_test(self, monkeypatch):
+        # Negative control: a table that reads --k as text disagrees with the
+        # parser built from the true table.
+        help_text, handler, positional, options = cli._COMMANDS["polycauchy"]
+        wrong = tuple((name, str, *rest) if name == "k" else (name, kind, *rest) for name, kind, *rest in options)
+        monkeypatch.setitem(cli._COMMANDS, "polycauchy", (help_text, handler, positional, wrong))
+        with pytest.raises(AssertionError):
+            plain_calls_agree()
+
+    def test_plain_call_leaves_argparse_unimported(self):
+        # Only what the package adds counts: a .pth file may load modules into
+        # the bare interpreter before the script runs.
+        script = (
+            "import io, sys\n"
+            "bare = set(sys.modules)\n"
+            "import polycauchy2.cli as cli\n"
+            "imported = set(sys.modules) - bare\n"
+            "sys.stdout = io.StringIO()\n"
+            "code = cli.main(['verify', 'thm6', '--nmax', '1'])\n"
+            "ran = set(sys.modules) - bare\n"
+            "sys.stdout = sys.__stdout__\n"
+            "print(code, ' '.join(sorted(imported)), '|', ' '.join(sorted(ran)))\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=TestEntryPoint.child_env()
+        )
+        assert result.returncode == 0, result.stderr
+        code, modules = result.stdout.split(" ", 1)
+        imported, ran = (set(part.split()) for part in modules.split("|"))
+        assert code == "0"
+        assert "polycauchy2.cli" in imported
+        assert not {"argparse", "gettext"} & imported
+        assert not {"argparse", "locale"} & ran
+
+    def test_other_spelling_imports_argparse(self):
+        # The control for the test above: the same probe sees argparse once a call needs it.
+        script = (
+            "import contextlib, io, sys\n"
+            "bare = set(sys.modules)\n"
+            "import polycauchy2.cli as cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    cli.main(['verify', 'thm6', '--nmax=1'])\n"
+            "print(' '.join(sorted(set(sys.modules) - bare)))\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=TestEntryPoint.child_env()
+        )
+        assert result.returncode == 0, result.stderr
+        assert "argparse" in result.stdout.split()
 
 
 class TestCache:
