@@ -20,14 +20,15 @@ thus 4 products, 2 of them squares, instead of 6.
 
 The right-hand sides are sweeps too: each returns its closed form at every
 n of a range in one call. Both sides run on integers (Knuth, TAOCP Vol. 2,
-4.7). A sweep reads the C_{2m} it needs from the table once and writes them
-as integer numerators over D, the lcm of their denominators. The left sweep
-multiplies those integers and divides by D^k once per n. The closed forms of
-Theorems 2-4 and 6 weight C_{2l} by (2n)! / ((2l)! 2^(n-l) (n-l)!) =
-binom(2n, 2l) (2n-2l-1)!! (Concrete Mathematics, 7.6) times a sign and a
-second odd double factorial, so at each n each is one integer sum over D
-times a small constant. The sweep builds the weights once for all n. The
-other closed forms are a few terms per n over D times a small constant.
+4.7). A sweep reads the C_{2m} it needs from the table once, as integer
+numerators over D, the lcm of their denominators
+(``PolyCauchyTable.numerators``). The left sweep multiplies those integers
+and divides by D^k once per n. The closed forms of Theorems 2-4 and 6
+weight C_{2l} by (2n)! / ((2l)! 2^(n-l) (n-l)!) = binom(2n, 2l)
+(2n-2l-1)!! (Concrete Mathematics, 7.6) times a sign and a second odd
+double factorial, so at each n each is one integer sum over D times a small
+constant. The sweep builds the weights once for all n. The other closed
+forms are a few terms per n over D times a small constant.
 Every binomial-weighted sum, on either side, is one ``_binomial_dot``:
 products and sum run inside ``map`` and ``sum``, over row n of the rows of
 binom(2n, 2i) that ``exact`` builds once per process and the series route
@@ -104,16 +105,6 @@ __all__ = [
 # -- the integer view ------------------------------------------------------------
 
 
-def _numerators(table: PolyCauchyTable, need: int) -> tuple[list[int], int]:
-    """C_{2m} for m = 0..need as integer numerators over D, the lcm of their denominators.
-
-    Read from the table once per sweep, so a changed entry shows in every result.
-    """
-    values = [table.value(m) for m in range(need + 1)]
-    denominator = lcm(*(value.denominator for value in values))
-    return [value.numerator * (denominator // value.denominator) for value in values], denominator
-
-
 def _weights(count: int) -> list[int]:
     """w_j = (-1)^j (2j-1)!! (2j-3)!! for j = 0..count, with (-1)!! = 1 and (-3)!! = -1.
 
@@ -188,7 +179,7 @@ def convolution_sweep(
     need = nmax + max(offsets)
     if table.max_n(1) < need:
         raise ValueError(f"table holds n <= {table.max_n(1)}, convolution needs {need}")
-    numerators, denominator = _numerators(table, need)
+    numerators, denominator = table.numerators(need)
     multiplicity = {j: offsets.count(j) for j in offsets}
     product, *rest = [_egf_power(numerators[j : j + nmax + 1], m, nmax) for j, m in multiplicity.items()]
     for factor in rest:
@@ -220,7 +211,7 @@ def _odd_scaled(c: list[int]) -> list[int]:
 
 def rhs_2fold_00(nmax: int, table: PolyCauchyTable) -> list[Fraction]:
     _check_first_index(nmax, 0)
-    c, denominator = _numerators(table, nmax)
+    c, denominator = table.numerators(nmax)
     w = _weights(nmax)
     x = _odd_scaled(c)
     return [Fraction(_binomial_dot(n, x, w[n::-1]), denominator) for n in range(nmax + 1)]
@@ -234,7 +225,7 @@ def rhs_2fold_01(nmax: int, table: PolyCauchyTable) -> list[Fraction]:
     every term, the l = n + 1 one (j = -1) included, lies over 3 (2n+1)(n+1).
     """
     _check_first_index(nmax, 0)
-    c, denominator = _numerators(table, nmax + 1)
+    c, denominator = table.numerators(nmax + 1)
     w = _weights(nmax + 1)
     x = _odd_scaled(c)
     values = []
@@ -251,7 +242,7 @@ def rhs_2fold_11(nmax: int, table: PolyCauchyTable) -> list[Fraction]:
     The C_{2l+4} term's factor 10n - 8l + 5 runs down from 10n + 5 in steps of 8.
     """
     _check_first_index(nmax, 0)
-    c, denominator = _numerators(table, nmax + 2)
+    c, denominator = table.numerators(nmax + 2)
     w = _weights(nmax + 1)
     shifted = c[2:]
     y = [
@@ -269,7 +260,7 @@ def rhs_2fold_11(nmax: int, table: PolyCauchyTable) -> list[Fraction]:
 
 def rhs_3fold(nmax: int, table: PolyCauchyTable) -> list[Fraction]:
     _check_first_index(nmax, 1)
-    c, denominator = _numerators(table, nmax)
+    c, denominator = table.numerators(nmax)
     return [
         Fraction((2 * n - 1) * ((n - 1) * c[n] + n * (2 * n - 3) ** 2 * c[n - 1]), denominator)
         for n in range(1, nmax + 1)
@@ -278,7 +269,7 @@ def rhs_3fold(nmax: int, table: PolyCauchyTable) -> list[Fraction]:
 
 def rhs_4fold(nmax: int, table: PolyCauchyTable) -> list[Fraction]:
     _check_first_index(nmax, 1)
-    c, denominator = _numerators(table, nmax)
+    c, denominator = table.numerators(nmax)
     w = _weights(nmax)
     x = [
         (2 * l - 1) * (2 * l - 2) * (2 * l - 3) * c[l]
@@ -291,7 +282,7 @@ def rhs_4fold(nmax: int, table: PolyCauchyTable) -> list[Fraction]:
 def rhs_5fold(nmax: int, table: PolyCauchyTable) -> list[Fraction]:
     """The middle term carries a factor 1/3, so every term lies over 3 D."""
     _check_first_index(nmax, 2)
-    c, denominator = _numerators(table, nmax)
+    c, denominator = table.numerators(nmax)
     return [
         Fraction(
             3 * binomial(2 * n - 1, 4) * c[n]
@@ -306,7 +297,7 @@ def rhs_5fold(nmax: int, table: PolyCauchyTable) -> list[Fraction]:
 def rhs_7fold(nmax: int, table: PolyCauchyTable) -> list[Fraction]:
     """The two middle terms carry a factor 1/15, so every term lies over 15 D."""
     _check_first_index(nmax, 3)
-    c, denominator = _numerators(table, nmax)
+    c, denominator = table.numerators(nmax)
     return [
         Fraction(
             15 * binomial(2 * n - 1, 6) * c[n]
@@ -421,9 +412,8 @@ def _verify_convolution(
     if nmax < defn.nmin:
         raise ValueError(f"{name} starts at n = {defn.nmin}: nmax must be >= {defn.nmin}, got {nmax}")
     if table is None:
-        table = PolyCauchyTable.build(nmax + 2)
-    elif table.max_n(1) < nmax + 2:
-        table.ensure(nmax + 2)
+        table = PolyCauchyTable()
+    table.ensure(nmax + 2)
     lhs = convolution_sweep(defn.offsets, nmax, table)
     rhs = (rhs_override if rhs_override is not None else defn.rhs)(nmax, table)
     ns = range(defn.nmin, nmax + 1)
@@ -642,7 +632,7 @@ def _extract(
     weights times powers of n. No step relies on the shape of a P.
     """
     lhs = convolution_sweep((0,) * (2 * r + 1), samples[-1], table)
-    c, denominator = _numerators(table, samples[-1])
+    c, denominator = table.numerators(samples[-1])
     budgets = [2 * k + 1 for k in range(r + 1)]
     unknowns = sum(b + 1 for b in budgets)
     weights = {(k, n): conjecture_prefactor(r, k, n) * c[n - k] for k in range(r + 1) for n in samples}

@@ -31,13 +31,15 @@ binomial EGF product of those coefficients halved, and P_m is the binomial
 EGF product of P_{m-1} and P_1 divided by m(2m-1), each division checked
 exact. It then takes the dot product of each column with s_m over D. The
 two routes share only the weights s_m: neither reads the other's integers.
+Both yield D C_{2n}^(k) for n = 0..nmax and D, the pair ``PolyCauchyTable``
+holds per k: values stay integer numerators over D until one is read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -102,13 +104,13 @@ def _power_weights(size: int, k: int, step: int) -> tuple[list[int], int]:
 
 def _sum_over_powers(
     columns: Iterable[Sequence[int]], size: int, k: int, step: int
-) -> list[Fraction]:
-    """Sum over m of column[m] / (step m + 1)^k for each column, over one denominator.
+) -> tuple[list[int], int]:
+    """D times the sum over m of column[m] / (step m + 1)^k for each column, and D.
 
     Columns hold at most ``size`` entries; they may be generated one at a time.
     """
     weights, denominator = _power_weights(size, k, step)
-    return [Fraction(sum(map(mul, column, weights)), denominator) for column in columns]
+    return [sum(map(mul, column, weights)) for column in columns], denominator
 
 
 def _formula_numerators(nmax: int, k: int) -> tuple[list[int], int]:
@@ -157,7 +159,8 @@ def arcsinh_power_egf(nmax: int) -> list[list[int]]:
 
 def level2_series_values(egf: Sequence[Sequence[int]], k: int = 1) -> list[Fraction]:
     """C_{2n}^(k) for n = 0..len(egf)-1 from the columns of ``arcsinh_power_egf``."""
-    return _sum_over_powers(egf, len(egf), k, 2)
+    numerators, denominator = _sum_over_powers(egf, len(egf), k, 2)
+    return [Fraction(x, denominator) for x in numerators]
 
 
 def _formula_column(n: int, triangle: Level2Triangle) -> list[int]:
@@ -180,17 +183,15 @@ def level2_by_series(n: int, k: int = 1) -> Fraction:
     return level2_series_values(arcsinh_power_egf(n), k)[n]
 
 
-@dataclass
 class PolyCauchyTable:
-    """Computed C_{2n}^(k) values keyed by (n, k), with their route of origin.
+    """C_{2n}^(k) for n = 0..max_n(k) at each k built, held as integer numerators over D.
 
-    Rows are filled contiguously from n = 0 per k, so ``max_n`` is a reliable
-    range statement for consumers that sweep.
+    Each k holds one route's pass, (numerators, D); ``value`` builds one Fraction
+    on demand. Growing a k recomputes its pass, since both kernels start from n = 0.
     """
 
-    entries: dict[tuple[int, int], Fraction] = field(default_factory=dict)
-    provenance: dict[tuple[int, int], str] = field(default_factory=dict)
-    _max_n: dict[int, int] = field(default_factory=dict)
+    def __init__(self) -> None:
+        self._passes: dict[int, tuple[list[int], int]] = {}
 
     @classmethod
     def build(cls, nmax: int, k: int = 1, route: str = "formula") -> "PolyCauchyTable":
@@ -199,36 +200,39 @@ class PolyCauchyTable:
         return table
 
     def ensure(self, nmax: int, k: int = 1, route: str = "formula") -> None:
-        """Fill entries (0..nmax, k) using the given route, reusing what exists."""
+        """Hold n = 0..nmax for this k, recomputed by the given route if the table holds fewer."""
         if route not in ("formula", "series"):
             raise ValueError(f"route must be 'formula' or 'series', got {route!r}")
-        start = self._max_n.get(k, -1) + 1
-        if start > nmax:
+        if nmax <= self.max_n(k):
             return
         if route == "formula":
-            numerators, denominator = _formula_numerators(nmax, k)
-            values = [Fraction(x, denominator) for x in numerators[start:]]
+            self._passes[k] = _formula_numerators(nmax, k)
         else:
-            values = _sum_over_powers(arcsinh_power_egf(nmax)[start:], nmax + 1, k, 2)
-        for n, value in enumerate(values, start):
-            self._store(n, k, value, route)
-
-    def _store(self, n: int, k: int, value: Fraction, route: str) -> None:
-        self.entries[(n, k)] = value
-        self.provenance[(n, k)] = route
-        self._max_n[k] = max(self._max_n.get(k, -1), n)
+            self._passes[k] = _sum_over_powers(arcsinh_power_egf(nmax), nmax + 1, k, 2)
 
     def max_n(self, k: int = 1) -> int:
-        """Largest contiguous n stored for this k, or -1 when empty."""
-        return self._max_n.get(k, -1)
+        """Largest n held for this k, or -1 when none is."""
+        numerators, _ = self._passes.get(k, ((), 1))
+        return len(numerators) - 1
+
+    def _pass(self, n: int, k: int) -> tuple[list[int], int]:
+        if not 0 <= n <= self.max_n(k):
+            raise ValueError(f"table holds n = 0..{self.max_n(k)} for k = {k}, requested n = {n}")
+        return self._passes[k]
 
     def value(self, n: int, k: int = 1) -> Fraction:
-        try:
-            return self.entries[(n, k)]
-        except KeyError:
-            raise ValueError(
-                f"table holds n = 0..{self.max_n(k)} for k = {k}, requested n = {n}"
-            ) from None
+        numerators, denominator = self._pass(n, k)
+        return Fraction(numerators[n], denominator)
+
+    def numerators(self, need: int, k: int = 1) -> tuple[list[int], int]:
+        """C_{2m}^(k) for m = 0..need as integer numerators over D, the lcm of their denominators.
+
+        That is the held pair divided by the gcd of D and every numerator read.
+        """
+        numerators, denominator = self._pass(need, k)
+        head = numerators[: need + 1]
+        common = gcd(denominator, *head)
+        return [x // common for x in head], denominator // common
 
 
 @dataclass(frozen=True)
@@ -307,7 +311,8 @@ def integral_representation_check(
     # Stage 2: integrate the stage-1 product, which never read the triangle,
     # termwise over the unit cube: z^j becomes 1/(j+1)^k, summed over one
     # common denominator. The k-fold integral is never evaluated numerically.
-    integral_value = _sum_over_powers([product], 2 * n + 1, k, 1)[0]
+    (numerator,), denominator = _sum_over_powers([product], 2 * n + 1, k, 1)
+    integral_value = Fraction(numerator, denominator)
     reference_value = table.value(n, k)
     value_match = integral_value == reference_value
 

@@ -5,6 +5,7 @@ import contextlib
 import decimal
 import io
 import hashlib
+import inspect
 import json
 import os
 import subprocess
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 import polycauchy2
 from polycauchy2 import cli
 from polycauchy2 import convolution as convolution_module
-from polycauchy2 import level2_by_recurrence
+from polycauchy2 import IdentityReport, PolyCauchyTable, level2_by_recurrence
 from polycauchy2.cli import build_parser, main
 from polycauchy2.convolution import CONVOLUTION_IDENTITIES
 from polycauchy2.series import BUILTIN_SERIES_NAMES
@@ -29,13 +30,13 @@ from series_oracle import paper_series
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
-def _bench_tuple(name):
-    """A tuple of invocation strings from bench/workloads.py, read without running it."""
-    tree = ast.parse((BENCH / "workloads.py").read_text())
+def _bench_literal(name, source="workloads.py"):
+    """The literal assigned to ``name`` in a bench/ module, read without running it."""
+    tree = ast.parse((BENCH / source).read_text())
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == name for t in node.targets):
             return ast.literal_eval(node.value)
-    raise LookupError(f"bench/workloads.py defines no {name}")
+    raise LookupError(f"bench/{source} defines no {name}")
 
 
 SERIES_NAMES_AND_K = [
@@ -348,15 +349,15 @@ class TestBenchmarkReferences:
         assert len(data) == reference["bytes"]
         assert hashlib.sha256(data).hexdigest() == reference["sha256"]
 
-    @pytest.mark.parametrize("invocation", _bench_tuple("SEQUENCE"))
+    @pytest.mark.parametrize("invocation", _bench_literal("SEQUENCE"))
     def test_sequence_stdout_matches_reference(self, capsys, invocation):
         self.check(capsys, invocation)
 
-    @pytest.mark.parametrize("invocation", _bench_tuple("CONVOLUTION"))
+    @pytest.mark.parametrize("invocation", _bench_literal("CONVOLUTION"))
     def test_convolution_stdout_matches_reference(self, capsys, invocation):
         self.check(capsys, invocation)
 
-    @pytest.mark.parametrize("invocation", _bench_tuple("TABLES"))
+    @pytest.mark.parametrize("invocation", _bench_literal("TABLES"))
     def test_tables_stdout_matches_reference(self, capsys, tmp_path, invocation):
         # The benchmark adds --cache PATH to these calls, as Runner.argv does;
         # the flag changes no byte of stdout and creates no file.
@@ -364,6 +365,19 @@ class TestBenchmarkReferences:
         cache_path = tmp_path / "c.json"
         self.check(capsys, invocation, ["--cache", str(cache_path)])
         assert not cache_path.exists()
+
+    def test_tracer_targets_exist(self):
+        # The tracer wraps these methods when a class defines them, and rebuilds
+        # each registry entry with dataclasses.replace to time its right-hand
+        # side. A missing target is skipped there, so its metric would read 0.
+        methods = _bench_literal("METHODS", "tracer.py")
+        for layer, cls in (("polycauchy", PolyCauchyTable), ("convolution", IdentityReport)):
+            for method in methods[layer][cls.__name__]:
+                raw = cls.__dict__.get(method)
+                fn = raw.__func__ if isinstance(raw, classmethod) else raw
+                assert inspect.isfunction(fn), (cls.__name__, method)
+        for name, entry in CONVOLUTION_IDENTITIES.items():
+            assert replace(entry, rhs=entry.rhs) == entry, name
 
 
 class TestUsageErrors:
@@ -521,7 +535,12 @@ class TestDirectParse:
 
     @pytest.mark.parametrize(
         "invocation",
-        [*_bench_tuple("SEQUENCE"), *_bench_tuple("CONVOLUTION"), *_bench_tuple("TABLES"), _bench_tuple("PROBE")],
+        [
+            *_bench_literal("SEQUENCE"),
+            *_bench_literal("CONVOLUTION"),
+            *_bench_literal("TABLES"),
+            _bench_literal("PROBE"),
+        ],
     )
     def test_benchmark_calls_are_parsed_directly(self, tmp_path, invocation):
         # The benchmark's calls, with and without the --cache PATH its runner adds.

@@ -411,10 +411,10 @@ class TestClosedFormSweeps:
     def test_one_table_read_and_one_weight_row_per_side(self, name, monkeypatch):
         # The left sweep reads the table once and the right sweep once more;
         # only the right side builds weights. Neither count grows with nmax.
-        calls = {"_numerators": 0, "_weights": 0}
+        calls = {"numerators": 0, "_weights": 0}
 
-        def counting(attr):
-            real = getattr(convolution_module, attr)
+        def counting(owner, attr):
+            real = getattr(owner, attr)
 
             def counted(*args):
                 calls[attr] += 1
@@ -422,12 +422,12 @@ class TestClosedFormSweeps:
 
             return counted
 
-        for attr in calls:
-            monkeypatch.setattr(convolution_module, attr, counting(attr))
+        for owner, attr in ((PolyCauchyTable, "numerators"), (convolution_module, "_weights")):
+            monkeypatch.setattr(owner, attr, counting(owner, attr))
         for nmax in (6, 30):
             calls.update(dict.fromkeys(calls, 0))
             assert verify_identity(name, nmax).status == "pass"
-            assert calls == {"_numerators": 2, "_weights": 1}, (name, nmax)
+            assert calls == {"numerators": 2, "_weights": 1}, (name, nmax)
 
     def test_one_sweep_per_conjecture_invocation(self, monkeypatch):
         calls = []
@@ -459,11 +459,10 @@ class TestPaperFormOracles:
 
     @pytest.mark.parametrize("rhs,oracle,nmin,name", SHORT_FORMS, ids=[case[3] for case in SHORT_FORMS])
     def test_short_form_moves_from_the_first_index_reading_a_wrong_entry(
-        self, rhs, oracle, nmin, name, table18
+        self, rhs, oracle, nmin, name, table18, bumped_table
     ):
         # Each short form reads C_{2n} at index n, so C_10 + 1 first shows at n = 5.
-        perturbed = PolyCauchyTable.build(18)
-        perturbed.entries[(5, 1)] += 1
+        perturbed = bumped_table(18, 5)
         values = rhs(12, perturbed)
         truth = [oracle(n, table18) for n in range(nmin, 13)]
         assert values[: 5 - nmin] == truth[: 5 - nmin]
@@ -564,11 +563,10 @@ class TestNegativeControls:
             verify_identity("eqll", 8, rhs_override=lambda n, t: Fraction(0))
 
     @pytest.mark.parametrize("name", ["thm1", "cor1", "eqll", "arcsinh_power", "conjecture-r1"])
-    def test_table_limited_to_convolutions(self, name):
+    def test_table_limited_to_convolutions(self, name, bumped_table):
         # A table the identity never reads must not let a perturbed-table
         # negative control pass silently.
-        perturbed = PolyCauchyTable.build(14)
-        perturbed.entries[(10, 1)] += 1
+        perturbed = bumped_table(14, 10)
         with pytest.raises(ValueError, match="reads no table"):
             verify_identity(name, 12, table=perturbed)
 
@@ -592,19 +590,19 @@ class TestNegativeControls:
     def test_empty_report_is_no_pass(self):
         assert IdentityReport("thm2", 0, "n=1..0", []).status == "fail"
 
-    def test_perturbed_table_entry_is_visible(self, table18):
+    def test_perturbed_table_entry_is_visible(self, table18, bumped_table):
         # C9 style: one table entry off by 1 must change the sweep and fail
         # the fold7 check, so a sweep-based check is able to fail.
-        perturbed = PolyCauchyTable.build(18)
         m = 4
-        perturbed.entries[(m, 1)] += 1
+        perturbed = bumped_table(18, m)
         sweep = convolution_sweep((0,) * 7, 8, perturbed)
         truth = [brute_force_convolution((0,) * 7, n, table18) for n in range(9)]
         assert sweep[:m] == truth[:m]
         assert all(sweep[n] != truth[n] for n in range(m, 9))
         report = verify_identity("fold7", 12, table=perturbed)
         assert report.status == "fail"
-        assert report.first_failure is not None
+        # At n = m both sides gain the same 7 C_{2m}, so the check fails from m + 1.
+        assert report.first_failure.n == m + 1
 
     def test_registry_swap_is_visible(self, monkeypatch):
         broken = replace(
@@ -733,13 +731,12 @@ class TestConjectureExtraction:
             assert [n for n, _ in poly.sample_points] == samples
 
     @pytest.mark.parametrize("r", [1, 2, 3])
-    def test_held_out_point_catches_a_perturbed_table(self, r):
+    def test_held_out_point_catches_a_perturbed_table(self, r, bumped_table):
         # C9 style: C at the last sample is only read at that held-out
         # point, so the solve is untouched and only the held-out check can
         # see the change. Every recovered polynomial must then fail it.
         samples = default_conjecture_samples(r)
-        perturbed = PolyCauchyTable.build(samples[-1])
-        perturbed.entries[(samples[-1], 1)] += 1
+        perturbed = bumped_table(samples[-1], samples[-1])
         polys = extract_conjecture_polynomials(r, table=perturbed)
         assert all(p.reproduces_samples() is False for p in polys)
         truth = extract_conjecture_polynomials(r)

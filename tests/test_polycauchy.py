@@ -5,9 +5,12 @@ route are implemented independently; each acts as the other's oracle. The
 frozen list below was produced by the series route and cross-checked against
 the triangle sum before freezing. The oracle for the formula route's
 weighted-sum recurrence is the route it replaced: each signed triangle row
-dotted with D / (2m+1)^k (``triangle_dot_product``).
+dotted with D / (2m+1)^k (``triangle_dot_product``). The oracle for the
+table's integer read is the lcm of the reduced denominators of the values
+it holds (``reduced_numerators``).
 """
 
+import re
 from fractions import Fraction
 from math import lcm
 
@@ -62,6 +65,13 @@ def triangle_dot_product(nmax, k):
         Fraction(sum((-4) ** (n - m) * v * weights[m] for m, v in enumerate(triangle.row(n))), denominator)
         for n in range(nmax + 1)
     ]
+
+
+def reduced_numerators(table, need, k):
+    """C_{2m} for m = 0..need as integer numerators over D, the lcm of their reduced denominators."""
+    values = [table.value(m, k) for m in range(need + 1)]
+    denominator = lcm(*(value.denominator for value in values))
+    return [value.numerator * (denominator // value.denominator) for value in values], denominator
 
 
 def formula_values(nmax, k):
@@ -256,20 +266,58 @@ class TestTable:
         assert table.max_n(1) == 8
         assert table.value(8) == level2_by_formula(8)
 
-    def test_routes_fill_identically(self):
-        formula = PolyCauchyTable.build(7, k=-1, route="formula")
-        series = PolyCauchyTable.build(7, k=-1, route="series")
-        for n in range(8):
-            assert formula.value(n, -1) == series.value(n, -1)
-        assert formula.provenance[(3, -1)] == "formula"
-        assert series.provenance[(3, -1)] == "series"
+    def test_routes_fill_identically(self, monkeypatch, request):
+        # Each route's table reads only its own kernel: a wrong arcsinh
+        # coefficient moves the series table alone, and a wrong D C_10 the
+        # formula table alone.
+        def values_by_route():
+            tables = [PolyCauchyTable.build(7, k=-1, route=route) for route in ("formula", "series")]
+            return [[table.value(n, -1) for n in range(8)] for table in tables]
+
+        formula, series = values_by_route()
+        assert formula == series
+        real = polycauchy_module._arcsinh_egf
+
+        def perturbed(count):
+            return [a + (j == 2) for j, a in enumerate(real(count))]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(polycauchy_module, "_arcsinh_egf", perturbed)
+            moved_formula, moved_series = values_by_route()
+        assert moved_formula == formula
+        assert moved_series != series
+        request.getfixturevalue("bumped_c10")
+        moved_formula, moved_series = values_by_route()
+        assert moved_formula != formula
+        assert moved_series == series
 
     def test_missing_entry_is_an_error(self):
+        # Both reads name the held range. A negative n is rejected, not read
+        # from the end of the held list, and so is a k never built.
         table = PolyCauchyTable.build(4)
-        with pytest.raises(ValueError):
-            table.value(5)
-        with pytest.raises(ValueError):
-            table.value(2, k=3)
+        for n, k, held in ((-1, 1, 4), (5, 1, 4), (2, 3, -1)):
+            message = f"table holds n = 0..{held} for k = {k}, requested n = {n}"
+            for read in (table.value, table.numerators):
+                with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                    read(n, k)
+
+    @pytest.mark.parametrize("route", ["formula", "series"])
+    @pytest.mark.parametrize("nmax", [0, 1, 12, 40])
+    @pytest.mark.parametrize("k", [-2, 0, 1, 3])
+    def test_integer_read_is_the_lcm_of_the_reduced_denominators(self, route, nmax, k):
+        table = PolyCauchyTable.build(nmax, k, route)
+        for need in range(nmax + 1):
+            assert table.numerators(need, k) == reduced_numerators(table, need, k), need
+
+    @pytest.mark.parametrize("nmax,ratio", [(12, 115), (122, 3)])
+    def test_integer_read_reduces_below_the_held_denominator(self, nmax, ratio):
+        # Two below the table's top the held D has primes no value read needs,
+        # so a read that skipped the gcd would return integers this much larger.
+        table = PolyCauchyTable.build(nmax)
+        _, held = polycauchy_module._formula_numerators(nmax, 1)
+        numerators, denominator = table.numerators(nmax - 2)
+        assert held == ratio * denominator
+        assert (numerators, denominator) == reduced_numerators(table, nmax - 2, 1)
 
     def test_bad_route_rejected(self):
         with pytest.raises(ValueError):
