@@ -5,8 +5,8 @@ failure, 2 usage error, 3 internal error (an ArithmeticError, reported on one
 stderr line), 141 stdout closed early (128 + SIGPIPE). Numbers print as
 canonical rational text, so identical calls give identical bytes. Every value
 is recomputed on every call; ``--cache PATH`` is accepted and ignored.
-``stirling2`` finishes its exact arithmetic before it writes one row at a
-time, and writes its JSON directly.
+``stirling2`` checks that no entry can round before its first byte, then
+computes and writes one row at a time, and writes its JSON directly.
 
 One table, ``_COMMANDS``, states the grammar. Plain calls are parsed straight
 from it: ``--opt value``, flags, one positional from its choices, and ints

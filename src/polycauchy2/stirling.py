@@ -17,7 +17,9 @@ to sign: [[n, m]] = (-1)^(n-m) t(2n, 2m).
 
 All entries are exact integers. ``stirling2`` runs the recurrence over trapped
 ``decimal.Decimal``, whose base-10^19 digits print in linear time (``str`` of a
-binary int is quadratic; Knuth, TAOCP Vol. 2, 4.4), then renders row by row.
+binary int is quadratic; Knuth, TAOCP Vol. 2, 4.4). It first checks that the
+sum of the last row fits the precision, which bounds every entry, then
+computes and renders one row at a time.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from __future__ import annotations
 import decimal
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import factorial, prod
 from typing import Callable, Iterator
 
@@ -116,48 +118,56 @@ class Level2Triangle(_Triangle):
     """The [[n, m]] triangle; rows 0..nmax, all entries nonnegative integers."""
 
 
-def _level2_rows(nmax: int, one, sign: int = 1) -> list[list]:
-    """Rows 0..nmax of sign^(n-m) [[n, m]], with entries of the type of ``one``.
-
-    The signed triangle obeys the same recurrence with the factor -(n-1)^2.
-    """
-    if nmax < 0:
-        raise ValueError(f"nmax must be >= 0, got {nmax}")
-    rows = [[one]]
-    for n in range(1, nmax + 1):
-        prev = rows[-1]
-        factor = sign * (n - 1) ** 2
-        row = [0] * (n + 1)
-        for m in range(1, n):
-            row[m] = prev[m - 1] + factor * prev[m]
-        row[n] = prev[n - 1]
-        rows.append(row)
-    return rows
+def _level2_row(prev: list, factor) -> list:
+    """Row n of the triangle from row n - 1 alone, with the factor (n-1)^2 (negated if signed)."""
+    return [0, *[a + factor * b for a, b in zip(prev, prev[1:])], prev[-1]]
 
 
 def level2_by_recurrence(nmax: int) -> Level2Triangle:
     """Build [[n, m]] rows via [[n, m]] = [[n-1, m-1]] + (n-1)^2 [[n-1, m]]."""
-    return Level2Triangle(_level2_rows(nmax, 1))
+    if nmax < 0:
+        raise ValueError(f"nmax must be >= 0, got {nmax}")
+    rows = [[1]]
+    for n in range(1, nmax + 1):
+        rows.append(_level2_row(rows[-1], (n - 1) ** 2))
+    return Level2Triangle(rows)
+
+
+def _row_sum(n: int) -> decimal.Decimal:
+    """x (x + 1^2) ... (x + (n-1)^2) at x = 1, the sum of row n, in the current context."""
+    return prod((1 + i * i for i in range(1, n)), start=decimal.Decimal(1))
+
+
+def _exactly(context: decimal.Context, step: Callable, *args):
+    """``step(*args)`` in a copy of ``context``; a trapped rounding becomes an ArithmeticError."""
+    try:
+        with decimal.localcontext(context):
+            return step(*args)
+    except decimal.DecimalException as exc:
+        raise ArithmeticError(f"[[n, m]] text: decimal arithmetic rounded ({exc})") from exc
 
 
 def level2_text_rows(nmax: int, signed: bool = False) -> Iterator[list[str]]:
     """Rows 0..nmax of [[n, m]], or of (-1)^(n-m) [[n, m]] if signed, as decimal text.
 
-    The whole recurrence runs first, over ``decimal.Decimal`` with Inexact and
-    Rounded trapped at any precision, so a rounding raises ``ArithmeticError``
-    from this call; the iterator returned then renders one row at a time.
+    The arithmetic is ``decimal.Decimal`` at precision ``decimal.MAX_PREC``
+    with Inexact and Rounded trapped. No entry of rows 0..nmax, nor either
+    term of the recurrence (the two have one sign), exceeds the sum of row
+    nmax, so this call raises ``ArithmeticError`` if that sum rounds, even
+    when every entry would fit. The iterator returned then computes each row
+    from the one before, traps still on, and holds one row and its text.
     """
-    with decimal.localcontext() as context:
-        # Set one by one: localcontext(**kwargs) needs Python 3.11.
-        context.prec = decimal.MAX_PREC
-        context.Emax = decimal.MAX_EMAX
-        context.Emin = decimal.MIN_EMIN
-        context.traps[decimal.Inexact] = True
-        context.traps[decimal.Rounded] = True
-        try:
-            rows = _level2_rows(nmax, decimal.Decimal(1), -1 if signed else 1)
-        except decimal.DecimalException as exc:
-            raise ArithmeticError(f"[[n, m]] text: decimal arithmetic rounded ({exc})") from exc
+    if nmax < 0:
+        raise ValueError(f"nmax must be >= 0, got {nmax}")
+    context = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+    context.traps[decimal.Inexact] = context.traps[decimal.Rounded] = True
+    _exactly(context, _row_sum, nmax)
+    sign = -1 if signed else 1
+    rows = accumulate(
+        range(1, nmax + 1),
+        lambda row, n: _exactly(context, _level2_row, row, decimal.Decimal(sign * (n - 1) ** 2)),
+        initial=[decimal.Decimal(1)],
+    )
     return (list(map(str, row)) for row in rows)
 
 

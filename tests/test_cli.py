@@ -196,6 +196,20 @@ class TestStirling2Command:
         assert sink.chars == 20_132_297
         assert peak < sink.chars, peak
 
+    @pytest.mark.parametrize("options", [[], ["--signed", "--format", "json"]], ids=["csv", "signed-json"])
+    def test_peak_memory_is_one_row(self, monkeypatch, options):
+        # One row of values and its text is held, not the triangle, whose
+        # values alone trace about 13 MB.
+        monkeypatch.setattr(sys, "stdout", CharCounter())
+        tracemalloc.start()
+        try:
+            code = main(["stirling2", "--nmax", "300"] + options)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 2_000_000, peak
+
 
 class TestSeriesCommand:
     def test_arcsinh_first_terms(self, capsys):

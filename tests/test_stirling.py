@@ -7,6 +7,7 @@ rising-factorial tables; frozen row fixtures below were produced by it.
 
 import decimal
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +24,7 @@ from polycauchy2 import (
     level2_text_rows,
     stirling1,
 )
+from polycauchy2 import stirling as stirling_module
 
 # Rows 0..5, frozen from the symmetric-sum definition.
 LEVEL2_ROWS = [
@@ -187,3 +189,53 @@ class TestLevel2TextRows:
             # The call itself raises, before any row is taken.
             with pytest.raises(ArithmeticError):
                 level2_text_rows(nmax, signed)
+
+    @pytest.mark.parametrize("signed", [False, True])
+    def test_bound_fits_exactly_at_its_own_digits(self, monkeypatch, signed):
+        # The sum of row 25, prod (1 + i^2) for i = 1..24, has 49 digits: at
+        # that precision rows 0..25 print, and the call for 26 refuses.
+        assert len(str(math.prod(1 + i * i for i in range(1, 25)))) == 49
+        monkeypatch.setattr(decimal, "MAX_PREC", 49)
+        assert list(level2_text_rows(25, signed)) == _int_text_rows(25, signed)
+        with pytest.raises(ArithmeticError):
+            level2_text_rows(26, signed)
+
+    def test_bound_refuses_a_triangle_whose_entries_fit(self, monkeypatch):
+        # The price of checking the bound alone: at 48 digits every entry of
+        # rows 0..25 fits, yet their last row's sum does not, so the call refuses.
+        assert max(len(text) for row in _int_text_rows(25, False) for text in row) == 48
+        monkeypatch.setattr(decimal, "MAX_PREC", 48)
+        with pytest.raises(ArithmeticError):
+            level2_text_rows(25)
+
+    @pytest.mark.parametrize("signed", [False, True])
+    def test_rows_stay_trapped_past_the_bound(self, monkeypatch, signed):
+        # Negative control of the second guard: with the bound made to fit
+        # always, the rows' own traps still stop row 26 at 50 digits.
+        monkeypatch.setattr(stirling_module, "_row_sum", lambda n: decimal.Decimal(1))
+        monkeypatch.setattr(decimal, "MAX_PREC", 50)
+        rows = []
+        with pytest.raises(ArithmeticError):
+            for row in level2_text_rows(60, signed):
+                rows.append(row)
+        assert rows == _int_text_rows(25, signed)
+        assert not any("E" in text or "." in text for row in rows for text in row)
+
+    def test_caller_context_is_untouched(self):
+        context = decimal.getcontext()
+        prec, traps = context.prec, dict(context.traps)
+        rows = level2_text_rows(5)
+        for _ in range(3):
+            next(rows)
+            assert decimal.getcontext() is context
+            assert (context.prec, dict(context.traps)) == (prec, traps)
+
+    def test_first_rows_hold_no_triangle(self):
+        tracemalloc.start()
+        try:
+            rows = level2_text_rows(300)
+            assert [next(rows), next(rows)] == [["1"], ["0", "1"]]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000, peak
