@@ -6,7 +6,8 @@ stderr line), 141 stdout closed early (128 + SIGPIPE). Numbers print as
 canonical rational text, so identical calls give identical bytes. Every value
 is recomputed on every call; ``--cache PATH`` is accepted and ignored.
 ``stirling2`` checks that no entry can round before its first byte, then
-computes and writes one row at a time, and writes its JSON directly.
+computes and writes one row at a time, and writes its JSON directly. The
+other commands import ``json`` only when they print JSON.
 
 One table, ``_COMMANDS``, states the grammar. Plain calls are parsed straight
 from it: ``--opt value``, flags, one positional from its choices, and ints
@@ -18,7 +19,6 @@ reference grammar, and it is imported only on those calls.
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 from types import SimpleNamespace
@@ -38,6 +38,8 @@ _DEFAULT_SERIES_ORDER = 40
 
 def _emit_table(fmt: str, header: list[str], rows: list[list[str]], json_payload: dict) -> None:
     if fmt == "json":
+        import json
+
         print(json.dumps(json_payload))
         return
     sep = _FIELD_SEPARATORS[fmt]
@@ -106,6 +108,8 @@ def cmd_verify(args) -> int:
         raise ValueError(f"{args.identity} takes no --nmax: its sample points are fixed")
     report = verify_identity(args.identity, nmax)
     if args.format == "json":
+        import json
+
         print(json.dumps(report.to_json_dict()))
     else:
         print(report.to_text())

@@ -64,12 +64,11 @@ probe, so a wrong ansatz cannot slip through.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from math import factorial, gcd, lcm
 from operator import mul
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .exact import _even_binomials, binomial
 from .polynomials import poly_degree, poly_eval, poly_text, poly_trim
@@ -317,8 +316,7 @@ def rhs_7fold(nmax: int, table: PolyCauchyTable) -> list[Fraction]:
 # -- reports ------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CheckRow:
+class CheckRow(NamedTuple):
     """One compared pair; ``equal`` is stored so compound checks can override it."""
 
     n: int
@@ -331,13 +329,36 @@ class CheckRow:
         return cls(n, lhs, rhs, lhs == rhs)
 
 
-@dataclass
 class IdentityReport:
-    identity_name: str
-    nmax: int
-    parameter_range: str
-    per_n_results: list[CheckRow]
-    notes: list[str] = field(default_factory=list)
+    """One identity's rows, the notes printed after them, and the verdict they give."""
+
+    __slots__ = ("identity_name", "nmax", "parameter_range", "per_n_results", "notes")
+
+    def __init__(
+        self,
+        identity_name: str,
+        nmax: int,
+        parameter_range: str,
+        per_n_results: list[CheckRow],
+        notes: list[str] | None = None,
+    ) -> None:
+        self.identity_name = identity_name
+        self.nmax = nmax
+        self.parameter_range = parameter_range
+        self.per_n_results = per_n_results
+        self.notes = [] if notes is None else notes
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._values()))
+        return f"IdentityReport({fields})"
 
     @property
     def status(self) -> str:
@@ -377,21 +398,26 @@ class IdentityReport:
 # -- identity registry ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _ConvolutionIdentity:
+class _ConvolutionIdentity(NamedTuple):
     offsets: tuple[int, ...]
-    rhs: Callable[[int, PolyCauchyTable], list[Fraction]]
+    rhs_name: str
     nmin: int
 
+    @property
+    def rhs(self) -> Callable[[int, PolyCauchyTable], list[Fraction]]:
+        return globals()[self.rhs_name]
 
+
+# Each entry names its right-hand side, and ``rhs`` looks the name up in this
+# module when it is read, so a wrapped or patched ``rhs_*`` is the one that runs.
 CONVOLUTION_IDENTITIES: dict[str, _ConvolutionIdentity] = {
-    "thm2": _ConvolutionIdentity((0, 0), rhs_2fold_00, 0),
-    "thm3": _ConvolutionIdentity((0, 1), rhs_2fold_01, 0),
-    "thm4": _ConvolutionIdentity((1, 1), rhs_2fold_11, 0),
-    "thm5": _ConvolutionIdentity((0, 0, 0), rhs_3fold, 1),
-    "thm6": _ConvolutionIdentity((0, 0, 0, 0), rhs_4fold, 1),
-    "fold5": _ConvolutionIdentity((0,) * 5, rhs_5fold, 2),
-    "fold7": _ConvolutionIdentity((0,) * 7, rhs_7fold, 3),
+    "thm2": _ConvolutionIdentity((0, 0), "rhs_2fold_00", 0),
+    "thm3": _ConvolutionIdentity((0, 1), "rhs_2fold_01", 0),
+    "thm4": _ConvolutionIdentity((1, 1), "rhs_2fold_11", 0),
+    "thm5": _ConvolutionIdentity((0, 0, 0), "rhs_3fold", 1),
+    "thm6": _ConvolutionIdentity((0, 0, 0, 0), "rhs_4fold", 1),
+    "fold5": _ConvolutionIdentity((0,) * 5, "rhs_5fold", 2),
+    "fold7": _ConvolutionIdentity((0,) * 7, "rhs_7fold", 3),
 }
 
 # The sweep bound when none is given. The conjecture identities sample fixed
@@ -527,8 +553,7 @@ def conjecture_prefactor(r: int, k: int, n: int) -> int:
     return binomial(2 * n, 2 * k) * binomial(2 * n - 2 * k - 1, 2 * r - 2 * k)
 
 
-@dataclass
-class ConjecturePolynomial:
+class ConjecturePolynomial(NamedTuple):
     """One recovered P_{r,2k}: pointwise values and the solved coefficients."""
 
     r: int

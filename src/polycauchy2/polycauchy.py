@@ -37,11 +37,10 @@ holds per k: values stay integer numerators over D until one is read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .exact import _even_binomials, rational_to_text
 from .polynomials import poly_mul
@@ -235,8 +234,7 @@ class PolyCauchyTable:
         return [x // common for x in head], denominator // common
 
 
-@dataclass(frozen=True)
-class IntegralCheck:
+class IntegralCheck(NamedTuple):
     """Two-stage exact reduction of the k-fold integral representation.
 
     Stage 1 establishes the polynomial identity behind the representation:

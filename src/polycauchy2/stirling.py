@@ -25,11 +25,10 @@ computes and renders one row at a time.
 from __future__ import annotations
 
 import decimal
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, combinations
 from math import factorial, prod
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from .exact import binomial, harmonic
 
@@ -243,8 +242,7 @@ def central_factorial_even(n: int, m: int) -> int:
 # -- closed-form fixtures ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FormulaCheck:
+class FormulaCheck(NamedTuple):
     """Outcome of sweeping one closed form over 1 <= n <= nmax."""
 
     name: str

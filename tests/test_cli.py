@@ -11,7 +11,6 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -271,12 +270,12 @@ class TestVerifyCommand:
         assert "P[2] = 9 - 12*n + 4*n^2" in out
 
     def test_failure_exit_code(self, capsys, monkeypatch):
-        original = CONVOLUTION_IDENTITIES["thm2"].rhs
-        broken = replace(
-            CONVOLUTION_IDENTITIES["thm2"],
-            rhs=lambda nmax, table: [v + (n == 4) for n, v in enumerate(original(nmax, table))],
+        original = convolution_module.rhs_2fold_00
+        monkeypatch.setattr(
+            convolution_module,
+            "rhs_2fold_00",
+            lambda nmax, table: [v + (n == 4) for n, v in enumerate(original(nmax, table))],
         )
-        monkeypatch.setitem(CONVOLUTION_IDENTITIES, "thm2", broken)
         code, out, _ = run(capsys, ["verify", "thm2", "--nmax", "6", "--format", "json"])
         assert code == 1
         assert json.loads(out)["first_failure"]["n"] == 4
@@ -380,18 +379,46 @@ class TestBenchmarkReferences:
         self.check(capsys, invocation, ["--cache", str(cache_path)])
         assert not cache_path.exists()
 
-    def test_tracer_targets_exist(self):
-        # The tracer wraps these methods when a class defines them, and rebuilds
-        # each registry entry with dataclasses.replace to time its right-hand
-        # side. A missing target is skipped there, so its metric would read 0.
+    def test_tracer_targets_exist(self, monkeypatch):
+        # The tracer wraps these methods when a class defines them, and wraps
+        # every public rhs_* function of the convolution module, which the
+        # registry reads when it runs a right-hand side. A missing target is
+        # skipped there, so its metric would read 0.
         methods = _bench_literal("METHODS", "tracer.py")
         for layer, cls in (("polycauchy", PolyCauchyTable), ("convolution", IdentityReport)):
             for method in methods[layer][cls.__name__]:
                 raw = cls.__dict__.get(method)
                 fn = raw.__func__ if isinstance(raw, classmethod) else raw
                 assert inspect.isfunction(fn), (cls.__name__, method)
+
+        def wrapped(nmax, table):
+            return []
+
         for name, entry in CONVOLUTION_IDENTITIES.items():
-            assert replace(entry, rhs=entry.rhs) == entry, name
+            assert entry.rhs is getattr(convolution_module, entry.rhs_name), name
+            assert entry.rhs_name in convolution_module.__all__, name
+            monkeypatch.setattr(convolution_module, entry.rhs_name, wrapped)
+            assert entry.rhs is wrapped, name
+
+    @pytest.mark.parametrize("identity", sorted(CONVOLUTION_IDENTITIES))
+    def test_traced_child_times_the_right_hand_side(self, identity):
+        # The benchmark's traced child: its spans must include the right-hand
+        # side the registry names. A registry holding the functions themselves
+        # would reach the tracer's dataclasses.replace, which raises TypeError
+        # on anything but a dataclass.
+        rhs_name = CONVOLUTION_IDENTITIES[identity].rhs_name
+        result = subprocess.run(
+            [sys.executable, str(BENCH / "child.py"), str(Path(polycauchy2.__file__).parents[1]),
+             "1", "-", "verify", identity, "--nmax", "6"],
+            capture_output=True,
+            text=True,
+            env=TestEntryPoint.child_env(),
+        )
+        assert result.returncode == 0, result.stderr
+        report = json.loads(result.stdout.splitlines()[-1])
+        assert report["exit"] == 0, result.stderr
+        calls, self_ns = report["trace"]["spans"][f"convolution.{rhs_name}"]
+        assert calls == 1 and self_ns > 0
 
 
 class TestUsageErrors:
@@ -572,30 +599,50 @@ class TestDirectParse:
         with pytest.raises(AssertionError):
             plain_calls_agree()
 
-    def test_plain_call_leaves_argparse_unimported(self):
-        # Only what the package adds counts: a .pth file may load modules into
-        # the bare interpreter before the script runs.
+    @staticmethod
+    def added_modules(*calls):
+        """The modules a bare interpreter gains from importing polycauchy2.cli, then after each call.
+
+        Only what the package adds counts: a .pth file may load modules into
+        the bare interpreter before the script runs. Returns the import's set
+        and one (exit code, set) pair per call; each set holds everything
+        added so far.
+        """
         script = (
             "import io, sys\n"
             "bare = set(sys.modules)\n"
             "import polycauchy2.cli as cli\n"
-            "imported = set(sys.modules) - bare\n"
-            "sys.stdout = io.StringIO()\n"
-            "code = cli.main(['verify', 'thm6', '--nmax', '1'])\n"
-            "ran = set(sys.modules) - bare\n"
-            "sys.stdout = sys.__stdout__\n"
-            "print(code, ' '.join(sorted(imported)), '|', ' '.join(sorted(ran)))\n"
+            "print(' '.join(sorted(set(sys.modules) - bare)))\n"
+            f"for argv in {list(calls)!r}:\n"
+            "    sys.stdout = io.StringIO()\n"
+            "    code = cli.main(argv)\n"
+            "    sys.stdout = sys.__stdout__\n"
+            "    print(code, ' '.join(sorted(set(sys.modules) - bare)))\n"
         )
         result = subprocess.run(
             [sys.executable, "-c", script], capture_output=True, text=True, env=TestEntryPoint.child_env()
         )
         assert result.returncode == 0, result.stderr
-        code, modules = result.stdout.split(" ", 1)
-        imported, ran = (set(part.split()) for part in modules.split("|"))
-        assert code == "0"
+        first, *after = result.stdout.splitlines()
+        return set(first.split()), [(int(code), set(modules)) for code, *modules in map(str.split, after)]
+
+    def test_plain_call_leaves_argparse_unimported(self):
+        # Text and csv calls also leave json unimported, and the import itself
+        # loads neither json nor dataclasses and the modules dataclasses brings.
+        imported, calls = self.added_modules(["verify", "thm6", "--nmax", "1"], ["polycauchy", "--nmax", "1"])
         assert "polycauchy2.cli" in imported
         assert not {"argparse", "gettext"} & imported
-        assert not {"argparse", "locale"} & ran
+        assert not {"dataclasses", "inspect", "ast", "dis", "tokenize", "json"} & imported
+        for code, ran in calls:
+            assert code == 0
+            assert not {"argparse", "locale", "json"} & ran
+
+    def test_json_output_imports_json(self):
+        # The control for the test above: the same probe sees json once a call prints JSON.
+        imported, [(code, ran)] = self.added_modules(["polycauchy", "--nmax", "1", "--format", "json"])
+        assert code == 0
+        assert "json" not in imported
+        assert "json" in ran
 
     def test_other_spelling_imports_argparse(self):
         # The control for the test above: the same probe sees argparse once a call needs it.
