@@ -23,16 +23,16 @@ n of a range in one call. Both sides run on integers (Knuth, TAOCP Vol. 2,
 4.7). A sweep reads the C_{2m} it needs from the table once, as integer
 numerators over D, the lcm of their denominators
 (``PolyCauchyTable.numerators``). The left sweep multiplies those integers
-and divides by D^k once per n. The closed forms of Theorems 2-4 and 6
-weight C_{2l} by (2n)! / ((2l)! 2^(n-l) (n-l)!) = binom(2n, 2l)
-(2n-2l-1)!! (Concrete Mathematics, 7.6) times a sign and a second odd
-double factorial, so at each n each is one integer sum over D times a small
-constant. The sweep builds the weights once for all n. The other closed
-forms are a few terms per n over D times a small constant.
-Every binomial-weighted sum, on either side, is one ``_binomial_dot``:
-products and sum run inside ``map`` and ``sum``, over row n of the rows of
-binom(2n, 2i) that ``exact`` builds once per process and the series route
-reads too. Only the final division builds a Fraction.
+and divides by D^k once per n; each of its binomial-weighted sums is one
+``_binomial_dot``, whose products and sum run inside ``map`` and ``sum``
+over row n of the rows of binom(2n, 2i) that ``exact`` builds once per
+process for it and the series route. The closed forms of Theorems 2-4 and 6
+weight C_{2l}, up to a small factor, by (2n)! (-1)^j (2j-3)!! / ((2l)! 2^j
+j!) = (2n)! v_j / ((2l)! 4^j) for j = n - l, where -sqrt(1+4u) = sum of v_j
+u^j has the small coefficients -1, -2, 2, -4, 10, -28, ... (Concrete
+Mathematics, 5.4 and 7.5). ``_root_sums`` makes each an ordinary product,
+one big integer times a small one per term, that reads no binomial row. The
+other closed forms are a few terms per n. Only the last division builds a Fraction.
 
 The test suite holds the oracles: ``brute_force_convolution`` enumerates the
 defining sum term by term, and the ``paper_rhs_*`` functions evaluate the
@@ -66,6 +66,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
+from itertools import accumulate
 from math import factorial, gcd, lcm
 from operator import mul
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -104,27 +105,12 @@ __all__ = [
 # -- the integer view ------------------------------------------------------------
 
 
-def _weights(count: int) -> list[int]:
-    """w_j = (-1)^j (2j-1)!! (2j-3)!! for j = 0..count, with (-1)!! = 1 and (-3)!! = -1.
-
-    For j = n - l, binom(2n, 2l) w_j is the paper's (2n)! (-1)^j (2j-3)!! /
-    ((2l)! 2^j j!), and binom(2n, 2l) w_{j+1} is minus its (2n)! (-1)^j
-    (2j+1)!! / ((2l)! 2^j j!). Built by w_0 = -1 and w_j = -(2j-1)(2j-3)
-    w_{j-1}, which the extension a (a-2)!! = a!! makes hold from j = 1 on.
-    """
-    weights = [-1]
-    for j in range(1, count + 1):
-        weights.append(-(2 * j - 1) * (2 * j - 3) * weights[-1])
-    return weights
-
-
 def _binomial_dot(n: int, xs: Iterable[int], ys: Iterable[int]) -> int:
     """The sum over i of binom(2n, 2i) x_i y_i, up to the shortest of the three rows.
 
-    The binomials are row n of the shared rows of ``exact``. Every product and
-    the sum run inside ``map`` and ``sum``, with no Python frame per term.
-    Callers pass ys reversed, so that this is the binomial EGF product sum
-    over i of binom(2n, 2i) a_i b_(n-i).
+    The binomials are row n of the shared rows of ``exact``, and every product
+    and the sum run inside ``map`` and ``sum``. Callers pass ys reversed, for
+    the binomial EGF product sum over i of binom(2n, 2i) a_i b_(n-i).
     """
     return sum(map(mul, map(mul, _even_binomials(n)[n], xs), ys))
 
@@ -203,6 +189,30 @@ def _check_first_index(nmax: int, nmin: int) -> None:
         raise ValueError(f"defined for n >= {nmin}, got nmax = {nmax}")
 
 
+def _root_weights(count: int) -> list[int]:
+    """v_j = -4^j binom(1/2, j) for j = 0..count: v_0 = -1, v_j = -2 (2j-3) v_{j-1} / j, exactly."""
+    return [*accumulate(range(1, count + 1), lambda v, j: -2 * (2 * j - 3) * v // j, initial=-1)]
+
+
+def _factorial_ratios(nmax: int) -> list[int]:
+    """(2 nmax)! / (2l)! for l = 0..nmax."""
+    return [*accumulate(range(nmax, 0, -1), lambda r, l: 2 * l * (2 * l - 1) * r, initial=1)][::-1]
+
+
+def _root_sums(nmax: int, *terms: tuple[Sequence[int], Callable[[int], list[int]]]) -> list[int]:
+    """For n = 0..nmax, the sum over terms (y, u) and l <= n of (2n)! y_l u(n)[l] / ((2l)! 4^(n-l)).
+
+    Each y is scaled once to X_l = 4^l (2N)! / (2l)! y_l, N = nmax, so row n is the sum of
+    X_l u(n)[l], a big times a small integer each, checked exactly divisible by 4^n (2N)! / (2n)!.
+    """
+    ratios = _factorial_ratios(nmax)
+    scaled = [([r * y << 2 * l for l, (r, y) in enumerate(zip(ratios, ys))], u) for ys, u in terms]
+    return [
+        _exact_div(sum(sum(map(mul, xs, u(n))) for xs, u in scaled), ratios[n] << 2 * n, "right-hand side")
+        for n in range(nmax + 1)
+    ]
+
+
 def _odd_scaled(c: list[int]) -> list[int]:
     """(2l - 1) c_l for every l: the factor of C_{2l} that Theorems 2 and 3 share."""
     return [(2 * l - 1) * value for l, value in enumerate(c)]
@@ -211,50 +221,40 @@ def _odd_scaled(c: list[int]) -> list[int]:
 def rhs_2fold_00(nmax: int, table: PolyCauchyTable) -> list[Fraction]:
     _check_first_index(nmax, 0)
     c, denominator = table.numerators(nmax)
-    w = _weights(nmax)
-    x = _odd_scaled(c)
-    return [Fraction(_binomial_dot(n, x, w[n::-1]), denominator) for n in range(nmax + 1)]
+    v = _root_weights(nmax)
+    return [Fraction(total, denominator) for total in _root_sums(nmax, (_odd_scaled(c), lambda n: v[n::-1]))]
 
 
 def rhs_2fold_01(nmax: int, table: PolyCauchyTable) -> list[Fraction]:
     """Closed form for offsets (0, 1); at index n the sum runs to l = n + 1.
 
-    The paper's term carries 1 / (3 (j+1)) for j = n - l. Since
-    binom(2n, 2l) (2j-1)!! / (j+1) = binom(2n+2, 2l) (2j+1)!! / ((2n+1)(n+1)),
-    every term, the l = n + 1 one (j = -1) included, lies over 3 (2n+1)(n+1).
+    With m = n + 1 and j = m - l, the paper's term is (2m)! v_j (2l-1) q C_{2l} / ((2l)! 4^j)
+    over 3 (2n+1)(n+1), and its factor 3n^2 - 3nl + 2l^2 + 4n - 3l + 1 is q = j(2j-m) + 2m(m-1).
     """
     _check_first_index(nmax, 0)
     c, denominator = table.numerators(nmax + 1)
-    w = _weights(nmax + 1)
-    x = _odd_scaled(c)
-    values = []
-    for n in range(nmax + 1):
-        q = [3 * n * n - 3 * n * l + 2 * l * l + 4 * n - 3 * l + 1 for l in range(n + 2)]
-        total = _binomial_dot(n + 1, map(mul, q, x), w[n + 1 :: -1])
-        values.append(Fraction(total, 3 * (2 * n + 1) * (n + 1) * denominator))
-    return values
+    v = _root_weights(nmax + 1)
+    sums = _root_sums(
+        nmax + 1, (_odd_scaled(c), lambda m: [(j * (2 * j - m) + 2 * m * (m - 1)) * v[j] for j in range(m, -1, -1)])
+    )
+    return [Fraction(sums[n + 1], 3 * (2 * n + 1) * (n + 1) * denominator) for n in range(nmax + 1)]
 
 
 def rhs_2fold_11(nmax: int, table: PolyCauchyTable) -> list[Fraction]:
-    """Closed form for offsets (1, 1); its C_{2l+2} and C_{2l} terms carry w_{n-l+1}.
+    """Closed form for offsets (1, 1); its C_{2l+2} and C_{2l} terms carry (2j+1)!!, j = n - l.
 
-    The C_{2l+4} term's factor 10n - 8l + 5 runs down from 10n + 5 in steps of 8.
+    There the paper's weight is (2n)! / ((2l)! 4^j) times -(1 - 4j^2) v_j, and
+    the C_{2l+4} term's factor 10n - 8l + 5 is 2n + 5 + 8j.
     """
     _check_first_index(nmax, 0)
     c, denominator = table.numerators(nmax + 2)
-    w = _weights(nmax + 1)
-    shifted = c[2:]
-    y = [
-        10 * (6 * l + 1) * c[l + 1] + (160 * l**3 - 220 * l**2 + 72 * l - 1) * c[l]
-        for l in range(nmax + 1)
-    ]
-    values = []
-    for n in range(nmax + 1):
-        total = _binomial_dot(
-            n, map(mul, range(10 * n + 5, 2 * n + 4, -8), shifted), w[n::-1]
-        ) + _binomial_dot(n, y, w[n + 1 : 0 : -1])
-        values.append(Fraction(total, 30 * denominator))
-    return values
+    v = _root_weights(nmax)
+    odd = [(1 - 4 * j * j) * value for j, value in enumerate(v)]
+    y = [10 * (6 * l + 1) * c[l + 1] + (160 * l**3 - 220 * l**2 + 72 * l - 1) * c[l] for l in range(nmax + 1)]
+    sums = _root_sums(
+        nmax, (c[2:], lambda n: [(2 * n + 5 + 8 * j) * v[j] for j in range(n, -1, -1)]), (y, lambda n: odd[n::-1])
+    )
+    return [Fraction(total, 30 * denominator) for total in sums]
 
 
 def rhs_3fold(nmax: int, table: PolyCauchyTable) -> list[Fraction]:
@@ -269,13 +269,13 @@ def rhs_3fold(nmax: int, table: PolyCauchyTable) -> list[Fraction]:
 def rhs_4fold(nmax: int, table: PolyCauchyTable) -> list[Fraction]:
     _check_first_index(nmax, 1)
     c, denominator = table.numerators(nmax)
-    w = _weights(nmax)
     x = [
         (2 * l - 1) * (2 * l - 2) * (2 * l - 3) * c[l]
         + (2 * l * (2 * l - 1) * (2 * l - 3) ** 3 * c[l - 1] if l else 0)
         for l in range(nmax + 1)
     ]
-    return [Fraction(_binomial_dot(n, x, w[n::-1]), 6 * denominator) for n in range(1, nmax + 1)]
+    v = _root_weights(nmax)
+    return [Fraction(total, 6 * denominator) for total in _root_sums(nmax, (x, lambda n: v[n::-1]))[1:]]
 
 
 def rhs_5fold(nmax: int, table: PolyCauchyTable) -> list[Fraction]:
@@ -503,11 +503,12 @@ def _verify_l_equation(name: str, identity: str, nmax: int) -> IdentityReport:
     (2n)! [t^(2n)] L L'' the (0, 1) convolution. Both sides of each equation
     are even, so every odd coefficient reads 0 = 0.
 
-    The right sides multiply out to the closed forms. eqll is
-    L^2 = sqrt(1+t^2) (L - t L'): sqrt(1+t^2) has EGF coefficient -w_j at
-    t^(2j) (see ``_weights``) and L - t L' has (1 - 2l) C_{2l} at t^(2l), so
-    the product is the sum over l of binom(2n, 2l) w_{n-l} (2l-1) C_{2l},
-    which is ``rhs_2fold_00``. eqconvo02 is, with s = 1 + t^2,
+    The right sides multiply out to the closed forms. eqll is L^2 =
+    sqrt(1+t^2) (L - t L'): sqrt(1+t^2) has -v_j / 4^j at t^(2j) (see
+    ``_root_weights``) and L - t L' has (1 - 2l) C_{2l} / (2l)! at t^(2l), so
+    (2n)! [t^(2n)] of the product is the sum over l of (2n)! v_{n-l} (2l-1)
+    C_{2l} / ((2l)! 4^(n-l)), which is ``rhs_2fold_00``. eqconvo02 is, with
+    s = 1 + t^2,
 
         L L'' = (s^(-3/2) / 2 - s^(-1/2) / 6) L
               + (s^(1/2) / 6 + s^(-3/2) / 2 - 2 s^(-1/2) / 3) L' / t
@@ -755,11 +756,10 @@ def verify_identity(
 
     Failures are recorded in the report, never raised; an nmax below the
     identity's first index is a ValueError, since it would compare nothing.
-    ``rhs_override``
-    replaces the registered right-hand side of a convolution identity and
-    exists for negative-control tests; ``table`` supplies the C values a
-    convolution identity reads. Every other identity computes its own values
-    and rejects both.
+    ``rhs_override`` replaces the registered right-hand side of a convolution
+    identity and exists for negative-control tests; ``table`` supplies the C
+    values a convolution identity reads. Every other identity computes its
+    own values and rejects both.
     """
     if nmax < 0:
         raise ValueError(f"nmax must be >= 0, got {nmax}")

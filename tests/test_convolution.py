@@ -5,7 +5,9 @@ enumeration over index tuples written here with itertools only; the closed
 forms are then swept against the engine, and the series side of each
 identity is checked against the convolution side through the EGF product
 rule. The oracles for the integer right-hand sides are the paper's
-formulas as written, one Fraction per term (``paper_rhs_*``). The oracles
+formulas as written, one Fraction per term (``paper_rhs_*``). The oracle
+for their small weights is the double-factorial weights of the paper's
+sums (``weights``), from which ``TestRootWeights`` derives them. The oracles
 for the two differential equations for L are their power-series checks on
 ``series_oracle.Series`` (``paper_l_squared``, ``paper_l_second_derivative``).
 The oracle for the fraction-free conjecture solve is Gauss-Jordan elimination
@@ -66,6 +68,20 @@ def brute_force_convolution(offsets, n, table):
 
 def _sign(e):
     return -1 if e % 2 else 1
+
+
+def weights(count):
+    """w_j = (-1)^j (2j-1)!! (2j-3)!! for j = 0..count, with (-1)!! = 1 and (-3)!! = -1.
+
+    For j = n - l, binom(2n, 2l) w_j is the paper's (2n)! (-1)^j (2j-3)!! /
+    ((2l)! 2^j j!), and binom(2n, 2l) w_{j+1} is minus its (2n)! (-1)^j
+    (2j+1)!! / ((2l)! 2^j j!). Built by w_0 = -1 and w_j = -(2j-1)(2j-3)
+    w_{j-1}, which the extension a (a-2)!! = a!! makes hold from j = 1 on.
+    """
+    row = [-1]
+    for j in range(1, count + 1):
+        row.append(-(2 * j - 1) * (2 * j - 3) * row[-1])
+    return row
 
 
 def paper_rhs_2fold_00(n, table):
@@ -410,7 +426,7 @@ class TestClosedFormSweeps:
     def test_one_table_read_and_one_weight_row_per_side(self, name, monkeypatch):
         # The left sweep reads the table once and the right sweep once more;
         # only the right side builds weights. Neither count grows with nmax.
-        calls = {"numerators": 0, "_weights": 0}
+        calls = {"numerators": 0, "_root_weights": 0}
 
         def counting(owner, attr):
             real = getattr(owner, attr)
@@ -421,12 +437,12 @@ class TestClosedFormSweeps:
 
             return counted
 
-        for owner, attr in ((PolyCauchyTable, "numerators"), (convolution_module, "_weights")):
+        for owner, attr in ((PolyCauchyTable, "numerators"), (convolution_module, "_root_weights")):
             monkeypatch.setattr(owner, attr, counting(owner, attr))
         for nmax in (6, 30):
             calls.update(dict.fromkeys(calls, 0))
             assert verify_identity(name, nmax).status == "pass"
-            assert calls == {"numerators": 2, "_weights": 1}, (name, nmax)
+            assert calls == {"numerators": 2, "_root_weights": 1}, (name, nmax)
 
     def test_one_sweep_per_conjecture_invocation(self, monkeypatch):
         calls = []
@@ -469,21 +485,61 @@ class TestPaperFormOracles:
 
     @pytest.mark.parametrize("rhs,oracle,nmin,name", PAPER_FORMS, ids=PAPER_FORM_IDS)
     def test_perturbed_weight_is_visible(self, rhs, oracle, nmin, name, table32, monkeypatch):
-        # C9 style: one integer weight off by 1 must move the closed form off
-        # the paper's value and fail the identity's sweep.
-        real = convolution_module._weights
+        # C9 style: one integer weight off by 2 must move the closed form off
+        # the paper's value and fail the identity's sweep. An even bump keeps
+        # every scaled row a multiple of its divisor, so the sweep returns
+        # wrong values; an odd one can trip the checked division instead.
+        real = convolution_module._root_weights
 
         def perturbed(count):
-            weights = real(count)
+            row = real(count)
             if count >= 2:
-                weights[2] += 1
-            return weights
+                row[2] += 2
+            return row
 
-        monkeypatch.setattr(convolution_module, "_weights", perturbed)
+        monkeypatch.setattr(convolution_module, "_root_weights", perturbed)
         assert rhs(8, table32) != [oracle(n, table32) for n in range(nmin, 9)]
         report = verify_identity(name, 8)
         assert report.status == "fail"
         assert report.first_failure is not None
+
+    @pytest.mark.parametrize("rhs,oracle,nmin,name", PAPER_FORMS, ids=PAPER_FORM_IDS)
+    def test_sum_forms_read_no_binomial_row(self, rhs, oracle, nmin, name, table32, monkeypatch):
+        # The shared rows serve the left sweeps and the series route only, so
+        # one wrong row can never move both sides of an identity.
+        def refuse(n):
+            raise AssertionError(f"binomial row {n} read")
+
+        monkeypatch.setattr(convolution_module, "_even_binomials", refuse)
+        assert rhs(30, table32) == [oracle(n, table32) for n in range(nmin, 31)], name
+
+
+class TestRootWeights:
+    """The small weights of the sum forms, derived from the double-factorial ones."""
+
+    def test_first_values(self):
+        assert convolution_module._root_weights(6) == [-1, -2, 2, -4, 10, -28, 84]
+
+    def test_binomial_weights_rescale_to_root_weights(self):
+        w, v = weights(60), convolution_module._root_weights(60)
+        for n in range(61):
+            for l in range(n + 1):
+                j = n - l
+                assert comb(2 * n, 2 * l) * w[j] * 4**j == factorial(2 * n) // factorial(2 * l) * v[j], (n, l)
+
+    def test_root_weights_are_the_coefficients_of_minus_sqrt_1_plus_4u(self):
+        binomial_half = Fraction(1)
+        for j, value in enumerate(convolution_module._root_weights(60)):
+            assert value == -(4**j) * binomial_half, j
+            binomial_half *= (Fraction(1, 2) - j) / (j + 1)
+
+    def test_shifted_weights(self):
+        # Theorem 4's C_{2l+2} and C_{2l} terms carry w_{j+1}; rescaled, that
+        # is (1 - 4j^2) v_j = (j+1)(2j+1) v_{j+1} / 2.
+        w, v = weights(61), convolution_module._root_weights(61)
+        for j in range(61):
+            shifted = Fraction(4**j * w[j + 1], factorial(2 * j))
+            assert shifted == (1 - 4 * j * j) * v[j] == Fraction((j + 1) * (2 * j + 1) * v[j + 1], 2), j
 
 
 class TestNegativeControls:
@@ -517,14 +573,15 @@ class TestNegativeControls:
         assert report.per_n_results[0].equal
 
     def test_one_wrong_binomial_fails_at_the_first_row_reading_it(self, monkeypatch):
-        # binom(12, 4) one too big, in the shared rows both sides read. The
-        # rows are a patched copy, so no wrong row outlives the test. Theorem
-        # 2 reads binom(2n, 2l) at row n, so it first fails at n = 6; Theorem
-        # 3's sum reads binom(2n + 2, 2l), so it first fails at n = 5.
+        # binom(12, 4) one too big, in the shared rows the left sweeps read.
+        # The rows are a patched copy, so no wrong row outlives the test. The
+        # (0, 0) square and the (0, 1) product read binom(2n, 2i) at row n,
+        # so both Theorems 2 and 3 first fail at n = 6. The right sides read
+        # no binomial row (see test_sum_forms_read_no_binomial_row).
         rows = [list(row) for row in exact_module._even_binomials(12)]
         rows[6][2] += 1
         monkeypatch.setattr(exact_module, "_EVEN_BINOMIALS", rows)
-        for name, first in (("thm2", 6), ("thm3", 5)):
+        for name, first in (("thm2", 6), ("thm3", 6)):
             report = verify_identity(name, 9)
             assert report.status == "fail", name
             assert report.first_failure.n == first, name
@@ -535,6 +592,32 @@ class TestNegativeControls:
         with pytest.raises(ArithmeticError, match="not exact"):
             verify_identity("thm1", 9)
         assert verify_identity("thm1", 5).status == "pass"
+
+    @pytest.mark.parametrize("name", PAPER_FORM_IDS)
+    def test_wrong_scale_factor_raises_at_the_first_row_reading_it(self, name, monkeypatch):
+        # (2N)! / (2l)! one too big at l = 4 scales X_4 and the row-4 divisor
+        # alike, but not the rows below it, so row 4 of the sum, the first to
+        # read it, is no longer a multiple of its divisor: the checked
+        # division raises there, after rows 0..3 divided exactly. For thm3
+        # that row is n = 3, since its sum runs at index n + 1.
+        real_ratios, real_div, exact = convolution_module._factorial_ratios, convolution_module._exact_div, []
+
+        def bumped(nmax):
+            ratios = real_ratios(nmax)
+            if nmax >= 4:
+                ratios[4] += 1
+            return ratios
+
+        def counted(numerator, divisor, where):
+            quotient = real_div(numerator, divisor, where)
+            exact.append(where)
+            return quotient
+
+        monkeypatch.setattr(convolution_module, "_factorial_ratios", bumped)
+        monkeypatch.setattr(convolution_module, "_exact_div", counted)
+        with pytest.raises(ArithmeticError, match="right-hand side: division by .* is not exact"):
+            verify_identity(name, 9)
+        assert exact == ["right-hand side"] * 4
 
     def test_square_without_its_middle_term_fails_at_n_0(self, monkeypatch):
         # At n = 0 the middle term is the whole square.
