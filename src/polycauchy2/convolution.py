@@ -234,9 +234,12 @@ def rhs_2fold_01(nmax: int, table: PolyCauchyTable) -> list[Fraction]:
     _check_first_index(nmax, 0)
     c, denominator = table.numerators(nmax + 1)
     v = _root_weights(nmax + 1)
-    sums = _root_sums(
-        nmax + 1, (_odd_scaled(c), lambda m: [(j * (2 * j - m) + 2 * m * (m - 1)) * v[j] for j in range(m, -1, -1)])
-    )
+
+    def row(m: int) -> list[int]:
+        base = 2 * m * (m - 1)
+        return [(j * (2 * j - m) + base) * v[j] for j in range(m, -1, -1)]
+
+    sums = _root_sums(nmax + 1, (_odd_scaled(c), row))
     return [Fraction(sums[n + 1], 3 * (2 * n + 1) * (n + 1) * denominator) for n in range(nmax + 1)]
 
 
@@ -527,12 +530,12 @@ def _verify_l_equation(name: str, identity: str, nmax: int) -> IdentityReport:
 def _verify_arcsinh_power(nmax: int) -> IdentityReport:
     # (arcsinh t)^(2m) / (2m)! = sum over n >= m of (-4)^(n-m) [[n, m]] t^(2n) / (2n)!,
     # compared through t^nmax as integer EGF coefficients; odd ones vanish on both sides.
-    # Only powers m <= nmax / 2 reach a compared coefficient.
+    # Powers m = 1..top are compared, so the kernel builds only the columns m <= top.
     if nmax < 2:
         raise ValueError(f"arcsinh_power starts at t^2: nmax must be >= 2, got {nmax}")
     half = nmax // 2
     top = min(6, half)
-    egf = arcsinh_power_egf(half)
+    egf = arcsinh_power_egf(half, top=top)
     triangle = level2_by_recurrence(half)
     rows: list[CheckRow] = []
     for m in range(1, top + 1):

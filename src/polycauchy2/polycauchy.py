@@ -43,7 +43,6 @@ from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
 from .exact import _even_binomials, rational_to_text
-from .polynomials import poly_mul
 from .stirling import Level2Triangle, level2_by_recurrence
 
 __all__ = [
@@ -67,27 +66,30 @@ def _exact_div(numerator: int, divisor: int, where: str = "EGF kernel") -> int:
     return quotient
 
 
-def _power_table(first: Sequence[int]) -> list[list[int]]:
+def _power_table(first: Sequence[int], top: int | None = None) -> list[list[int]]:
     """Integer EGF coefficients of the powers of g, one column per index n.
 
     ``first[n]`` is (2n)! [t^(2n)] g for an even series g with first[0] = 0.
-    Entry [n][m], for m = 0..n, is the same coefficient of g^m 2^m / (2m)!,
-    built as the m-th row times g by the binomial EGF product, divided by
-    binom(2m, 2). For g = f^2 / 2 that is f^(2m) / (2m)!. The binomials are
-    the shared rows of ``exact``, and each entry is one ``sum(map(mul, ...))``.
+    Entry [n][m], for m = 0..min(n, top), is the same coefficient of
+    g^m 2^m / (2m)!, built as the m-th row times g by the binomial EGF
+    product, divided by binom(2m, 2); ``top=None`` builds every m <= n. For
+    g = f^2 / 2 that is f^(2m) / (2m)!. The binomials are the shared rows of
+    ``exact``, and each entry is one ``sum(map(mul, ...))``.
     """
     rows = _even_binomials(len(first) - 1)
+    top = len(first) if top is None else top
     table = [[1]]
     # by_power[m] holds entry [i][m] for i = m, m + 1, ... of the columns built so far.
     by_power = [[1]]
     for n in range(1, len(first)):
         weights = list(map(mul, rows[n][:n], first[n:0:-1]))
-        column = [0] * (n + 1)
-        for m in range(1, n + 1):
+        column = [0] * (min(n, top) + 1)
+        for m in range(1, len(column)):
             column[m] = _exact_div(sum(map(mul, weights[m - 1 :], by_power[m - 1])), rows[m][1])
         for entries, value in zip(by_power, column):
             entries.append(value)
-        by_power.append([column[n]])
+        if n <= top:
+            by_power.append([column[n]])
         table.append(column)
     return table
 
@@ -136,14 +138,18 @@ def _arcsinh_egf(count: int) -> list[int]:
     return coefficients
 
 
-def arcsinh_power_egf(nmax: int) -> list[list[int]]:
+def arcsinh_power_egf(nmax: int, *, top: int | None = None) -> list[list[int]]:
     """P_m[n] = (2n)! [t^(2n)] (arcsinh t)^(2m) / (2m)!, as entry [n][m] for m <= n <= nmax.
 
     Built from the arcsinh coefficients alone; it equals (-4)^(n-m) [[n, m]]
-    without reading the triangle.
+    without reading the triangle. With ``top`` only the powers m <= top are
+    built: row n is the full row n cut to m = 0..min(n, top). The default
+    None builds every power.
     """
     if nmax < 0:
         raise ValueError(f"nmax must be >= 0, got {nmax}")
+    if top is not None and top < 0:
+        raise ValueError(f"top must be >= 0, got {top}")
     a = _arcsinh_egf(nmax)
     # (arcsinh t)^2 / 2: the product of two odd series lands on even indices.
     # Term i equals term n - 1 - i, so the terms below the middle count
@@ -153,7 +159,7 @@ def arcsinh_power_egf(nmax: int) -> list[list[int]]:
         half = sum(comb(2 * n, 2 * i + 1) * a[i] * a[n - 1 - i] for i in range(n // 2))
         middle = comb(2 * n, n) * a[n // 2] ** 2 if n % 2 else 0
         square.append(_exact_div(2 * half + middle, 2))
-    return _power_table(square)
+    return _power_table(square, top)
 
 
 def level2_series_values(egf: Sequence[Sequence[int]], k: int = 1) -> list[Fraction]:
@@ -275,10 +281,12 @@ _LINEAR_PRODUCTS: list[list[int]] = [[1]]
 
 
 def _linear_product(n: int) -> list[int]:
+    # With its sign, the pair for i is -(z - 2i)(-z - 2i) = z^2 - 4i^2, so one
+    # step is P_(i+1)[j] = P_i[j-2] - 4i^2 P_i[j].
     while len(_LINEAR_PRODUCTS) <= n:
         i = len(_LINEAR_PRODUCTS) - 1
-        negated = [-c for c in _LINEAR_PRODUCTS[i]]
-        _LINEAR_PRODUCTS.append(poly_mul(poly_mul(negated, [-2 * i, 1]), [-2 * i, -1]))
+        previous, square = _LINEAR_PRODUCTS[i], 4 * i * i
+        _LINEAR_PRODUCTS.append([a - square * b for a, b in zip([0, 0, *previous], [*previous, 0, 0])])
     return _LINEAR_PRODUCTS[n]
 
 
@@ -309,7 +317,9 @@ def integral_representation_check(
     # Stage 2: integrate the stage-1 product, which never read the triangle,
     # termwise over the unit cube: z^j becomes 1/(j+1)^k, summed over one
     # common denominator. The k-fold integral is never evaluated numerically.
-    (numerator,), denominator = _sum_over_powers([product], 2 * n + 1, k, 1)
+    # Only the even powers z^(2m), with bases 2m + 1, are summed: stage 1 has
+    # just compared every odd coefficient with the 0 of ``expected``.
+    (numerator,), denominator = _sum_over_powers([product[::2]], n + 1, k, 2)
     integral_value = Fraction(numerator, denominator)
     reference_value = table.value(n, k)
     value_match = integral_value == reference_value

@@ -1,9 +1,8 @@
 """Dense univariate polynomials over exact integers and rationals.
 
-Coefficient lists run low degree to high. The integral representation check
-multiplies integer polynomials, which stay integer; the conjecture extraction
-evaluates, trims and prints the rational polynomials its linear solve
-returns.
+Coefficient lists run low degree to high. ``poly_mul`` keeps integer
+polynomials integer; the conjecture extraction evaluates, trims and prints
+the rational polynomials its linear solve returns.
 """
 
 from __future__ import annotations

@@ -7,7 +7,10 @@ the triangle sum before freezing. The oracle for the formula route's
 weighted-sum recurrence is the route it replaced: each signed triangle row
 dotted with D / (2m+1)^k (``triangle_dot_product``). The oracle for the
 table's integer read is the lcm of the reduced denominators of the values
-it holds (``reduced_numerators``).
+it holds (``reduced_numerators``). The oracles for the integral check are
+the code it replaced: the stage-1 product as two general polynomial
+products per linear pair (``linear_product_by_poly_mul``) and stage 2 summed
+over every power z^j, odd ones included (``integral_over_every_power``).
 """
 
 import re
@@ -32,6 +35,8 @@ from polycauchy2 import (
 from polycauchy2 import convolution as convolution_module
 from polycauchy2 import polycauchy as polycauchy_module
 from polycauchy2 import stirling as stirling_module
+from polycauchy2.cli import main
+from polycauchy2.polynomials import poly_mul
 from series_oracle import Series, level1_by_formula, level1_by_series
 
 # C_{2n} for n = 0..6 at k = 1.
@@ -77,6 +82,21 @@ def reduced_numerators(table, need, k):
 def formula_values(nmax, k):
     numerators, denominator = polycauchy_module._formula_numerators(nmax, k)
     return [Fraction(x, denominator) for x in numerators]
+
+
+def linear_product_by_poly_mul(n):
+    """(-1)^n prod over i < n of (z - 2i)(-z - 2i), two general products per i."""
+    product = [1]
+    for i in range(n):
+        negated = [-c for c in product]
+        product = poly_mul(poly_mul(negated, [-2 * i, 1]), [-2 * i, -1])
+    return product
+
+
+def integral_over_every_power(product, k):
+    """Stage 2 over every z^j of the product, odd j included: z^j becomes 1/(j+1)^k."""
+    (numerator,), denominator = polycauchy_module._sum_over_powers([product], len(product), k, 1)
+    return Fraction(numerator, denominator)
 
 
 def horner_composition(k, order):
@@ -150,6 +170,43 @@ class TestIntegerKernel:
         for n in range(21):
             assert egf[n] == [(-4) ** (n - m) * triangle.value(n, m) for m in range(n + 1)]
             assert all(type(value) is int for value in egf[n])
+
+    def test_top_cuts_each_row_of_the_full_table(self):
+        for nmax in range(21):
+            full = arcsinh_power_egf(nmax)
+            for top in range(nmax + 1):
+                assert arcsinh_power_egf(nmax, top=top) == [row[: top + 1] for row in full], (nmax, top)
+        assert arcsinh_power_egf(5, top=None) == arcsinh_power_egf(5)
+
+    def test_negative_top_rejected(self):
+        with pytest.raises(ValueError):
+            arcsinh_power_egf(4, top=-1)
+
+    def test_arcsinh_power_builds_only_the_compared_powers(self, monkeypatch, capsys):
+        # verify arcsinh_power --nmax 120 compares m = 1..6 through n = 60, so
+        # the kernel returns rows of at most 7 entries and divides by
+        # binom(2m, 2) only for m <= 6, once per built entry.
+        real_table, real_div = polycauchy_module._power_table, polycauchy_module._exact_div
+        built, divisors = [], []
+
+        def spy_table(first, top=None):
+            table = real_table(first, top)
+            built.append(table)
+            return table
+
+        def spy_div(numerator, divisor, where="EGF kernel"):
+            divisors.append(divisor)
+            return real_div(numerator, divisor, where)
+
+        monkeypatch.setattr(polycauchy_module, "_power_table", spy_table)
+        monkeypatch.setattr(polycauchy_module, "_exact_div", spy_div)
+        assert main(["verify", "arcsinh_power", "--nmax", "120"]) == 0
+        assert "status: pass" in capsys.readouterr().out
+        (table,) = built
+        assert [len(row) for row in table] == [min(n, 6) + 1 for n in range(61)]
+        # One halving of the square per n >= 1, then one division per entry m >= 1.
+        assert len(divisors) == 60 + sum(min(n, 6) for n in range(1, 61))
+        assert max(divisors) == 6 * 11
 
     def test_formula_column_is_the_signed_triangle(self):
         # The shift-and-sign column against the power it replaced, at every
@@ -239,7 +296,7 @@ class TestIntegerKernel:
             return coefficients
 
         monkeypatch.setattr(polycauchy_module, "_arcsinh_egf", perturbed)
-        for name, nmax in (("thm1", 6), ("arcsinh_power", 12)):
+        for name, nmax in (("thm1", 6), ("arcsinh_power", 12), ("arcsinh_power", 120)):
             report = convolution_module.verify_identity(name, nmax)
             assert report.status == "fail", name
             assert report.first_failure is not None
@@ -349,6 +406,35 @@ class TestIntegralRepresentation:
         check = integral_representation_check(5, 1, Level2Triangle(rows))
         assert check.polynomial_match is False
         assert integral_representation_check(5, 1, true).polynomial_match is True
+
+    def test_matches_the_replaced_stages(self, monkeypatch):
+        # A fresh product list, so every product is grown by the quadratic step.
+        monkeypatch.setattr(polycauchy_module, "_LINEAR_PRODUCTS", [[1]])
+        for n in range(16):
+            product = linear_product_by_poly_mul(n)
+            assert polycauchy_module._linear_product(n) == product, n
+            for k in range(1, 4):
+                assert integral_representation_check(n, k).integral_value == integral_over_every_power(product, k)
+
+    def test_odd_coefficient_fails_polynomial_stage(self, monkeypatch):
+        # Stage 2 sums only the even powers, so it cannot see a wrong odd
+        # coefficient; stage 1 compares every coefficient and must.
+        real = polycauchy_module._linear_product
+
+        def perturbed(n):
+            product = list(real(n))
+            if n == 5:
+                product[3] += 1
+            return product
+
+        monkeypatch.setattr(polycauchy_module, "_linear_product", perturbed)
+        check = integral_representation_check(5, 1)
+        assert check.polynomial_match is False
+        assert check.value_match is True
+        assert not check.passed
+        report = convolution_module.verify_identity("cor1", 8)
+        assert report.status == "fail"
+        assert report.first_failure.n == 5
 
     def test_wrong_c10_fails_value_stage(self, bumped_c10):
         # C9 style: stage 2 integrates the expanded product, which reads
