@@ -13,24 +13,27 @@ The coefficient (2n)! / ((2 i_1)! ... (2 i_k)!) is a product of such
 binomials, and the product commutes and associates, so any grouping gives
 exactly the defining sum. The sweep groups equal offsets: it raises each
 distinct offset's sequence to its multiplicity by square-and-multiply
-(Knuth, TAOCP Vol. 2, 4.6.3), then multiplies the groups. A square sums
-only the terms below the middle, since terms i and n - i are equal, doubles
-them and adds the middle term when n is even. The 7-fold convolution is
-thus 4 products, 2 of them squares, instead of 6.
+(Knuth, TAOCP Vol. 2, 4.6.3), then multiplies the groups. A square computes
+each product of two entries once: terms i and n - i multiply the same two,
+so it sums each pair under the sum of their two binomials and adds the
+middle term when n is even. The 7-fold convolution is thus 4 products, 2 of
+them squares, instead of 6. Two distinct offsets a < b make one shifted
+square: from a, term i of index n multiplies entries i and n + (b - a) - i,
+so terms i and n + (b - a) - i pair the same way, and only the b - a terms
+whose mirror lies past n are summed alone.
 
 The right-hand sides are sweeps too: each returns its closed form at every
 n of a range in one call. Both sides run on integers (Knuth, TAOCP Vol. 2,
 4.7). A sweep reads the C_{2m} it needs from the table once, as integer
 numerators over D, the lcm of their denominators
 (``PolyCauchyTable.numerators``). The left sweep multiplies those integers
-and divides by D^k once per n; each of its binomial-weighted sums is one
-``_binomial_dot``, whose products and sum run inside ``map`` and ``sum``
-over row n of the rows of binom(2n, 2i) that ``exact`` builds once per
-process for it and the series route. The closed forms of Theorems 2-4 and 6
-weight C_{2l}, up to a small factor, by (2n)! (-1)^j (2j-3)!! / ((2l)! 2^j
-j!) = (2n)! v_j / ((2l)! 4^j) for j = n - l, where -sqrt(1+4u) = sum of v_j
-u^j has the small coefficients -1, -2, 2, -4, 10, -28, ... (Concrete
-Mathematics, 5.4 and 7.5). ``_root_sums`` makes each an ordinary product,
+and divides by D^k once per n; its products and sums run inside ``map`` and
+``sum`` over row n of the rows of binom(2n, 2i) that ``exact`` builds once
+per process, each from its first half, for it and the series route. The
+closed forms of Theorems 2-4 and 6 weight C_{2l}, up to a small factor, by
+(2n)! (-1)^j (2j-3)!! / ((2l)! 2^j j!) = (2n)! v_j / ((2l)! 4^j) for
+j = n - l, where -sqrt(1+4u) = sum of v_j u^j has the small coefficients
+-1, -2, 2, -4, 10, -28, ... (Concrete Mathematics, 5.4 and 7.5). ``_root_sums`` makes each an ordinary product,
 one big integer times a small one per term, that reads no binomial row. The
 other closed forms are a few terms per n. Only the last division builds a Fraction.
 
@@ -68,7 +71,7 @@ from fractions import Fraction
 from functools import partial
 from itertools import accumulate
 from math import factorial, gcd, lcm
-from operator import mul
+from operator import add, mul
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .exact import _even_binomials, binomial
@@ -123,18 +126,28 @@ def _egf_product(xs: Sequence[int], ys: Sequence[int], nmax: int) -> list[int]:
     return [_binomial_dot(n, xs, ys[n::-1]) for n in range(nmax + 1)]
 
 
-def _egf_square(xs: Sequence[int], nmax: int) -> list[int]:
-    """The binomial EGF product of xs with itself at n = 0..nmax, in half the terms.
+def _egf_square(xs: Sequence[int], nmax: int, shift: int = 0) -> list[int]:
+    """The sum over i <= n of binom(2n, 2i) xs_i xs_(n+shift-i) at n = 0..nmax, each product once.
 
-    Terms i and n - i are equal, so the terms below the middle are summed once
-    and doubled, and the middle term is added when n is even.
+    With m = n + shift, terms i and m - i multiply the same two entries. A term
+    i < shift has its mirror past n, so those terms are summed on their own;
+    each i with shift <= i < m/2 is paired with m - i under the one weight
+    binom(2n, 2i) + binom(2n, 2m - 2i); the middle term is added when m is
+    even and m/2 >= shift. Shift 0 is the square of xs, and shift b - a on
+    xs[a:] the product of the sequences from a and from b.
     """
     rows = _even_binomials(nmax)
-    return [
-        2 * _binomial_dot(n, xs[: (n + 1) // 2], xs[n::-1])
-        + (0 if n % 2 else rows[n][n // 2] * xs[n // 2] ** 2)
-        for n in range(nmax + 1)
-    ]
+    out = []
+    for n in range(nmax + 1):
+        m, row = n + shift, rows[n]
+        h = (m + 1) // 2
+        weights = map(add, row[shift:h], row[n : m - h : -1])
+        total = _binomial_dot(n, xs[: min(shift, n + 1)], xs[m::-1])
+        total += sum(map(mul, map(mul, weights, xs[shift:h]), xs[n : m - h : -1]))
+        if m % 2 == 0 and m // 2 >= shift:
+            total += row[m // 2] * xs[m // 2] ** 2
+        out.append(total)
+    return out
 
 
 def _egf_power(xs: Sequence[int], exponent: int, nmax: int) -> list[int]:
@@ -166,9 +179,14 @@ def convolution_sweep(
         raise ValueError(f"table holds n <= {table.max_n(1)}, convolution needs {need}")
     numerators, denominator = table.numerators(need)
     multiplicity = {j: offsets.count(j) for j in offsets}
-    product, *rest = [_egf_power(numerators[j : j + nmax + 1], m, nmax) for j, m in multiplicity.items()]
-    for factor in rest:
-        product = _egf_product(product, factor, nmax)
+    # Two distinct offsets a < b: the sequence from a against itself shifted by b - a.
+    if len(offsets) == len(multiplicity) == 2:
+        a, b = sorted(offsets)
+        product = _egf_square(numerators[a:], nmax, b - a)
+    else:
+        product, *rest = [_egf_power(numerators[j : j + nmax + 1], m, nmax) for j, m in multiplicity.items()]
+        for factor in rest:
+            product = _egf_product(product, factor, nmax)
     scale = denominator ** len(offsets)
     return [Fraction(value, scale) for value in product]
 
@@ -441,8 +459,7 @@ def _verify_convolution(
     if nmax < defn.nmin:
         raise ValueError(f"{name} starts at n = {defn.nmin}: nmax must be >= {defn.nmin}, got {nmax}")
     if table is None:
-        table = PolyCauchyTable()
-    table.ensure(nmax + 2)
+        table = PolyCauchyTable.build(nmax + 2)
     lhs = convolution_sweep(defn.offsets, nmax, table)
     rhs = (rhs_override if rhs_override is not None else defn.rhs)(nmax, table)
     ns = range(defn.nmin, nmax + 1)
@@ -761,8 +778,9 @@ def verify_identity(
     identity's first index is a ValueError, since it would compare nothing.
     ``rhs_override`` replaces the registered right-hand side of a convolution
     identity and exists for negative-control tests; ``table`` supplies the C
-    values a convolution identity reads. Every other identity computes its
-    own values and rejects both.
+    values a convolution identity reads, as given: it is never grown, and one
+    too short for the sweep is a ValueError. Every other identity computes
+    its own values and rejects both.
     """
     if nmax < 0:
         raise ValueError(f"nmax must be >= 0, got {nmax}")

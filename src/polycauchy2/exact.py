@@ -41,15 +41,18 @@ _EVEN_BINOMIALS: list[list[int]] = [[1]]
 def _even_binomials(n: int) -> list[list[int]]:
     """The shared rows of binom(2n, 2i), grown through row n, built once per process.
 
-    Row n comes from row n - 1 alone: binom(2n, 2i) = binom(2n-2, 2i)
-    2n(2n-1) / ((2n-2i)(2n-2i-1)) for i < n, and binom(2n, 2n) = 1. Each step
-    is a big integer times and divided by a small one, inside ``map``.
+    Row m comes from row m - 1 alone, and only its first half is computed:
+    binom(2m, 2i) = binom(2m-2, 2i) 2m(2m-1) / ((2m-2i)(2m-2i-1)) for
+    i = 0..m//2, each a big integer times and divided by a small one inside
+    ``map``, and binom(2m, 2i) = binom(2m, 2m-2i) mirrors it into the full row.
     """
     rows = _EVEN_BINOMIALS
     while len(rows) <= n:
         m = len(rows)
-        divisors = [(2 * m - 2 * i) * (2 * m - 2 * i - 1) for i in range(m)]
-        rows.append([*map(floordiv, map(mul, rows[-1], repeat(2 * m * (2 * m - 1))), divisors), 1])
+        h = m // 2 + 1
+        divisors = [(2 * m - 2 * i) * (2 * m - 2 * i - 1) for i in range(h)]
+        half = [*map(floordiv, map(mul, rows[-1], repeat(2 * m * (2 * m - 1))), divisors)]
+        rows.append(half + half[m - h :: -1])
     return rows
 
 

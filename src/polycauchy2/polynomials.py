@@ -1,8 +1,7 @@
-"""Dense univariate polynomials over exact integers and rationals.
+"""Dense univariate polynomials over exact rationals.
 
-Coefficient lists run low degree to high. ``poly_mul`` keeps integer
-polynomials integer; the conjecture extraction evaluates, trims and prints
-the rational polynomials its linear solve returns.
+Coefficient lists run low degree to high. The conjecture extraction
+evaluates, trims and prints the rational polynomials its linear solve returns.
 """
 
 from __future__ import annotations
@@ -11,25 +10,11 @@ from fractions import Fraction
 from typing import Sequence
 
 __all__ = [
-    "poly_mul",
     "poly_eval",
     "poly_trim",
     "poly_degree",
     "poly_text",
 ]
-
-
-def poly_mul(a: Sequence[Fraction | int], b: Sequence[Fraction | int]) -> list[Fraction | int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            if bj:
-                out[i + j] += ai * bj
-    return out
 
 
 def poly_eval(a: Sequence[Fraction], x: Fraction | int) -> Fraction:

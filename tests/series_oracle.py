@@ -15,6 +15,10 @@ must reproduce byte for byte.
 The classical (level 1) poly-Cauchy numbers c_n^(k) are here as well, by two
 routes that share no code: the signed Stirling sum, and the EGF coefficient
 of lif_k(log(1+t)) composed on ``Series``.
+
+``poly_mul`` multiplies dense polynomials, coefficients low degree to high,
+by the schoolbook double loop. The package no longer multiplies polynomials;
+the tests expand products with it to check the polynomials the package builds.
 """
 
 from __future__ import annotations
@@ -232,6 +236,20 @@ class Series:
         num_shifted = Series(self._coeffs[v:], n)
         den_shifted = Series(den._coeffs[v:], n)
         return num_shifted * den_shifted.reciprocal()
+
+
+def poly_mul(a, b):
+    """The product of two coefficient lists; integer inputs give integer coefficients."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai == 0:
+            continue
+        for j, bj in enumerate(b):
+            if bj:
+                out[i + j] += ai * bj
+    return out
 
 
 def double_factorial(a: int) -> Fraction:

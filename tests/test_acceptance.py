@@ -28,8 +28,8 @@ from polycauchy2 import (
 )
 from polycauchy2.cli import main
 from polycauchy2.convolution import CONVOLUTION_IDENTITIES, rhs_3fold
-from polycauchy2.polynomials import poly_eval, poly_mul
-from series_oracle import Series
+from polycauchy2.polynomials import poly_eval
+from series_oracle import Series, poly_mul
 from test_convolution import paper_rhs_2fold_01
 
 SEQUENCE_K1 = [

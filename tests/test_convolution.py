@@ -11,7 +11,8 @@ sums (``weights``), from which ``TestRootWeights`` derives them. The oracles
 for the two differential equations for L are their power-series checks on
 ``series_oracle.Series`` (``paper_l_squared``, ``paper_l_second_derivative``).
 The oracle for the fraction-free conjecture solve is Gauss-Jordan elimination
-over Fraction (``gauss_jordan``).
+over Fraction (``gauss_jordan``). ``square_by_parts`` writes the symmetric
+kernel term by term, so its negative controls can drop or change one part.
 """
 
 import itertools
@@ -49,8 +50,8 @@ from polycauchy2.convolution import (
     rhs_5fold,
     rhs_7fold,
 )
-from polycauchy2.polynomials import poly_eval, poly_mul
-from series_oracle import Series, double_factorial, paper_series
+from polycauchy2.polynomials import poly_eval
+from series_oracle import Series, double_factorial, paper_series, poly_mul
 
 
 def brute_force_convolution(offsets, n, table):
@@ -64,6 +65,30 @@ def brute_force_convolution(offsets, n, table):
             term *= table.value(i + j)
         total += term
     return total
+
+
+def square_by_parts(
+    xs, nmax, shift=0, *, unpaired=True, weight=lambda row, i, mirror: row[i] + row[mirror], middle=True
+):
+    """The sum over i <= n of binom(2n, 2i) xs_i xs_(n+shift-i), in the kernel's three parts.
+
+    With m = n + shift: the terms i < shift alone, each i with shift <= i < m/2
+    paired with m - i under weight(row, i, m - i), by default binom(2n, 2i) +
+    binom(2n, 2m - 2i), and the middle term when m is even and m/2 >= shift.
+    """
+    rows = exact_module._even_binomials(nmax)
+    out = []
+    for n in range(nmax + 1):
+        m, row = n + shift, rows[n]
+        total = 0
+        if unpaired:
+            total += sum(row[i] * xs[i] * xs[m - i] for i in range(min(shift, n + 1)))
+        for i in range(shift, (m + 1) // 2):
+            total += weight(row, i, m - i) * xs[i] * xs[m - i]
+        if middle and m % 2 == 0 and m // 2 >= shift:
+            total += row[m // 2] * xs[m // 2] ** 2
+        out.append(total)
+    return out
 
 
 def _sign(e):
@@ -353,14 +378,16 @@ class TestConvolveOracle:
         [
             ((0, 0), 1, 0),
             ((1, 1), 1, 0),
-            ((0, 1), 0, 1),
+            ((0, 1), 1, 0),
             ((0,) * 4, 2, 0),
             ((0,) * 7, 2, 2),
             ((1, 0, 0, 1), 2, 1),
+            ((1, 3), 1, 0),
         ],
     )
     def test_repeated_offsets_are_squared(self, offsets, squares, products, table18, monkeypatch):
-        # Square-and-multiply per distinct offset, then one product per further group.
+        # Square-and-multiply per distinct offset, then one product per further group;
+        # two distinct offsets a < b are one square shifted by b - a.
         calls = {"_egf_square": 0, "_egf_product": 0}
         for attr in calls:
             real = getattr(convolution_module, attr)
@@ -372,6 +399,25 @@ class TestConvolveOracle:
             monkeypatch.setattr(convolution_module, attr, counted)
         convolution_sweep(offsets, 5, table18)
         assert calls == {"_egf_square": squares, "_egf_product": products}
+
+    @pytest.mark.parametrize("shift", range(4))
+    def test_shifted_square_equals_the_product_and_the_enumeration(self, shift, table42):
+        rng = random.Random(shift)
+        xs = [rng.randrange(-(10**40), 10**40) for _ in range(44)]
+        c, denominator = table42.numerators(42)
+        for nmax in range(41):
+            square = convolution_module._egf_square(xs, nmax, shift)
+            assert square == convolution_module._egf_product(xs, xs[shift:], nmax), nmax
+        top = 42 - shift
+        square = convolution_module._egf_square(c, top, shift)
+        assert square == convolution_module._egf_product(c, c[shift:], top)
+        for n, value in enumerate(square):
+            assert Fraction(value, denominator**2) == brute_force_convolution((0, shift), n, table42), n
+
+    @pytest.mark.parametrize("shift", range(4))
+    def test_parts_oracle_is_the_kernel(self, shift, table18):
+        c, _ = table18.numerators(18)
+        assert square_by_parts(c, 15, shift) == convolution_module._egf_square(c, 15, shift)
 
     def test_spec_validation(self, table18):
         with pytest.raises(ValueError, match="at least two factors"):
@@ -621,14 +667,35 @@ class TestNegativeControls:
 
     def test_square_without_its_middle_term_fails_at_n_0(self, monkeypatch):
         # At n = 0 the middle term is the whole square.
-        def halves_only(xs, nmax):
-            dot = convolution_module._binomial_dot
-            return [2 * dot(n, xs[: (n + 1) // 2], xs[n::-1]) for n in range(nmax + 1)]
+        def halves_only(xs, nmax, shift=0):
+            return square_by_parts(xs, nmax, shift, middle=False)
 
         monkeypatch.setattr(convolution_module, "_egf_square", halves_only)
         report = verify_identity("thm2", 6)
         assert report.status == "fail"
         assert report.first_failure.n == 0
+
+    @pytest.mark.parametrize(
+        "fault,first",
+        [
+            # At n = 0 the one term, C_0 C_2, has its mirror past n.
+            ({"unpaired": False}, 0),
+            # n = 2 pairs i = 1 with 2 first: binom(4, 2) + binom(4, 4), not 2 binom(4, 2).
+            ({"weight": lambda row, i, mirror: 2 * row[i]}, 2),
+            # m = n + 1 is first even with m/2 >= 1 at n = 1.
+            ({"middle": False}, 1),
+        ],
+        ids=["no-unpaired-term", "unshifted-weight", "no-middle-term"],
+    )
+    def test_shifted_square_fault_fails_thm3_at_the_first_row_reading_it(self, fault, first, monkeypatch):
+        def faulty(xs, nmax, shift=0):
+            return square_by_parts(xs, nmax, shift, **fault)
+
+        monkeypatch.setattr(convolution_module, "_egf_square", faulty)
+        report = verify_identity("thm3", 8)
+        assert report.status == "fail"
+        assert report.first_failure.n == first
+        assert all(row.equal for row in report.per_n_results[:first])
 
     def test_a_second_verify_builds_no_row(self, monkeypatch):
         rows = [[1]]
@@ -671,6 +738,38 @@ class TestNegativeControls:
 
     def test_empty_report_is_no_pass(self):
         assert IdentityReport("thm2", 0, "n=1..0", []).status == "fail"
+
+    @pytest.mark.parametrize("name", ["thm2", "thm5", "thm6", "fold5", "fold7"])
+    def test_caller_table_is_read_as_given(self, name, bumped_table):
+        # C_20 + 1 in a table of n <= 12: every sweep that fits in it reads the
+        # bumped entry, fails first at n = 10, and leaves the table as it was.
+        perturbed = bumped_table(12, 10)
+        report = verify_identity(name, 12, table=perturbed)
+        assert report.status == "fail"
+        assert report.first_failure.n == 10
+        assert all(row.equal for row in report.per_n_results if row.n < 10)
+        assert perturbed.max_n() == 12
+
+    @pytest.mark.parametrize("name", ["thm3", "thm4"])
+    def test_short_caller_table_raises(self, name, bumped_table):
+        perturbed = bumped_table(12, 10)
+        bumped = perturbed.value(10)
+        with pytest.raises(ValueError, match="table holds n <= 12, convolution needs 13"):
+            verify_identity(name, 12, table=perturbed)
+        assert perturbed.max_n() == 12
+        assert perturbed.value(10) == bumped
+
+    def test_caller_table_is_never_recomputed(self, monkeypatch):
+        # A series-route table just long enough for thm2 is read as it is:
+        # the formula route never runs.
+        table = PolyCauchyTable.build(12, route="series")
+
+        def refuse(*args):
+            raise AssertionError("the formula route ran")
+
+        monkeypatch.setattr(polycauchy_module, "_formula_numerators", refuse)
+        assert verify_identity("thm2", 12, table=table).status == "pass"
+        assert table.max_n() == 12
 
     def test_perturbed_table_entry_is_visible(self, table18, bumped_table):
         # C9 style: one table entry off by 1 must change the sweep and fail

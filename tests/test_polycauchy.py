@@ -36,8 +36,7 @@ from polycauchy2 import convolution as convolution_module
 from polycauchy2 import polycauchy as polycauchy_module
 from polycauchy2 import stirling as stirling_module
 from polycauchy2.cli import main
-from polycauchy2.polynomials import poly_mul
-from series_oracle import Series, level1_by_formula, level1_by_series
+from series_oracle import Series, level1_by_formula, level1_by_series, poly_mul
 
 # C_{2n} for n = 0..6 at k = 1.
 SEQUENCE_K1 = [
