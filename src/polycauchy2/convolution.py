@@ -14,13 +14,14 @@ binomials, and the product commutes and associates, so any grouping gives
 exactly the defining sum. The sweep groups equal offsets: it raises each
 distinct offset's sequence to its multiplicity by square-and-multiply
 (Knuth, TAOCP Vol. 2, 4.6.3), then multiplies the groups. A square computes
-each product of two entries once: terms i and n - i multiply the same two,
-so it sums each pair under the sum of their two binomials and adds the
-middle term when n is even. The 7-fold convolution is thus 4 products, 2 of
-them squares, instead of 6. Two distinct offsets a < b make one shifted
-square: from a, term i of index n multiplies entries i and n + (b - a) - i,
-so terms i and n + (b - a) - i pair the same way, and only the b - a terms
-whose mirror lies past n are summed alone.
+each product of two entries once: terms i and n - i multiply the same two
+under the same binomial, so it doubles the sum of the terms below the middle
+and adds the middle term when n is even. The 7-fold convolution is thus 4
+products, 2 of them squares, instead of 6. Two distinct offsets a < b make
+one shifted square: from a, term i of index n multiplies entries i and
+n + (b - a) - i, so terms i and n + (b - a) - i pair under the sum of their
+two binomials, and only the b - a terms whose mirror lies past n are summed
+alone.
 
 The right-hand sides are sweeps too: each returns its closed form at every
 n of a range in one call. Both sides run on integers (Knuth, TAOCP Vol. 2,
@@ -55,14 +56,20 @@ polynomials P_{r,2k}(n) in the ansatz
         sum over k = 0..r of P_{r,2k}(n) binom(2n, 2k) binom(2n-2k-1, 2r-2k)
             * C_{2n-2k}
 
-by solving one exact linear system for all coefficient vectors at once,
-fraction-free on integers (Bareiss, Math. Comp. 22, 1968). Each P gets a
-degree budget of 2k + 1, one slack coefficient above its claimed degree, and
-its coefficients are its block of the solution. The last three sample points
-are held out of the solve. At every sample, each P is also recovered
-pointwise, by subtracting the other solved terms from the convolution and
-dividing by its own weight; at a held-out point that value is an independent
-probe, so a wrong ansatz cannot slip through.
+by solving one exact linear system for all coefficient vectors at once. The
+solve (``exact._solve_exact``) runs Gauss-Jordan modulo primes from 2^61 - 1
+down, combines the residues by CRT, reconstructs each unknown as a fraction
+and returns it only if it satisfies every integer row exactly (von zur Gathen
+& Gerhard, Modern Computer Algebra, ch. 5). Each P gets a degree budget of
+2k + 1, one slack coefficient above its claimed degree, and its coefficients
+are its block of the solution. The last three sample points are held out of
+the solve. ``verify conjecture-r<R>`` compares the sweep with the ansatz at
+every sample, held-out ones included, with each P truncated to its claimed
+degree and evaluated on integers over one common denominator. The library
+extraction also recovers each P pointwise, by subtracting the other solved
+terms from the convolution and dividing by its own weight; at a held-out
+point that value is an independent probe, so a wrong ansatz cannot slip
+through either check.
 """
 
 from __future__ import annotations
@@ -70,11 +77,11 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import partial
 from itertools import accumulate
-from math import factorial, gcd, lcm
+from math import factorial, lcm
 from operator import add, mul
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .exact import _even_binomials, binomial
+from .exact import _even_binomials, _solve_exact, binomial
 from .polynomials import poly_degree, poly_eval, poly_text, poly_trim
 from .polycauchy import (
     _exact_div,
@@ -133,17 +140,22 @@ def _egf_square(xs: Sequence[int], nmax: int, shift: int = 0) -> list[int]:
     i < shift has its mirror past n, so those terms are summed on their own;
     each i with shift <= i < m/2 is paired with m - i under the one weight
     binom(2n, 2i) + binom(2n, 2m - 2i); the middle term is added when m is
-    even and m/2 >= shift. Shift 0 is the square of xs, and shift b - a on
-    xs[a:] the product of the sequences from a and from b.
+    even and m/2 >= shift. Shift 0 is the square of xs, where the two
+    binomials are equal, so the paired sum is taken with binom(2n, 2i) and
+    doubled; shift b - a on xs[a:] is the product of the sequences from a
+    and from b.
     """
     rows = _even_binomials(nmax)
     out = []
     for n in range(nmax + 1):
         m, row = n + shift, rows[n]
         h = (m + 1) // 2
-        weights = map(add, row[shift:h], row[n : m - h : -1])
-        total = _binomial_dot(n, xs[: min(shift, n + 1)], xs[m::-1])
-        total += sum(map(mul, map(mul, weights, xs[shift:h]), xs[n : m - h : -1]))
+        if shift:
+            weights = map(add, row[shift:h], row[n : m - h : -1])
+            total = _binomial_dot(n, xs[: min(shift, n + 1)], xs[m::-1])
+            total += sum(map(mul, map(mul, weights, xs[shift:h]), xs[n : m - h : -1]))
+        else:
+            total = 2 * sum(map(mul, map(mul, row[:h], xs[:h]), xs[n : n - h : -1]))
         if m % 2 == 0 and m // 2 >= shift:
             total += row[m // 2] * xs[m // 2] ** 2
         out.append(total)
@@ -594,42 +606,6 @@ class ConjecturePolynomial(NamedTuple):
         return all(self.evaluate(n) == value for n, value in self.sample_points)
 
 
-def _solve_exact(
-    matrix: list[list[int | Fraction]], rhs: list[int | Fraction]
-) -> list[Fraction]:
-    """Fraction-free elimination for a square system (Bareiss, Math. Comp. 22, 1968).
-
-    Each row is first made primitive: scaled to integers by the lcm of its denominators, then
-    divided by the gcd of its entries. Then below pivot p a row becomes (p row - f pivot_row) / p'
-    for the previous pivot p'; a zero pivot swaps rows. Every division, back-substitution's too,
-    is checked exact.
-    """
-    rows = []
-    for row, value in zip(matrix, rhs):
-        augmented = [*row, value]
-        scale = lcm(*(v.denominator for v in augmented))
-        integers = [v.numerator * (scale // v.denominator) for v in augmented]
-        content = gcd(*integers) or 1
-        rows.append([v // content for v in integers])
-    size, previous = len(rows), 1
-    divide = partial(_exact_div, where="Bareiss solve")
-    for col in range(size):
-        sel = next((i for i in range(col, size) if rows[i][col]), None)
-        if sel is None:
-            raise ArithmeticError("sample points produce a singular system; add or vary samples")
-        rows[col], rows[sel] = rows[sel], rows[col]
-        p, tail = rows[col][col], rows[col][col + 1 :]
-        for row in rows[col + 1 :]:
-            f = row[col]
-            row[col + 1 :] = [divide(p * a - f * b, previous) for a, b in zip(row[col + 1 :], tail)]
-        previous = p
-    numerators = [0] * size
-    for i in reversed(range(size)):
-        total = previous * rows[i][-1] - sum(a * x for a, x in zip(rows[i][i + 1 :], numerators[i + 1 :]))
-        numerators[i] = divide(total, rows[i][i])
-    return [Fraction(x, previous) for x in numerators]
-
-
 def default_conjecture_samples(r: int) -> list[int]:
     """Consecutive samples from r + 1: enough to solve, plus three held-out points."""
     unknowns = (r + 1) * (r + 2)
@@ -645,9 +621,10 @@ def extract_conjecture_polynomials(
 
     Sample indices must satisfy n >= r + 1 so every C index stays
     nonnegative. The first (r+1)(r+2) samples feed the linear solve (degree
-    budget 2k + 1 per polynomial); at least one further sample must remain
-    as a held-out point, and all points, held-out included, land in
-    ``sample_points`` so ``reproduces_samples`` is a genuine check.
+    budget 2k + 1 per polynomial), which runs modulo primes and is certified
+    on the integer rows (``exact._solve_exact``); at least one further sample
+    must remain as a held-out point, and all points, held-out included, land
+    in ``sample_points`` so ``reproduces_samples`` is a genuine check.
     """
     if r not in (1, 2, 3):
         raise ValueError(f"conjecture extraction is implemented for r in 1..3, got {r}")
@@ -664,39 +641,8 @@ def extract_conjecture_polynomials(
         )
     if table is None:
         table = PolyCauchyTable.build(samples[-1])
-    return _extract(r, samples, table)[0]
-
-
-def _extract(
-    r: int, samples: list[int], table: PolyCauchyTable
-) -> tuple[list[ConjecturePolynomial], list[Fraction]]:
-    """The recovered polynomials, and the convolution sweep they came from.
-
-    Both sides of every equation are scaled by D, the common denominator of
-    the C_{2m} read: the weight of P_{r,2k} at n is then the integer
-    conjecture_prefactor(r, k, n) D C_{2n-2k}, and each solve row is those
-    weights times powers of n. No step relies on the shape of a P.
-    """
-    lhs = convolution_sweep((0,) * (2 * r + 1), samples[-1], table)
-    c, denominator = table.numerators(samples[-1])
-    budgets = [2 * k + 1 for k in range(r + 1)]
-    unknowns = sum(b + 1 for b in budgets)
-    weights = {(k, n): conjecture_prefactor(r, k, n) * c[n - k] for k in range(r + 1) for n in samples}
+    solved, weights, lhs, denominator = _solve_conjecture(r, samples, table)
     targets = {n: denominator * lhs[n] for n in samples}
-
-    solve_points = samples[:unknowns]
-    matrix = [
-        [weights[(k, n)] * n**j for k in range(r + 1) for j in range(budgets[k] + 1)]
-        for n in solve_points
-    ]
-    solution = _solve_exact(matrix, [targets[n] for n in solve_points])
-
-    solved: list[list[Fraction]] = []
-    position = 0
-    for k in range(r + 1):
-        solved.append(solution[position : position + budgets[k] + 1])
-        position += budgets[k] + 1
-
     terms = {key: poly_eval(solved[key[0]], key[1]) * weight for key, weight in weights.items()}
     polynomials: list[ConjecturePolynomial] = []
     for k in range(r + 1):
@@ -713,7 +659,37 @@ def _extract(
         coefficients = poly_trim(solved[k])
         degree_ok = poly_degree(coefficients) <= 2 * k
         polynomials.append(ConjecturePolynomial(r, k, points, coefficients, degree_ok))
-    return polynomials, lhs
+    return polynomials
+
+
+def _solve_conjecture(
+    r: int, samples: list[int], table: PolyCauchyTable
+) -> tuple[list[list[Fraction]], dict[tuple[int, int], int], list[Fraction], int]:
+    """The solved coefficients of each P_{r,2k}, the weights, the convolution sweep and D.
+
+    Both sides of every equation are scaled by D, the common denominator of
+    the C_{2m} read: the weight of P_{r,2k} at n is then the integer
+    conjecture_prefactor(r, k, n) D C_{2n-2k}, and each solve row is those
+    weights times powers of n. With the sweep's value at n written p / q in
+    lowest terms, each row is also scaled by q, so its right side is the
+    integer D p and the solve reads integers only. No step relies on the
+    shape of a P.
+    """
+    lhs = convolution_sweep((0,) * (2 * r + 1), samples[-1], table)
+    c, denominator = table.numerators(samples[-1])
+    budgets = [2 * k + 1 for k in range(r + 1)]
+    weights = {(k, n): conjecture_prefactor(r, k, n) * c[n - k] for k in range(r + 1) for n in samples}
+    solve_points = samples[: sum(b + 1 for b in budgets)]
+    matrix = [
+        [weights[(k, n)] * lhs[n].denominator * n**j for k in range(r + 1) for j in range(budgets[k] + 1)]
+        for n in solve_points
+    ]
+    solution = _solve_exact(matrix, [denominator * lhs[n].numerator for n in solve_points])
+    solved, position = [], 0
+    for budget in budgets:
+        solved.append(solution[position : position + budget + 1])
+        position += budget + 1
+    return solved, weights, lhs, denominator
 
 
 def _verify_conjecture(name: str, r: int, nmax: int) -> IdentityReport:
@@ -721,29 +697,25 @@ def _verify_conjecture(name: str, r: int, nmax: int) -> IdentityReport:
         raise ValueError(f"{name} takes no nmax other than {DEFAULT_NMAX}: its sample points are fixed")
     samples = default_conjecture_samples(r)
     table = PolyCauchyTable.build(samples[-1])
-    polynomials, lhs = _extract(r, samples, table)
+    solved, weights, lhs, denominator = _solve_conjecture(r, samples, table)
 
     # Reconstruct the right side with each polynomial truncated to its
     # claimed degree, so an extraction that needed the slack coefficient
-    # shows up as row mismatches rather than passing silently.
-    truncated = [poly.interpolated_coefficients[: 2 * poly.k + 1] for poly in polynomials]
+    # shows up as row mismatches rather than passing silently. Over their
+    # common denominator Q the truncated polynomials have integer
+    # coefficients, so each row's sum is an integer over Q D.
+    truncated = [coefficients[: 2 * k + 1] for k, coefficients in enumerate(solved)]
+    common = lcm(*(x.denominator for coefficients in truncated for x in coefficients))
+    integral = [[x.numerator * (common // x.denominator) for x in coefficients] for coefficients in truncated]
     rows = []
     for n in samples:
-        rhs = sum(
-            (
-                poly_eval(truncated[k], n)
-                * conjecture_prefactor(r, k, n)
-                * table.value(n - k)
-                for k in range(r + 1)
-            ),
-            Fraction(0),
-        )
-        rows.append(CheckRow.compare(n, lhs[n], rhs))
-    notes = [
-        f"P[{2 * poly.k}] = {poly_text(poly.interpolated_coefficients)}"
-        + ("" if poly.degree_ok else f"  (degree exceeds {poly.claimed_degree})")
-        for poly in polynomials
-    ]
+        total = sum(poly_eval(coefficients, n) * weights[(k, n)] for k, coefficients in enumerate(integral))
+        rows.append(CheckRow.compare(n, lhs[n], Fraction(total, common * denominator)))
+    notes = []
+    for k, coefficients in enumerate(solved):
+        trimmed = poly_trim(coefficients)
+        excess = "" if poly_degree(trimmed) <= 2 * k else f"  (degree exceeds {2 * k})"
+        notes.append(f"P[{2 * k}] = {poly_text(trimmed)}{excess}")
     return IdentityReport(name, nmax, f"r={r}, samples n={samples[0]}..{samples[-1]}", rows, notes)
 
 

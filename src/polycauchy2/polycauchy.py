@@ -38,8 +38,8 @@ holds per k: values stay integer numerators over D until one is read.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, gcd, lcm
-from operator import mul
+from math import gcd, lcm
+from operator import floordiv, mul
 from typing import Iterable, NamedTuple, Sequence
 
 from .exact import _even_binomials, rational_to_text
@@ -151,14 +151,18 @@ def arcsinh_power_egf(nmax: int, *, top: int | None = None) -> list[list[int]]:
     if top is not None and top < 0:
         raise ValueError(f"top must be >= 0, got {top}")
     a = _arcsinh_egf(nmax)
+    rows = _even_binomials(nmax)
     # (arcsinh t)^2 / 2: the product of two odd series lands on even indices.
-    # Term i equals term n - 1 - i, so the terms below the middle count
-    # twice, and the middle term (n odd) once.
+    # Term i weighs a_i a_(n-1-i) by binom(2n, 2i+1) = binom(2n, 2i) (2n-2i) / (2i+1),
+    # read off the shared rows. It equals term n - 1 - i, so the terms below
+    # the middle count twice, and the middle term (n odd) once.
     square = [0]
     for n in range(1, nmax + 1):
-        half = sum(comb(2 * n, 2 * i + 1) * a[i] * a[n - 1 - i] for i in range(n // 2))
-        middle = comb(2 * n, n) * a[n // 2] ** 2 if n % 2 else 0
-        square.append(_exact_div(2 * half + middle, 2))
+        h = (n + 1) // 2
+        odd = map(floordiv, map(mul, rows[n], range(2 * n, 2 * n - 2 * h, -2)), range(1, 2 * h, 2))
+        terms = [*map(mul, map(mul, odd, a), a[n - h : n][::-1])]
+        middle = terms.pop() if n % 2 else 0
+        square.append(_exact_div(2 * sum(terms) + middle, 2))
     return _power_table(square, top)
 
 

@@ -17,8 +17,9 @@ __all__ = [
 ]
 
 
-def poly_eval(a: Sequence[Fraction], x: Fraction | int) -> Fraction:
-    value = Fraction(0)
+def poly_eval(a: Sequence[Fraction | int], x: Fraction | int) -> Fraction | int:
+    """Horner's rule; integer coefficients at an integer point give an int."""
+    value = 0
     for coeff in reversed(a):
         value = value * x + coeff
     return value
@@ -46,12 +47,12 @@ def poly_text(a: Sequence[Fraction], variable: str = "n") -> str:
     for i, coeff in enumerate(trimmed):
         if coeff == 0:
             continue
-        magnitude = str(abs(coeff))
+        magnitude = str(coeff).lstrip("-")
         if i == 0:
             term = magnitude
         else:
             power = variable if i == 1 else f"{variable}^{i}"
-            term = power if abs(coeff) == 1 else f"{magnitude}*{power}"
+            term = power if magnitude == "1" else f"{magnitude}*{power}"
         if not pieces:
             pieces.append(term if coeff > 0 else f"-{term}")
         else:

@@ -20,9 +20,10 @@ from hypothesis import strategies as st
 import polycauchy2
 from polycauchy2 import cli
 from polycauchy2 import convolution as convolution_module
+from polycauchy2 import polycauchy as polycauchy_module
 from polycauchy2 import IdentityReport, PolyCauchyTable, level2_by_recurrence
 from polycauchy2.cli import build_parser, main
-from polycauchy2.convolution import CONVOLUTION_IDENTITIES
+from polycauchy2.convolution import CONVOLUTION_IDENTITIES, default_conjecture_samples
 from polycauchy2.series import BUILTIN_SERIES_NAMES
 from series_oracle import paper_series
 
@@ -348,6 +349,28 @@ class TestVerifyCommand:
             "polycauchy2: internal error: sample points produce a singular system; add or vary samples"
         ]
         assert "usage" not in err
+
+    def test_bumped_c_at_the_last_sample_fails_only_that_row(self, capsys, monkeypatch):
+        # C at the last sample is read only by that held-out row: the solve,
+        # the rows before it and the printed polynomials stay as they were.
+        _, truth, _ = run(capsys, ["verify", "conjecture-r3"])
+        last = default_conjecture_samples(3)[-1]
+        real = polycauchy_module._formula_numerators
+
+        def bumped(nmax, k):
+            numerators, denominator = real(nmax, k)
+            numerators[last] += denominator
+            return numerators, denominator
+
+        monkeypatch.setattr(polycauchy_module, "_formula_numerators", bumped)
+        code, out, _ = run(capsys, ["verify", "conjecture-r3"])
+        assert code == 1
+        lines, expected = out.splitlines(), truth.splitlines()
+        row = next(i for i, line in enumerate(lines) if line.startswith(f"  n={last} "))
+        assert lines[row].endswith(" MISMATCH") and expected[row].endswith(" ok")
+        assert lines[:row] == expected[:row]
+        assert lines[row + 1 : -1] == expected[row + 1 : -1]
+        assert (lines[-1], expected[-1]) == ("status: fail", "status: pass")
 
 
 class TestBenchmarkReferences:

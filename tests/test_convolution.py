@@ -10,12 +10,15 @@ for their small weights is the double-factorial weights of the paper's
 sums (``weights``), from which ``TestRootWeights`` derives them. The oracles
 for the two differential equations for L are their power-series checks on
 ``series_oracle.Series`` (``paper_l_squared``, ``paper_l_second_derivative``).
-The oracle for the fraction-free conjecture solve is Gauss-Jordan elimination
-over Fraction (``gauss_jordan``). ``square_by_parts`` writes the symmetric
+The oracles for the modular conjecture solve are Gauss-Jordan elimination
+over Fraction (``gauss_jordan``) and the fraction-free elimination it replaced
+(``bareiss``). ``square_by_parts`` writes the symmetric
 kernel term by term, so its negative controls can drop or change one part.
 """
 
 import itertools
+import math
+import operator
 import random
 from fractions import Fraction
 from math import comb, factorial
@@ -273,6 +276,38 @@ def gauss_jordan(matrix, rhs):
                 f = rows[i][col]
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[col])]
     return [row[-1] for row in rows]
+
+
+def bareiss_eliminate(rows, divide):
+    # Fraction-free elimination (Bareiss, Math. Comp. 22, 1968) of integer
+    # rows in place: below pivot p a row becomes (p row - f pivot_row) / p'
+    # for the previous pivot p'. Returns the last pivot, which is +-det A.
+    size, previous = len(rows), 1
+    for col in range(size):
+        sel = next((i for i in range(col, size) if rows[i][col]), None)
+        if sel is None:
+            raise ArithmeticError("singular system")
+        rows[col], rows[sel] = rows[sel], rows[col]
+        p, tail = rows[col][col], rows[col][col + 1 :]
+        for row in rows[col + 1 :]:
+            f = row[col]
+            row[col + 1 :] = [divide(p * a - f * b, previous) for a, b in zip(row[col + 1 :], tail)]
+        previous = p
+    return previous
+
+
+def bareiss(matrix, rhs, divide=None):
+    # The fraction-free solve on the primitive integer rows; every division,
+    # back-substitution's too, goes through ``divide``.
+    if divide is None:
+        divide = lambda a, d: polycauchy_module._exact_div(a, d, "Bareiss solve")  # noqa: E731
+    rows = [exact_module._primitive([*row, value]) for row, value in zip(matrix, rhs)]
+    previous = bareiss_eliminate(rows, divide)
+    numerators = [0] * len(rows)
+    for i in reversed(range(len(rows))):
+        total = previous * rows[i][-1] - sum(a * x for a, x in zip(rows[i][i + 1 :], numerators[i + 1 :]))
+        numerators[i] = divide(total, rows[i][i])
+    return [Fraction(x, previous) for x in numerators]
 
 
 # Integer right-hand side, paper-form oracle, first index, identity name.
@@ -956,6 +991,50 @@ class TestConjectureExtraction:
             with pytest.raises(ValueError, match="sample points are fixed"):
                 verify_identity(name, nmax)
 
+    @pytest.mark.parametrize("step", ["1/Q", "1/7"])
+    @pytest.mark.parametrize("k,j", [(0, 0), (1, 2), (2, 1), (3, 6)])
+    def test_perturbed_coefficient_fails_r3_on_exact_rows(self, k, j, step, monkeypatch):
+        # Q is the common denominator of the truncated polynomials, so 1/Q is
+        # the smallest step of their integer numerators; 1/7 is a step that
+        # Q (15) does not divide. Either moves every row, and each row's
+        # right side must still be the perturbed ansatz evaluated exactly.
+        real = convolution_module._solve_exact
+        position = k * (k + 1) + j
+        blocks = []
+
+        def perturbed(matrix, rhs):
+            solution = real(matrix, rhs)
+            truncated = [solution[i * (i + 1) : i * (i + 1) + 2 * i + 1] for i in range(4)]
+            common = math.lcm(*(x.denominator for block in truncated for x in block))
+            solution[position] += Fraction(1, common if step == "1/Q" else 7)
+            blocks[:] = [solution[i * (i + 1) : i * (i + 1) + 2 * i + 1] for i in range(4)]
+            return solution
+
+        monkeypatch.setattr(convolution_module, "_solve_exact", perturbed)
+        report = verify_identity("conjecture-r3")
+        assert report.status == "fail"
+        assert not any(row.equal for row in report.per_n_results)
+        table = PolyCauchyTable.build(default_conjecture_samples(3)[-1])
+        for row in report.per_n_results:
+            n = row.n
+            terms = (poly_eval(blocks[i], n) * conjecture_prefactor(3, i, n) * table.value(n - i) for i in range(4))
+            assert row.rhs == sum(terms, Fraction(0)), n
+
+    @pytest.mark.parametrize("name", ["conjecture-r1", "conjecture-r2", "conjecture-r3"])
+    def test_verify_path_does_no_fraction_arithmetic(self, name, monkeypatch):
+        # The solve and the rows run on integers: Fractions are only built
+        # and compared, never added, multiplied or divided.
+        def forbidden(*args):
+            raise AssertionError("Fraction arithmetic on the conjecture path")
+
+        expected = verify_identity(name).to_text()
+        for method in ("add", "sub", "mul", "truediv", "floordiv", "mod", "pow"):
+            monkeypatch.setattr(Fraction, f"__{method}__", forbidden)
+            monkeypatch.setattr(Fraction, f"__r{method}__", forbidden)
+        for method in ("neg", "pos", "abs"):
+            monkeypatch.setattr(Fraction, f"__{method}__", forbidden)
+        assert verify_identity(name).to_text() == expected
+
     def test_identity_names_cover_registry(self):
         for name in CONVOLUTION_IDENTITIES:
             assert name in IDENTITY_NAMES
@@ -975,8 +1054,8 @@ def _random_fractions(generator, count):
     return [Fraction(generator.randint(-40, 40), generator.randint(1, 12)) for _ in range(count)]
 
 
-class TestBareissSolve:
-    """``_solve_exact`` against the Gauss-Jordan oracle, and the checks inside it."""
+class TestModularSolve:
+    """``_solve_exact`` against the Gauss-Jordan and Bareiss oracles, and the checks inside it."""
 
     @staticmethod
     def solves(matrix, rhs, solution):
@@ -993,7 +1072,7 @@ class TestBareissSolve:
             with pytest.raises(ArithmeticError, match="singular"):
                 convolution_module._solve_exact(matrix, rhs)
             return
-        assert convolution_module._solve_exact(matrix, rhs) == expected
+        assert convolution_module._solve_exact(matrix, rhs) == expected == bareiss(matrix, rhs)
 
     def test_seeded_systems_up_to_the_r3_size(self):
         generator = random.Random(20260)
@@ -1001,7 +1080,7 @@ class TestBareissSolve:
             matrix = [_random_fractions(generator, size) for _ in range(size)]
             rhs = _random_fractions(generator, size)
             solution = convolution_module._solve_exact(matrix, rhs)
-            assert solution == gauss_jordan(matrix, rhs), size
+            assert solution == gauss_jordan(matrix, rhs) == bareiss(matrix, rhs), size
             assert self.solves(matrix, rhs, solution)
             assert all(type(x) is Fraction for x in solution)
 
@@ -1017,14 +1096,14 @@ class TestBareissSolve:
         extract_conjecture_polynomials(r)
         (matrix, rhs), = systems
         assert len(matrix) == (r + 1) * (r + 2)
-        assert real(matrix, rhs) == gauss_jordan(matrix, rhs)
+        assert real(matrix, rhs) == gauss_jordan(matrix, rhs) == bareiss(matrix, rhs)
         # Each integer row is the paper's row, weights conjecture_prefactor
         # C_{2n-2k} times n^j over Fraction, scaled by one factor.
         samples = default_conjecture_samples(r)
         table = PolyCauchyTable.build(samples[-1])
         lhs = convolution_sweep((0,) * (2 * r + 1), samples[-1], table)
         for n, row, value in zip(samples, matrix, rhs):
-            assert all(type(v) is int for v in row)
+            assert all(type(v) is int for v in [*row, value])
             paper_row = [
                 Fraction(conjecture_prefactor(r, k, n)) * table.value(n - k) * n**j
                 for k in range(r + 1)
@@ -1064,7 +1143,133 @@ class TestBareissSolve:
         with pytest.raises(ArithmeticError, match="singular system"):
             convolution_module._solve_exact(matrix, [Fraction(1)] * len(matrix))
 
-    def test_every_division_is_checked(self, monkeypatch):
+
+# det of [[1, 2, 3], [4, 5, 6], [7, 8, 9 + x]] is -3x: with x = 1000003, a prime,
+# the primes 3 and 1000003 divide det A and no other prime does.
+_DET_PRIME = 1000003
+_DIVISIBLE = [[1, 2, 3], [4, 5, 6], [7, 8, 9 + _DET_PRIME]]
+
+
+class TestModularSolveControls:
+    """Negative controls: each way the modular solve could go wrong ends in the right solution or an error."""
+
+    @staticmethod
+    def primes_then_real(monkeypatch, first):
+        real = exact_module._solve_primes
+        monkeypatch.setattr(exact_module, "_solve_primes", lambda: itertools.chain(first, real()))
+
+    @staticmethod
+    def record_skips(monkeypatch):
+        real, skipped = exact_module._solve_mod, []
+
+        def record(rows, p):
+            solution = real(rows, p)
+            if solution is None:
+                skipped.append(p)
+            return solution
+
+        monkeypatch.setattr(exact_module, "_solve_mod", record)
+        return skipped
+
+    def test_candidate_off_in_one_row_is_rejected(self, monkeypatch):
+        # Lower triangular, so the last unknown reaches only the last row: that
+        # unknown off by one satisfies every row but the last.
+        matrix = [[2, 0, 0, 0], [1, 3, 0, 0], [4, -5, 7, 0], [1, 1, 1, 11]]
+        rhs = [1, 2, 3, 4]
+        truth = gauss_jordan(matrix, rhs)
+        off = [*truth[:-1], truth[-1] + 1]
+        rows = [exact_module._primitive([*row, value]) for row, value in zip(matrix, rhs)]
+        assert exact_module._satisfies(rows, truth)
+        assert not exact_module._satisfies(rows, off)
+        assert [sum(map(operator.mul, row, off)) == row[-1] for row in rows] == [True, True, True, False]
+        # The reconstruction returns that candidate at every prime: the solve
+        # must refuse it, and past the Cramer bound it raises. M61 alone
+        # passes the bound of so small a system, so one prime is tried.
+        real, calls = exact_module._rational_reconstruction, []
+
+        def reconstruct(residue, modulus, bound):
+            calls.append(residue)
+            value = real(residue, modulus, bound)
+            return value + 1 if len(calls) % 4 == 0 else value
+
+        monkeypatch.setattr(exact_module, "_rational_reconstruction", reconstruct)
+        with pytest.raises(ArithmeticError, match="Cramer bound"):
+            convolution_module._solve_exact(matrix, rhs)
+        assert len(calls) == 4
+
+    @pytest.mark.parametrize("first", [[_DET_PRIME], [3, _DET_PRIME]], ids=["one", "two"])
+    def test_a_prime_dividing_det_is_skipped(self, first, monkeypatch):
+        # Both primes together stay below the Hadamard bound of A, about 3.6e7,
+        # so neither makes the system singular.
+        matrix, rhs = _DIVISIBLE, [1, -2, 5]
+        self.primes_then_real(monkeypatch, first)
+        skipped = self.record_skips(monkeypatch)
+        assert convolution_module._solve_exact(matrix, rhs) == gauss_jordan(matrix, rhs)
+        assert skipped == first
+
+    def test_singular_only_past_the_hadamard_bound(self, monkeypatch):
+        # Rank 1: singular mod every prime. Its Hadamard bound is
+        # (isqrt(5) + 1)(isqrt(20) + 1) = 15, which 2 * 3 does not pass, so a
+        # third prime must be seen, be it 5 or 2^61 - 1.
+        matrix = [[1, 2], [2, 4]]
+        for first, seen in (([2, 3, 5], 3), ([2, 3], 3)):
+            with monkeypatch.context() as patch:
+                self.primes_then_real(patch, first)
+                skipped = self.record_skips(patch)
+                with pytest.raises(ArithmeticError, match="singular system"):
+                    convolution_module._solve_exact(matrix, [1, 1])
+                assert len(skipped) == seen
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_conjecture_solve_survives_a_prime_dividing_its_det(self, r, monkeypatch):
+        # The smallest odd prime dividing det A goes first; the solve must skip
+        # it and still return the extraction's polynomials.
+        truth = extract_conjecture_polynomials(r)
+        systems = []
+        real = convolution_module._solve_exact
+        monkeypatch.setattr(convolution_module, "_solve_exact", lambda m, b: systems.append((m, b)) or real(m, b))
+        extract_conjecture_polynomials(r)
+        matrix, rhs = systems[0]
+        rows = [exact_module._primitive([*row, value]) for row, value in zip(matrix, rhs)]
+        det = abs(bareiss_eliminate([row[:-1] for row in rows], polycauchy_module._exact_div))
+        divisor = next(q for q in range(3, 10**6, 2) if det % q == 0)
+        self.primes_then_real(monkeypatch, [divisor])
+        skipped = self.record_skips(monkeypatch)
+        assert extract_conjecture_polynomials(r) == truth
+        assert skipped == [divisor]
+
+    @pytest.mark.parametrize("bound", [0, 3, 1000])
+    def test_reconstruction_bound_too_low_returns_no_wrong_value(self, bound, monkeypatch):
+        # r = 1 solves for 1, 9, -12 and 4 among zeros: a bound below 12
+        # cannot reconstruct them, so no candidate is ever offered, and the
+        # solve raises once the Cramer bound is passed. A bound of 1000 is
+        # enough, so the right answer comes back.
+        real = exact_module._rational_reconstruction
+        monkeypatch.setattr(exact_module, "_rational_reconstruction", lambda x, m, b: real(x, m, bound))
+        if bound < 12:
+            with pytest.raises(ArithmeticError, match="Cramer bound"):
+                extract_conjecture_polynomials(1)
+        else:
+            p0, p2 = extract_conjecture_polynomials(1)
+            assert p2.interpolated_coefficients == [9, -12, 4]
+
+
+class TestBareissOracle:
+    """The Bareiss oracle agrees with Gauss-Jordan, and its checked divisions can fail."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(_SYSTEMS)
+    def test_matches_gauss_jordan(self, augmented):
+        matrix, rhs = [row[:-1] for row in augmented], [row[-1] for row in augmented]
+        try:
+            expected = gauss_jordan(matrix, rhs)
+        except ArithmeticError:
+            with pytest.raises(ArithmeticError, match="singular"):
+                bareiss(matrix, rhs)
+            return
+        assert bareiss(matrix, rhs) == expected
+
+    def test_every_division_is_checked(self):
         # Negative control: a wrong divisor (twice the true one) must raise,
         # not return a wrong solution. Unchecked, the same divisor floors
         # its way to a wrong answer, so the check is what catches it.
@@ -1072,10 +1277,6 @@ class TestBareissSolve:
         matrix = [[Fraction(v) for v in row] for row in matrix]
         rhs = [Fraction(v) for v in rhs]
         real = polycauchy_module._exact_div
-        monkeypatch.setattr(convolution_module, "_exact_div", lambda a, d, where: real(a, 2 * d, where))
         with pytest.raises(ArithmeticError, match="Bareiss solve: division by .* is not exact"):
-            convolution_module._solve_exact(matrix, rhs)
-        with pytest.raises(ArithmeticError, match="Bareiss solve"):
-            extract_conjecture_polynomials(1)
-        monkeypatch.setattr(convolution_module, "_exact_div", lambda a, d, where: a // (2 * d))
-        assert convolution_module._solve_exact(matrix, rhs) != gauss_jordan(matrix, rhs)
+            bareiss(matrix, rhs, lambda a, d: real(a, 2 * d, "Bareiss solve"))
+        assert bareiss(matrix, rhs, lambda a, d: a // (2 * d)) != gauss_jordan(matrix, rhs)
