@@ -35,12 +35,10 @@ from .stirling import (
     FormulaCheck,
     Level2Triangle,
     StirlingTriangle,
-    central_factorial_even,
     central_factorial_triangle,
     closed_form_fixtures,
     level2_by_classical_combination,
     level2_by_recurrence,
-    level2_by_rising_factorial,
     level2_by_symmetric_sum,
     level2_text_rows,
     stirling1,
@@ -61,11 +59,9 @@ __all__ = [
     "stirling1",
     "level2_by_recurrence",
     "level2_text_rows",
-    "level2_by_rising_factorial",
     "level2_by_symmetric_sum",
     "level2_by_classical_combination",
     "central_factorial_triangle",
-    "central_factorial_even",
     "closed_form_fixtures",
     "FormulaCheck",
     "level2_by_formula",

@@ -595,10 +595,6 @@ class ConjecturePolynomial(NamedTuple):
     interpolated_coefficients: list[Fraction]
     degree_ok: bool
 
-    @property
-    def claimed_degree(self) -> int:
-        return 2 * self.k
-
     def evaluate(self, n: int) -> Fraction:
         return poly_eval(self.interpolated_coefficients, n)
 

@@ -4,16 +4,16 @@ The classical unsigned numbers [n, m] count permutations by cycles and obey
 [n, m] = [n-1, m-1] + (n-1) [n-1, m]. The level-2 variant [[n, m]] replaces
 the factor (n-1) by (n-1)^2; equivalently [[n, m]] is the coefficient of x^m
 in x (x + 1^2)(x + 2^2) ... (x + (n-1)^2), or the elementary symmetric sum of
-squares e_{n-m}(1^2, ..., (n-1)^2). Four independent constructions are kept
-so they can be checked against each other:
+squares e_{n-m}(1^2, ..., (n-1)^2). The routes, checked against each other:
 
-  * the recurrence,
-  * expansion of the rising-factorial-like product,
-  * brute-force subset enumeration of the symmetric sums,
-  * a signed combination of products of classical numbers.
+  * the recurrence, the one row kernel for every view of the triangle;
+  * brute-force enumeration of the symmetric sums (n <= 20 in the tests);
+  * a signed combination of products of classical numbers;
+  * the closed forms of columns and diagonals (``closed_form_fixtures``);
+  * in the tests, the product above multiplied out by a balanced product tree.
 
-Central factorial numbers of even indices t(2n, 2m) carry the same data up
-to sign: [[n, m]] = (-1)^(n-m) t(2n, 2m).
+The signed view t(2n, 2m) = (-1)^(n-m) [[n, m]], the central factorial
+numbers of even indices, is built by the same row kernel as ``stirling2 --signed``.
 
 All entries are exact integers. ``stirling2`` runs the recurrence over trapped
 ``decimal.Decimal``, whose base-10^19 digits print in linear time (``str`` of a
@@ -39,23 +39,12 @@ __all__ = [
     "stirling1",
     "level2_by_recurrence",
     "level2_text_rows",
-    "level2_by_rising_factorial",
     "level2_by_symmetric_sum",
     "level2_by_classical_combination",
-    "central_factorial_even",
     "central_factorial_triangle",
     "FormulaCheck",
     "closed_form_fixtures",
 ]
-
-
-def _poly_times_linear(poly: list[int], c: int) -> list[int]:
-    """Multiply a dense integer polynomial (low degree first) by (x + c)."""
-    out = [0] * (len(poly) + 1)
-    for i, a in enumerate(poly):
-        out[i] += c * a
-        out[i + 1] += a
-    return out
 
 
 class _Triangle:
@@ -122,14 +111,19 @@ def _level2_row(prev: list, factor) -> list:
     return [0, *[a + factor * b for a, b in zip(prev, prev[1:])], prev[-1]]
 
 
-def level2_by_recurrence(nmax: int) -> Level2Triangle:
-    """Build [[n, m]] rows via [[n, m]] = [[n-1, m-1]] + (n-1)^2 [[n-1, m]]."""
+def _recurrence_rows(nmax: int, sign: int) -> list[list[int]]:
+    """Rows 0..nmax of the recurrence with the factor sign * (n-1)^2."""
     if nmax < 0:
         raise ValueError(f"nmax must be >= 0, got {nmax}")
     rows = [[1]]
     for n in range(1, nmax + 1):
-        rows.append(_level2_row(rows[-1], (n - 1) ** 2))
-    return Level2Triangle(rows)
+        rows.append(_level2_row(rows[-1], sign * (n - 1) ** 2))
+    return rows
+
+
+def level2_by_recurrence(nmax: int) -> Level2Triangle:
+    """Build [[n, m]] rows via [[n, m]] = [[n-1, m-1]] + (n-1)^2 [[n-1, m]]."""
+    return Level2Triangle(_recurrence_rows(nmax, 1))
 
 
 def _row_sum(n: int) -> decimal.Decimal:
@@ -170,18 +164,6 @@ def level2_text_rows(nmax: int, signed: bool = False) -> Iterator[list[str]]:
     return (list(map(str, row)) for row in rows)
 
 
-def level2_by_rising_factorial(nmax: int) -> Level2Triangle:
-    """Build [[n, m]] rows by expanding x (x + 1^2)(x + 2^2) ... (x + (n-1)^2)."""
-    if nmax < 0:
-        raise ValueError(f"nmax must be >= 0, got {nmax}")
-    rows = [[1]]
-    poly = [0, 1]  # the n = 1 product is x itself
-    for n in range(1, nmax + 1):
-        rows.append(list(poly))
-        poly = _poly_times_linear(poly, n**2)
-    return Level2Triangle(rows)
-
-
 def level2_by_symmetric_sum(n: int, m: int) -> int:
     """[[n, m]] as the sum of (i_1 ... i_{n-m})^2 over 1 <= i_1 < ... < i_{n-m} <= n-1.
 
@@ -219,24 +201,11 @@ class CentralFactorialTriangle(_Triangle):
 
 
 def central_factorial_triangle(nmax: int) -> CentralFactorialTriangle:
-    """Build t(2n, 2m) as the coefficient of y^m in y (y - 1^2)(y - 2^2) ... (y - (n-1)^2)."""
-    if nmax < 0:
-        raise ValueError(f"nmax must be >= 0, got {nmax}")
-    rows = [[1]]
-    poly = [0, 1]
-    for n in range(1, nmax + 1):
-        rows.append(list(poly))
-        poly = _poly_times_linear(poly, -(n**2))
-    return CentralFactorialTriangle(rows)
+    """t(2n, 2m), the coefficient of y^m in y (y - 1^2) ... (y - (n-1)^2), or (-1)^(n-m) [[n, m]].
 
-
-def central_factorial_even(n: int, m: int) -> int:
-    """t(2n, 2m) for a single index pair."""
-    if n < 0 or m < 0:
-        raise ValueError(f"indices must be >= 0, got ({n}, {m})")
-    if m > n:
-        return 0
-    return central_factorial_triangle(n).value(n, m)
+    Built by the recurrence with the factor -(n-1)^2.
+    """
+    return CentralFactorialTriangle(_recurrence_rows(nmax, -1))
 
 
 # -- closed-form fixtures ---------------------------------------------------------

@@ -19,6 +19,9 @@ of lif_k(log(1+t)) composed on ``Series``.
 ``poly_mul`` multiplies dense polynomials, coefficients low degree to high,
 by the schoolbook double loop. The package no longer multiplies polynomials;
 the tests expand products with it to check the polynomials the package builds.
+``product_tree_row`` multiplies out x (x ± 1^2) ... (x ± (n-1)^2) with it by a
+balanced product tree, a route to [[n, m]] and t(2n, 2m) that never builds a
+row of the triangle from the row before, as the package's recurrence does.
 """
 
 from __future__ import annotations
@@ -250,6 +253,22 @@ def poly_mul(a, b):
             if bj:
                 out[i + j] += ai * bj
     return out
+
+
+def product_tree_row(n: int, sign: int = 1) -> tuple[int, ...]:
+    """Coefficients of x (x + s 1^2)(x + s 2^2) ... (x + s (n-1)^2), s = sign, low degree first.
+
+    Row n of [[n, m]] for s = 1 and of t(2n, 2m) for s = -1; row 0 is (1,).
+    The linear factors are multiplied in pairs, level by level, with
+    ``poly_mul``, so no step is the recurrence's one-factor update.
+    """
+    if n == 0:
+        return (1,)
+    factors = [[0, 1]] + [[sign * i * i, 1] for i in range(1, n)]
+    while len(factors) > 1:
+        paired = [poly_mul(a, b) for a, b in zip(factors[::2], factors[1::2])]
+        factors = paired + factors[2 * len(paired) :]
+    return tuple(factors[0])
 
 
 def double_factorial(a: int) -> Fraction:

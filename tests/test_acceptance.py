@@ -21,7 +21,6 @@ from polycauchy2 import (
     level2_by_classical_combination,
     level2_by_formula,
     level2_by_recurrence,
-    level2_by_rising_factorial,
     level2_by_series,
     level2_by_symmetric_sum,
     verify_identity,
@@ -29,7 +28,7 @@ from polycauchy2 import (
 from polycauchy2.cli import main
 from polycauchy2.convolution import CONVOLUTION_IDENTITIES, rhs_3fold
 from polycauchy2.polynomials import poly_eval
-from series_oracle import Series, poly_mul
+from series_oracle import Series, poly_mul, product_tree_row
 from test_convolution import paper_rhs_2fold_01
 
 SEQUENCE_K1 = [
@@ -57,9 +56,8 @@ def test_c01_sequence_fixture_via_cli(capsys):
 def test_c02_four_way_triangle_agreement():
     started = time.perf_counter()
     recurrence = level2_by_recurrence(25)
-    rising = level2_by_rising_factorial(25)
     for n in range(26):
-        assert recurrence.row(n) == rising.row(n)
+        assert recurrence.row(n) == product_tree_row(n)
         for m in range(1, n + 1):
             assert recurrence.value(n, m) == level2_by_classical_combination(n, m)
     for n in range(21):
@@ -82,6 +80,7 @@ def test_c04_central_factorial_relation():
     level2 = level2_by_recurrence(20)
     central = central_factorial_triangle(20)
     for n in range(21):
+        assert central.row(n) == product_tree_row(n, -1)
         for m in range(n + 1):
             sign = -1 if (n - m) % 2 else 1
             assert level2.value(n, m) == sign * central.value(n, m)

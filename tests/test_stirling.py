@@ -1,8 +1,9 @@
 """Level-2 triangle routes against each other and against closed forms.
 
 The symmetric-sum route is the definition (elementary symmetric functions of
-the squares 1^2..(n-1)^2), so it serves as the oracle for the recurrence and
-rising-factorial tables; frozen row fixtures below were produced by it.
+the squares 1^2..(n-1)^2), so it serves as the oracle for the recurrence;
+frozen row fixtures below were produced by it. ``product_tree_row`` multiplies
+out the defining product, and checks the recurrence and its signed view.
 """
 
 import decimal
@@ -14,17 +15,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polycauchy2 import (
-    central_factorial_even,
     central_factorial_triangle,
     closed_form_fixtures,
     level2_by_classical_combination,
     level2_by_recurrence,
-    level2_by_rising_factorial,
     level2_by_symmetric_sum,
     level2_text_rows,
     stirling1,
 )
 from polycauchy2 import stirling as stirling_module
+from series_oracle import product_tree_row
 
 # Rows 0..5, frozen from the symmetric-sum definition.
 LEVEL2_ROWS = [
@@ -57,11 +57,10 @@ class TestLevel2Routes:
             for m, expected in enumerate(row):
                 assert level2_by_symmetric_sum(n, m) == expected
 
-    def test_recurrence_vs_rising_factorial(self):
-        a = level2_by_recurrence(30)
-        b = level2_by_rising_factorial(30)
+    def test_recurrence_vs_product_tree(self):
+        triangle = level2_by_recurrence(30)
         for n in range(31):
-            assert a.row(n) == b.row(n)
+            assert triangle.row(n) == product_tree_row(n)
 
     def test_recurrence_vs_symmetric_sum(self):
         triangle = level2_by_recurrence(12)
@@ -126,19 +125,51 @@ class TestCentralFactorial:
         level2 = level2_by_recurrence(12)
         central = central_factorial_triangle(12)
         for n in range(13):
+            assert central.row(n) == product_tree_row(n, -1)
             for m in range(n + 1):
                 sign = -1 if (n - m) % 2 else 1
                 assert level2.value(n, m) == sign * central.value(n, m)
 
-    def test_helper_matches_triangle(self):
-        central = central_factorial_triangle(8)
-        for n in range(9):
-            for m in range(n + 1):
-                assert central_factorial_even(n, m) == central.value(n, m)
-
     def test_diagonal_is_one(self):
         central = central_factorial_triangle(10)
         assert all(central.value(n, n) == 1 for n in range(11))
+
+
+class TestPerturbedTriangle:
+    """Negative control: one wrong entry of the row kernel, [[7, 3]] + 1, fails every route at n = 7."""
+
+    @pytest.fixture
+    def bumped(self, monkeypatch):
+        kernel = stirling_module._level2_row
+
+        def bump_row_7(prev, factor):
+            row = kernel(prev, factor)
+            if len(row) == 8:
+                row[3] += 1
+            return row
+
+        monkeypatch.setattr(stirling_module, "_level2_row", bump_row_7)
+        return level2_by_recurrence(10)
+
+    def test_rows_below_7_agree(self, bumped):
+        central = central_factorial_triangle(10)
+        for n in range(7):
+            assert bumped.row(n) == product_tree_row(n)
+            assert central.row(n) == product_tree_row(n, -1)
+            for m in range(1, n + 1):
+                assert bumped.value(n, m) == level2_by_symmetric_sum(n, m)
+                assert bumped.value(n, m) == level2_by_classical_combination(n, m)
+
+    def test_every_route_fails_at_7(self, bumped):
+        assert bumped.row(7) != product_tree_row(7)
+        assert bumped.value(7, 3) != level2_by_symmetric_sum(7, 3)
+        assert bumped.value(7, 3) != level2_by_classical_combination(7, 3)
+        assert central_factorial_triangle(7).row(7) != product_tree_row(7, -1)
+
+    def test_closed_forms_fail_where_the_entry_reaches(self, bumped):
+        # (7, 3) lies on column 3 and on diagonal n - 4; row 8 carries it to (8, 3), on n - 5.
+        first = {c.name: c.first_failure[0] for c in closed_form_fixtures(10, bumped) if not c.ok}
+        assert first == {"[[n,3]]": 7, "[[n,n-4]]": 7, "[[n,n-5]]": 8}
 
 
 class TestClosedForms:
