@@ -44,10 +44,16 @@ paper's right-hand sides as written, one Fraction per term
 (``tests/test_convolution.py``).
 
 ``verify_identity`` sweeps a named identity over a range and reports per-n
-equality without ever aborting on a failure. The two differential equations
-for L(t) = t / arcsinh t, ``eqll`` and ``eqconvo02``, are Theorems 2 and 3
-read as power series: their checks run the thm2 and thm3 sweeps on the
-formula route's table and report row n at t^(2n), divided by (2n)!.
+equality without ever aborting on a failure. ``thm1`` (the formula route
+against the series route, k = -3..3) and ``cor1`` (the integral
+representation against the formula route, k = 1..3) hold each side of each
+k as integer numerators over its own denominator and compare a / d with
+b / e as a e = b d; each n reports its first failing k, else k = 1, and
+only that row builds Fractions, one for both sides when they agree. The
+two differential equations for L(t) = t / arcsinh t, ``eqll`` and
+``eqconvo02``, are Theorems 2 and 3 read as power series: their checks run
+the thm2 and thm3 sweeps on the formula route's table and report row n at
+t^(2n), divided by (2n)!, once for both sides when they agree.
 
 ``extract_conjecture_polynomials`` recovers, from convolution data alone, the
 polynomials P_{r,2k}(n) in the ansatz
@@ -81,15 +87,11 @@ from math import factorial, lcm
 from operator import add, mul
 from typing import Callable, Iterable, NamedTuple, Sequence
 
+# thm1 and cor1 read the routes and stages through the module, so a patched one is the one that runs.
+from . import polycauchy as _polycauchy
 from .exact import _even_binomials, _solve_exact, binomial
 from .polynomials import poly_degree, poly_eval, poly_text, poly_trim
-from .polycauchy import (
-    _exact_div,
-    PolyCauchyTable,
-    arcsinh_power_egf,
-    integral_representation_check,
-    level2_series_values,
-)
+from .polycauchy import _exact_div, PolyCauchyTable, arcsinh_power_egf
 from .stirling import level2_by_recurrence
 
 __all__ = [
@@ -480,50 +482,47 @@ def _verify_convolution(
 
 
 def _report_over_k(
-    name: str, nmax: int, k_range: range, check: Callable[[int, int], CheckRow]
+    name: str,
+    nmax: int,
+    k_range: range,
+    sides: dict[int, tuple[list[int], int, list[int], int]],
+    held: Sequence[bool],
 ) -> IdentityReport:
-    """One row per n = 0..nmax: the first failing k's row, else the k = 1 row."""
+    """One row per n = 0..nmax: the first failing k's row, else the k = 1 row.
+
+    ``sides[k]`` is (a, d, b, e), and at n the two sides are a[n] / d and
+    b[n] / e, compared by cross-multiplication. A false ``held[n]`` fails
+    every k at n. Only the reported row builds Fractions, and a passing row
+    holds one on both sides: equal sides reduce to the same value and text.
+    """
 
     def row(n: int) -> CheckRow:
-        by_k = {}
         for k in k_range:
-            by_k[k] = check(n, k)
-            if not by_k[k].equal:
-                return by_k[k]
-        return by_k[1]
+            a, d, b, e = sides[k]
+            if not held[n] or a[n] * e != b[n] * d:
+                return CheckRow(n, Fraction(a[n], d), Fraction(b[n], e), False)
+        a, d, _, _ = sides[1]
+        value = Fraction(a[n], d)
+        return CheckRow(n, value, value, True)
 
     rows = [row(n) for n in range(nmax + 1)]
     return IdentityReport(name, nmax, f"n=0..{nmax}, k={k_range[0]}..{k_range[-1]}", rows)
 
 
-def _formula_table(nmax: int, k_range: range) -> PolyCauchyTable:
-    """The formula route for n = 0..nmax at every k in range, one pass per k."""
-    table = PolyCauchyTable()
-    for k in k_range:
-        table.ensure(nmax, k)
-    return table
-
-
 def _verify_route_agreement(nmax: int) -> IdentityReport:
-    formula = _formula_table(nmax, _ROUTE_K_RANGE)
     egf = arcsinh_power_egf(nmax)
-    series = {k: level2_series_values(egf, k) for k in _ROUTE_K_RANGE}
-
-    def check(n: int, k: int) -> CheckRow:
-        return CheckRow.compare(n, formula.value(n, k), series[k][n])
-
-    return _report_over_k("thm1", nmax, _ROUTE_K_RANGE, check)
+    sides = {
+        k: (*_polycauchy._formula_numerators(nmax, k), *_polycauchy._sum_over_powers(egf, nmax + 1, k, 2))
+        for k in _ROUTE_K_RANGE
+    }
+    return _report_over_k("thm1", nmax, _ROUTE_K_RANGE, sides, [True] * (nmax + 1))
 
 
 def _verify_integral_representation(nmax: int) -> IdentityReport:
     triangle = level2_by_recurrence(nmax)
-    table = _formula_table(nmax, _INTEGRAL_K_RANGE)
-
-    def check(n: int, k: int) -> CheckRow:
-        result = integral_representation_check(n, k, triangle, table)
-        return CheckRow(n, result.integral_value, result.reference_value, result.passed)
-
-    return _report_over_k("cor1", nmax, _INTEGRAL_K_RANGE, check)
+    matches, integrals = _polycauchy._integral_stages(range(nmax + 1), _INTEGRAL_K_RANGE, triangle)
+    sides = {k: (*integrals[k], *_polycauchy._formula_numerators(nmax, k)) for k in _INTEGRAL_K_RANGE}
+    return _report_over_k("cor1", nmax, _INTEGRAL_K_RANGE, sides, matches)
 
 
 def _verify_l_equation(name: str, identity: str, nmax: int) -> IdentityReport:
@@ -547,12 +546,17 @@ def _verify_l_equation(name: str, identity: str, nmax: int) -> IdentityReport:
               + (s^(-1/2) - s^(1/2)) L'' / 2 - t s^(1/2) L''' / 3,
 
     whose right side, collected the same way, is ``rhs_2fold_01``. Row 2n
-    of the report is row n of the sweep divided by (2n)!.
+    of the report is row n of the sweep divided by (2n)!, carried from row
+    to row; a row whose sides agree is divided once, and both sides show it.
     """
-    rows = [CheckRow.compare(i, Fraction(0), Fraction(0)) for i in range(nmax + 1)]
+    zero, scale, rows = Fraction(0), 1, []
     for row in _verify_convolution(identity, nmax // 2, None, None).per_n_results:
-        scale = factorial(2 * row.n)
-        rows[2 * row.n] = CheckRow.compare(2 * row.n, row.lhs / scale, row.rhs / scale)
+        i = 2 * row.n
+        scale *= max(i * (i - 1), 1)
+        lhs = row.lhs / scale
+        rows.append(CheckRow(i, lhs, lhs if row.equal else row.rhs / scale, row.equal))
+        if i < nmax:
+            rows.append(CheckRow(i + 1, zero, zero, True))
     return IdentityReport(name, nmax, f"coefficients t^0..t^{nmax}", rows)
 
 

@@ -294,6 +294,30 @@ def _linear_product(n: int) -> list[int]:
     return _LINEAR_PRODUCTS[n]
 
 
+def _integral_stages(
+    ns: range, ks: Iterable[int], triangle: Level2Triangle
+) -> tuple[list[bool], dict[int, tuple[list[int], int]]]:
+    """Stage 1 at each n in ``ns``, once per n; per k, D times stage 2's integral at each n, and D.
+
+    Stage 1 expands the binomial product factor by factor:
+    (-4)^n (n!)^2 binom(z/2, n) binom(-z/2, n) = (-4)^n prod (z/2 - i)(-z/2 - i)
+    = (-1)^n prod (z - 2i)(-z - 2i), a product of integer linear factors.
+    Stage 2 integrates that product, which never read the triangle, termwise
+    over the unit cube: z^j becomes 1/(j+1)^k, summed over one common
+    denominator whose weights are built once per k. The k-fold integral is
+    never evaluated numerically. Only the even powers z^(2m), with bases
+    2m + 1, are summed: stage 1 compares every odd coefficient with 0.
+    """
+    matches, evens = [], []
+    for n in ns:
+        product = _linear_product(n)
+        expected = [0] * (2 * n + 1)
+        expected[::2] = _formula_column(n, triangle)
+        matches.append(product == expected)
+        evens.append(product[::2])
+    return matches, {k: _sum_over_powers(evens, ns[-1] + 1, k, 2) for k in ks}
+
+
 def integral_representation_check(
     n: int, k: int, triangle: Level2Triangle | None = None, table: PolyCauchyTable | None = None
 ) -> IntegralCheck:
@@ -308,24 +332,9 @@ def integral_representation_check(
     if table is None:
         table = PolyCauchyTable()
     table.ensure(n, k)
-
-    # Stage 1: expand the binomial product factor by factor, once per n.
-    # (-4)^n (n!)^2 binom(z/2, n) binom(-z/2, n) = (-4)^n prod (z/2 - i)(-z/2 - i)
-    # = (-1)^n prod (z - 2i)(-z - 2i), a product of integer linear factors.
-    product = _linear_product(n)
-
-    expected = [0] * (2 * n + 1)
-    expected[::2] = _formula_column(n, triangle)
-    polynomial_match = product == expected
-
-    # Stage 2: integrate the stage-1 product, which never read the triangle,
-    # termwise over the unit cube: z^j becomes 1/(j+1)^k, summed over one
-    # common denominator. The k-fold integral is never evaluated numerically.
-    # Only the even powers z^(2m), with bases 2m + 1, are summed: stage 1 has
-    # just compared every odd coefficient with the 0 of ``expected``.
-    (numerator,), denominator = _sum_over_powers([product[::2]], n + 1, k, 2)
+    (polynomial_match,), integrals = _integral_stages(range(n, n + 1), (k,), triangle)
+    (numerator,), denominator = integrals[k]
     integral_value = Fraction(numerator, denominator)
     reference_value = table.value(n, k)
     value_match = integral_value == reference_value
-
     return IntegralCheck(n, k, polynomial_match, value_match, integral_value, reference_value)

@@ -10,6 +10,9 @@ for their small weights is the double-factorial weights of the paper's
 sums (``weights``), from which ``TestRootWeights`` derives them. The oracles
 for the two differential equations for L are their power-series checks on
 ``series_oracle.Series`` (``paper_l_squared``, ``paper_l_second_derivative``).
+The oracles for ``thm1`` and ``cor1`` compare one Fraction per side at every
+(n, k) the sweep tries, and rebuild both stages of ``cor1`` for each
+(``fraction_route_agreement``, ``fraction_integral_representation``).
 The oracles for the modular conjecture solve are Gauss-Jordan elimination
 over Fraction (``gauss_jordan``) and the fraction-free elimination it replaced
 (``bareiss``). ``square_by_parts`` writes the symmetric
@@ -30,9 +33,13 @@ from hypothesis import strategies as st
 from polycauchy2 import (
     IDENTITY_NAMES,
     PolyCauchyTable,
+    arcsinh_power_egf,
     builtin_series,
     convolution_sweep,
     extract_conjecture_polynomials,
+    level2_by_formula,
+    level2_by_recurrence,
+    level2_series_values,
     verify_identity,
 )
 from polycauchy2 import convolution as convolution_module
@@ -258,6 +265,64 @@ def paper_l_second_derivative(nmax):
     rhs = a * big_l + b * l1 + c * l2 + d * l3
     rows = [CheckRow.compare(i, lhs.coefficient(i), rhs.coefficient(i)) for i in range(nmax + 1)]
     return IdentityReport("eqconvo02", nmax, f"coefficients t^0..t^{nmax}", rows)
+
+
+def report_over_k(name, nmax, k_range, check):
+    """A k-sweep compared as Fractions: check(n, k) builds a row for every (n, k) tried.
+
+    Each n reports the first failing k's row, else the k = 1 row.
+    """
+
+    def row(n):
+        by_k = {}
+        for k in k_range:
+            by_k[k] = check(n, k)
+            if not by_k[k].equal:
+                return by_k[k]
+        return by_k[1]
+
+    rows = [row(n) for n in range(nmax + 1)]
+    return IdentityReport(name, nmax, f"n=0..{nmax}, k={k_range[0]}..{k_range[-1]}", rows)
+
+
+def formula_table(nmax, k_range):
+    table = PolyCauchyTable()
+    for k in k_range:
+        table.ensure(nmax, k)
+    return table
+
+
+def fraction_route_agreement(nmax):
+    """thm1 as a Fraction per route and (n, k), compared with ==."""
+    formula = formula_table(nmax, range(-3, 4))
+    egf = arcsinh_power_egf(nmax)
+    series = {k: level2_series_values(egf, k) for k in range(-3, 4)}
+    return report_over_k(
+        "thm1", nmax, range(-3, 4), lambda n, k: CheckRow.compare(n, formula.value(n, k), series[k][n])
+    )
+
+
+def fraction_integral_check(n, k, triangle, table):
+    """Both stages of cor1 at one (n, k), rebuilt for it: stage 1, stage 2's weights, a Fraction per side."""
+    product = polycauchy_module._linear_product(n)
+    expected = [0] * (2 * n + 1)
+    expected[::2] = polycauchy_module._formula_column(n, triangle)
+    (numerator,), denominator = polycauchy_module._sum_over_powers([product[::2]], n + 1, k, 2)
+    integral, reference = Fraction(numerator, denominator), table.value(n, k)
+    return CheckRow(n, integral, reference, product == expected and integral == reference)
+
+
+def fraction_integral_representation(nmax):
+    """cor1 as ``fraction_integral_check`` at every (n, k) the sweep tries."""
+    triangle, table = level2_by_recurrence(nmax), formula_table(nmax, range(1, 4))
+    return report_over_k(
+        "cor1", nmax, range(1, 4), lambda n, k: fraction_integral_check(n, k, triangle, table)
+    )
+
+
+# The k-sweeps and their Fraction oracles.
+K_SWEEPS = [("thm1", fraction_route_agreement), ("cor1", fraction_integral_representation)]
+K_SWEEP_IDS = [case[0] for case in K_SWEEPS]
 
 
 def gauss_jordan(matrix, rhs):
@@ -836,6 +901,72 @@ class TestRouteAndSeriesSweeps:
         report = verify_identity("cor1", 8)
         assert report.status == "pass"
 
+    @pytest.mark.parametrize("name,oracle", K_SWEEPS, ids=K_SWEEP_IDS)
+    def test_k_sweeps_match_the_fraction_comparison(self, name, oracle):
+        # Comparing integer numerators reports what comparing Fractions reported.
+        for nmax in range(41):
+            report, expected = verify_identity(name, nmax), oracle(nmax)
+            assert report == expected, (name, nmax)
+            assert report.to_text() == expected.to_text(), (name, nmax)
+            assert report.to_json_dict() == expected.to_json_dict(), (name, nmax)
+
+    def test_series_numerator_off_at_one_k_fails_thm1_there(self, monkeypatch):
+        # Only the reported k builds Fractions, yet every k is compared: a
+        # series numerator off by 1 at k = -3, n = 7, where D = 1, fails
+        # n = 7 alone, and that row prints the two values of k = -3.
+        real = polycauchy_module._sum_over_powers
+
+        def perturbed(columns, size, k, step):
+            numerators, denominator = real(columns, size, k, step)
+            if k == -3 and len(numerators) > 7:
+                numerators[7] += 1
+            return numerators, denominator
+
+        truth = level2_by_formula(7, -3)
+        monkeypatch.setattr(polycauchy_module, "_sum_over_powers", perturbed)
+        report = verify_identity("thm1", 12)
+        assert [row.n for row in report.per_n_results if not row.equal] == [7]
+        assert report.first_failure == CheckRow(7, truth, truth + 1, False)
+        assert f"  n=7 lhs={truth} rhs={truth + 1} MISMATCH" in report.to_text().splitlines()
+        assert report == fraction_route_agreement(12)
+
+    @pytest.mark.parametrize("name", ["thm1", "cor1"])
+    def test_sides_are_compared_by_value_not_by_denominator(self, name, monkeypatch):
+        # Both sides of each sweep happen to share one D. The series side and
+        # stage 2 are patched to hold the same values over 2 D, so a check
+        # that compared numerators alone would fail where this one passes.
+        real = polycauchy_module._sum_over_powers
+        expected = verify_identity(name, 12)
+
+        def doubled(columns, size, k, step):
+            numerators, denominator = real(columns, size, k, step)
+            return [2 * x for x in numerators], 2 * denominator
+
+        monkeypatch.setattr(polycauchy_module, "_sum_over_powers", doubled)
+        report = verify_identity(name, 12)
+        assert report.status == "pass"
+        assert report.to_text() == expected.to_text()
+
+    def test_formula_numerator_off_at_k3_fails_cor1_there(self, monkeypatch):
+        # D C_12^(3) + 1 from the formula route at k = 3 alone: cor1 fails at
+        # n = 6 only, on the k = 3 row, whose sides differ by 1/D.
+        real = polycauchy_module._formula_numerators
+
+        def bumped(nmax, k):
+            numerators, denominator = real(nmax, k)
+            if k == 3 and nmax >= 6:
+                numerators[6] += 1
+            return numerators, denominator
+
+        truth = level2_by_formula(6, 3)
+        monkeypatch.setattr(polycauchy_module, "_formula_numerators", bumped)
+        report = verify_identity("cor1", 10)
+        assert [row.n for row in report.per_n_results if not row.equal] == [6]
+        row = report.first_failure
+        assert row.lhs == truth
+        assert row.rhs == truth + Fraction(1, math.lcm(*range(1, 22, 2)) ** 3)
+        assert report == fraction_integral_representation(10)
+
     @pytest.mark.parametrize("name", ["eqll", "eqconvo02"])
     def test_series_identities(self, name):
         report = verify_identity(name, 20)
@@ -854,11 +985,17 @@ class TestRouteAndSeriesSweeps:
     def test_wrong_c10_fails_series_identities(self, name, first, bumped_c10):
         # C9 style: the L equations read the formula route's table, so a
         # wrong C_10 must fail them from the first coefficient whose
-        # convolution reads it.
+        # convolution reads it. Each side of row 2n is that side of the
+        # sweep's row n over (2n)!, failing rows included.
         report = verify_identity(name, 20)
         assert report.status == "fail"
         assert report.first_failure.n == first
         assert all(row.equal for row in report.per_n_results[:first])
+        sweep = {"eqll": "thm2", "eqconvo02": "thm3"}[name]
+        for row in verify_identity(sweep, 10).per_n_results:
+            scale = factorial(2 * row.n)
+            assert report.per_n_results[2 * row.n] == (2 * row.n, row.lhs / scale, row.rhs / scale, row.equal)
+        assert report.first_failure.lhs != report.first_failure.rhs
 
     def test_arcsinh_power_identity(self):
         report = verify_identity("arcsinh_power", 24)
@@ -1020,12 +1157,13 @@ class TestConjectureExtraction:
             terms = (poly_eval(blocks[i], n) * conjecture_prefactor(3, i, n) * table.value(n - i) for i in range(4))
             assert row.rhs == sum(terms, Fraction(0)), n
 
-    @pytest.mark.parametrize("name", ["conjecture-r1", "conjecture-r2", "conjecture-r3"])
+    @pytest.mark.parametrize("name", ["conjecture-r1", "conjecture-r2", "conjecture-r3", "thm1", "cor1"])
     def test_verify_path_does_no_fraction_arithmetic(self, name, monkeypatch):
         # The solve and the rows run on integers: Fractions are only built
-        # and compared, never added, multiplied or divided.
+        # and compared, never added, multiplied or divided. thm1 and cor1
+        # compare integers, so they never compare two Fractions either.
         def forbidden(*args):
-            raise AssertionError("Fraction arithmetic on the conjecture path")
+            raise AssertionError(f"Fraction arithmetic on the {name} path")
 
         expected = verify_identity(name).to_text()
         for method in ("add", "sub", "mul", "truediv", "floordiv", "mod", "pow"):
@@ -1033,6 +1171,9 @@ class TestConjectureExtraction:
             monkeypatch.setattr(Fraction, f"__r{method}__", forbidden)
         for method in ("neg", "pos", "abs"):
             monkeypatch.setattr(Fraction, f"__{method}__", forbidden)
+        if name in ("thm1", "cor1"):
+            for method in ("eq", "lt", "le", "gt", "ge"):
+                monkeypatch.setattr(Fraction, f"__{method}__", forbidden)
         assert verify_identity(name).to_text() == expected
 
     def test_identity_names_cover_registry(self):

@@ -228,7 +228,7 @@ class TestIntegerKernel:
         assert formula_values(nmax, k) == triangle_dot_product(nmax, k)
 
     def test_formula_route_reads_no_triangle_and_no_arcsinh_kernel(self, monkeypatch):
-        # The formula table, level2_by_formula and the sweeps' formula tables
+        # The formula table, level2_by_formula and the thm1 and cor1 sweeps
         # share one kernel that never reads the other routes' data, so thm1
         # compares two independent routes.
         expected = {k: triangle_dot_product(12, k) for k in (-2, 0, 1, 3)}
@@ -247,8 +247,6 @@ class TestIntegerKernel:
             table = PolyCauchyTable.build(12, k, "formula")
             assert [table.value(n, k) for n in range(13)] == values, k
             assert level2_by_formula(12, k) == values[12], k
-        swept = convolution_module._formula_table(12, range(-2, 2))
-        assert [swept.value(n, 0) for n in range(13)] == expected[0]
         # The guards are live: the series route and stage 1 of cor1 trip them.
         with pytest.raises(AssertionError):
             level2_by_series(3)
