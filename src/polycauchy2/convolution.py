@@ -44,12 +44,13 @@ paper's right-hand sides as written, one Fraction per term
 (``tests/test_convolution.py``).
 
 ``verify_identity`` sweeps a named identity over a range and reports per-n
-equality without ever aborting on a failure. ``thm1`` (the formula route
-against the series route, k = -3..3) and ``cor1`` (the integral
-representation against the formula route, k = 1..3) hold each side of each
-k as integer numerators over its own denominator and compare a / d with
-b / e as a e = b d; each n reports its first failing k, else k = 1, and
-only that row builds Fractions, one for both sides when they agree. The
+equality without ever aborting on a failure. Each check builds its own
+inputs from nmax alone. ``thm1`` (the formula route against the series
+route, k = -3..3) and ``cor1`` (the integral representation against the
+formula route, k = 1..3) hold each side of each k as integer numerators
+over its own denominator and compare a / d with b / e as a e = b d; each n
+reports its first failing k, else k = 1, and only that row builds
+Fractions, one for both sides when they agree. The
 two differential equations for L(t) = t / arcsinh t, ``eqll`` and
 ``eqconvo02``, are Theorems 2 and 3 read as power series: their checks run
 the thm2 and thm3 sweeps on the formula route's table and report row n at
@@ -62,16 +63,19 @@ polynomials P_{r,2k}(n) in the ansatz
         sum over k = 0..r of P_{r,2k}(n) binom(2n, 2k) binom(2n-2k-1, 2r-2k)
             * C_{2n-2k}
 
-by solving one exact linear system for all coefficient vectors at once. The
-solve (``exact._solve_exact``) runs Gauss-Jordan modulo primes from 2^61 - 1
-down, combines the residues by CRT, reconstructs each unknown as a fraction
-and returns it only if it satisfies every integer row exactly (von zur Gathen
-& Gerhard, Modern Computer Algebra, ch. 5). Each P gets a degree budget of
-2k + 1, one slack coefficient above its claimed degree, and its coefficients
-are its block of the solution. The last three sample points are held out of
-the solve. ``verify conjecture-r<R>`` compares the sweep with the ansatz at
-every sample, held-out ones included, with each P truncated to its claimed
-degree and evaluated on integers over one common denominator. The library
+by solving one exact linear system for all coefficient vectors at once. Its
+inputs are fixed: the samples n = r + 1..r + (r+1)(r+2) + 3
+(``default_conjecture_samples``) and the formula route's table, built to
+the last of them. The solve (``exact._solve_exact``) runs Gauss-Jordan
+modulo primes from 2^61 - 1 down, combines the residues by CRT,
+reconstructs each unknown as a fraction and returns it only if it satisfies
+every integer row exactly (von zur Gathen & Gerhard, Modern Computer
+Algebra, ch. 5). Each P gets a degree budget of 2k + 1, one slack
+coefficient above its claimed degree, and its coefficients are its block of
+the solution. The last three sample points are held out of the solve.
+``verify conjecture-r<R>`` compares the sweep with the ansatz at every
+sample, held-out ones included, with each P truncated to its claimed degree
+and evaluated on integers over one common denominator. The library
 extraction also recovers each P pointwise, by subtracting the other solved
 terms from the convolution and dividing by its own weight; at a held-out
 point that value is an independent probe, so a wrong ansatz cannot slip
@@ -463,21 +467,14 @@ _ROUTE_K_RANGE = range(-3, 4)
 _INTEGRAL_K_RANGE = range(1, 4)
 
 
-def _verify_convolution(
-    name: str,
-    nmax: int,
-    rhs_override: Callable[[int, PolyCauchyTable], list[Fraction]] | None,
-    table: PolyCauchyTable | None,
-) -> IdentityReport:
+def _verify_convolution(name: str, nmax: int) -> IdentityReport:
     defn = CONVOLUTION_IDENTITIES[name]
     if nmax < defn.nmin:
         raise ValueError(f"{name} starts at n = {defn.nmin}: nmax must be >= {defn.nmin}, got {nmax}")
-    if table is None:
-        table = PolyCauchyTable.build(nmax + 2)
+    table = PolyCauchyTable.build(nmax + 2)
     lhs = convolution_sweep(defn.offsets, nmax, table)
-    rhs = (rhs_override if rhs_override is not None else defn.rhs)(nmax, table)
     ns = range(defn.nmin, nmax + 1)
-    rows = [CheckRow.compare(n, lhs[n], value) for n, value in zip(ns, rhs, strict=True)]
+    rows = [CheckRow.compare(n, lhs[n], value) for n, value in zip(ns, defn.rhs(nmax, table), strict=True)]
     return IdentityReport(name, nmax, f"n={defn.nmin}..{nmax}", rows)
 
 
@@ -519,8 +516,7 @@ def _verify_route_agreement(nmax: int) -> IdentityReport:
 
 
 def _verify_integral_representation(nmax: int) -> IdentityReport:
-    triangle = level2_by_recurrence(nmax)
-    matches, integrals = _polycauchy._integral_stages(range(nmax + 1), _INTEGRAL_K_RANGE, triangle)
+    matches, integrals = _polycauchy._integral_stages(range(nmax + 1), _INTEGRAL_K_RANGE)
     sides = {k: (*integrals[k], *_polycauchy._formula_numerators(nmax, k)) for k in _INTEGRAL_K_RANGE}
     return _report_over_k("cor1", nmax, _INTEGRAL_K_RANGE, sides, matches)
 
@@ -550,7 +546,7 @@ def _verify_l_equation(name: str, identity: str, nmax: int) -> IdentityReport:
     to row; a row whose sides agree is divided once, and both sides show it.
     """
     zero, scale, rows = Fraction(0), 1, []
-    for row in _verify_convolution(identity, nmax // 2, None, None).per_n_results:
+    for row in _verify_convolution(identity, nmax // 2).per_n_results:
         i = 2 * row.n
         scale *= max(i * (i - 1), 1)
         lhs = row.lhs / scale
@@ -612,36 +608,20 @@ def default_conjecture_samples(r: int) -> list[int]:
     return list(range(r + 1, r + 1 + unknowns + 3))
 
 
-def extract_conjecture_polynomials(
-    r: int,
-    n_samples: Sequence[int] | None = None,
-    table: PolyCauchyTable | None = None,
-) -> list[ConjecturePolynomial]:
+def extract_conjecture_polynomials(r: int) -> list[ConjecturePolynomial]:
     """Recover P_{r,2k} for k = 0..r from the (2r+1)-fold convolution alone.
 
-    Sample indices must satisfy n >= r + 1 so every C index stays
-    nonnegative. The first (r+1)(r+2) samples feed the linear solve (degree
-    budget 2k + 1 per polynomial), which runs modulo primes and is certified
-    on the integer rows (``exact._solve_exact``); at least one further sample
-    must remain as a held-out point, and all points, held-out included, land
-    in ``sample_points`` so ``reproduces_samples`` is a genuine check.
+    The samples are fixed (``default_conjecture_samples``), and the C values
+    come from the formula route's table, built to the last sample. The first
+    (r+1)(r+2) samples feed the linear solve (degree budget 2k + 1 per
+    polynomial), which runs modulo primes and is certified on the integer rows
+    (``exact._solve_exact``); the last three are held out, and all points,
+    held-out included, land in ``sample_points`` so ``reproduces_samples`` is
+    a genuine check. No weight at a sample is 0, so each point is a division.
     """
     if r not in (1, 2, 3):
         raise ValueError(f"conjecture extraction is implemented for r in 1..3, got {r}")
-    if n_samples is None:
-        n_samples = default_conjecture_samples(r)
-    samples = sorted(set(n_samples))
-    if any(n < r + 1 for n in samples):
-        raise ValueError(f"sample indices must be >= r + 1 = {r + 1}, got {samples}")
-    unknowns = (r + 1) * (r + 2)
-    if len(samples) < unknowns + 1:
-        raise ValueError(
-            f"need at least {unknowns + 1} sample points for r = {r} "
-            f"({unknowns} to solve plus a held-out point), got {len(samples)}"
-        )
-    if table is None:
-        table = PolyCauchyTable.build(samples[-1])
-    solved, weights, lhs, denominator = _solve_conjecture(r, samples, table)
+    samples, solved, weights, lhs, denominator = _solve_conjecture(r)
     targets = {n: denominator * lhs[n] for n in samples}
     terms = {key: poly_eval(solved[key[0]], key[1]) * weight for key, weight in weights.items()}
     polynomials: list[ConjecturePolynomial] = []
@@ -651,11 +631,8 @@ def extract_conjecture_polynomials(
             # Subtract the other recovered terms, divide by this term's
             # weight; at solve points this reproduces the solved polynomial,
             # at held-out points it is an independent probe of the ansatz.
-            weight = weights[(k, n)]
-            if weight == 0:
-                continue
             others = sum(terms[(other, n)] for other in range(r + 1) if other != k)
-            points.append((n, (targets[n] - others) / weight))
+            points.append((n, (targets[n] - others) / weights[(k, n)]))
         coefficients = poly_trim(solved[k])
         degree_ok = poly_degree(coefficients) <= 2 * k
         polynomials.append(ConjecturePolynomial(r, k, points, coefficients, degree_ok))
@@ -663,9 +640,9 @@ def extract_conjecture_polynomials(
 
 
 def _solve_conjecture(
-    r: int, samples: list[int], table: PolyCauchyTable
-) -> tuple[list[list[Fraction]], dict[tuple[int, int], int], list[Fraction], int]:
-    """The solved coefficients of each P_{r,2k}, the weights, the convolution sweep and D.
+    r: int,
+) -> tuple[list[int], list[list[Fraction]], dict[tuple[int, int], int], list[Fraction], int]:
+    """The samples, the solved coefficients of each P_{r,2k}, the weights, the convolution sweep and D.
 
     Both sides of every equation are scaled by D, the common denominator of
     the C_{2m} read: the weight of P_{r,2k} at n is then the integer
@@ -673,8 +650,11 @@ def _solve_conjecture(
     weights times powers of n. With the sweep's value at n written p / q in
     lowest terms, each row is also scaled by q, so its right side is the
     integer D p and the solve reads integers only. No step relies on the
-    shape of a P.
+    shape of a P. The samples are ``default_conjecture_samples(r)``, and the
+    table is the formula route's, built to the last of them.
     """
+    samples = default_conjecture_samples(r)
+    table = PolyCauchyTable.build(samples[-1])
     lhs = convolution_sweep((0,) * (2 * r + 1), samples[-1], table)
     c, denominator = table.numerators(samples[-1])
     budgets = [2 * k + 1 for k in range(r + 1)]
@@ -689,15 +669,13 @@ def _solve_conjecture(
     for budget in budgets:
         solved.append(solution[position : position + budget + 1])
         position += budget + 1
-    return solved, weights, lhs, denominator
+    return samples, solved, weights, lhs, denominator
 
 
 def _verify_conjecture(name: str, r: int, nmax: int) -> IdentityReport:
     if nmax != DEFAULT_NMAX:
         raise ValueError(f"{name} takes no nmax other than {DEFAULT_NMAX}: its sample points are fixed")
-    samples = default_conjecture_samples(r)
-    table = PolyCauchyTable.build(samples[-1])
-    solved, weights, lhs, denominator = _solve_conjecture(r, samples, table)
+    samples, solved, weights, lhs, denominator = _solve_conjecture(r)
 
     # Reconstruct the right side with each polynomial truncated to its
     # claimed degree, so an extraction that needed the slack coefficient
@@ -721,9 +699,8 @@ def _verify_conjecture(name: str, r: int, nmax: int) -> IdentityReport:
 
 # -- entry point ---------------------------------------------------------------------
 
-# Every identity by name, in the order the CLI lists them. A convolution
-# checker also takes ``rhs_override`` and ``table``; the others take nmax only.
-_CHECKERS: dict[str, Callable[..., IdentityReport]] = {
+# Every identity by name, in the order the CLI lists them; each checker takes nmax alone.
+_CHECKERS: dict[str, Callable[[int], IdentityReport]] = {
     "thm1": _verify_route_agreement,
     "cor1": _verify_integral_representation,
     **{name: partial(_verify_convolution, name) for name in CONVOLUTION_IDENTITIES},
@@ -737,32 +714,19 @@ _CHECKERS: dict[str, Callable[..., IdentityReport]] = {
 IDENTITY_NAMES = tuple(_CHECKERS)
 
 
-def verify_identity(
-    name: str,
-    nmax: int = DEFAULT_NMAX,
-    *,
-    rhs_override: Callable[[int, PolyCauchyTable], list[Fraction]] | None = None,
-    table: PolyCauchyTable | None = None,
-) -> IdentityReport:
+def verify_identity(name: str, nmax: int = DEFAULT_NMAX) -> IdentityReport:
     """Sweep one named identity and report per-index equality.
 
-    Failures are recorded in the report, never raised; an nmax below the
-    identity's first index is a ValueError, since it would compare nothing.
-    ``rhs_override`` replaces the registered right-hand side of a convolution
-    identity and exists for negative-control tests; ``table`` supplies the C
-    values a convolution identity reads, as given: it is never grown, and one
-    too short for the sweep is a ValueError. Every other identity computes
-    its own values and rejects both.
+    Every check builds its own inputs: a convolution identity reads the
+    formula route's table, built to nmax + 2, and its registered ``rhs_*``,
+    looked up in this module when it runs, so a test injects a fault by
+    patching the module name the check reads. Failures are recorded in the
+    report, never raised; an nmax below the identity's first index is a
+    ValueError, since it would compare nothing.
     """
     if nmax < 0:
         raise ValueError(f"nmax must be >= 0, got {nmax}")
     checker = _CHECKERS.get(name)
     if checker is None:
         raise ValueError(f"unknown identity {name!r}; known: {', '.join(IDENTITY_NAMES)}")
-    if name in CONVOLUTION_IDENTITIES:
-        return checker(nmax, rhs_override, table)
-    if rhs_override is not None:
-        raise ValueError(f"identity {name!r} has no replaceable right-hand side")
-    if table is not None:
-        raise ValueError(f"identity {name!r} computes its own values and reads no table")
     return checker(nmax)

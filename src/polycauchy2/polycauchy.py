@@ -294,12 +294,11 @@ def _linear_product(n: int) -> list[int]:
     return _LINEAR_PRODUCTS[n]
 
 
-def _integral_stages(
-    ns: range, ks: Iterable[int], triangle: Level2Triangle
-) -> tuple[list[bool], dict[int, tuple[list[int], int]]]:
+def _integral_stages(ns: range, ks: Iterable[int]) -> tuple[list[bool], dict[int, tuple[list[int], int]]]:
     """Stage 1 at each n in ``ns``, once per n; per k, D times stage 2's integral at each n, and D.
 
-    Stage 1 expands the binomial product factor by factor:
+    Stage 1 compares with the triangle's rows, built by the recurrence to the
+    last n, the binomial product expanded factor by factor:
     (-4)^n (n!)^2 binom(z/2, n) binom(-z/2, n) = (-4)^n prod (z/2 - i)(-z/2 - i)
     = (-1)^n prod (z - 2i)(-z - 2i), a product of integer linear factors.
     Stage 2 integrates that product, which never read the triangle, termwise
@@ -308,7 +307,7 @@ def _integral_stages(
     never evaluated numerically. Only the even powers z^(2m), with bases
     2m + 1, are summed: stage 1 compares every odd coefficient with 0.
     """
-    matches, evens = [], []
+    triangle, matches, evens = level2_by_recurrence(ns[-1]), [], []
     for n in ns:
         product = _linear_product(n)
         expected = [0] * (2 * n + 1)
@@ -318,23 +317,13 @@ def _integral_stages(
     return matches, {k: _sum_over_powers(evens, ns[-1] + 1, k, 2) for k in ks}
 
 
-def integral_representation_check(
-    n: int, k: int, triangle: Level2Triangle | None = None, table: PolyCauchyTable | None = None
-) -> IntegralCheck:
-    """Both stages at (n, k): ``triangle`` serves stage 1 and ``table`` stage 2's reference.
-
-    Either is built or extended when it does not reach n.
-    """
+def integral_representation_check(n: int, k: int) -> IntegralCheck:
+    """Both stages at (n, k): stage 1 reads the triangle to row n, stage 2 the formula route's C_{2n}^(k)."""
     if n < 0:
         raise ValueError(f"index n must be >= 0, got {n}")
-    if triangle is None or triangle.nmax < n:
-        triangle = level2_by_recurrence(n)
-    if table is None:
-        table = PolyCauchyTable()
-    table.ensure(n, k)
-    (polynomial_match,), integrals = _integral_stages(range(n, n + 1), (k,), triangle)
+    (polynomial_match,), integrals = _integral_stages(range(n, n + 1), (k,))
     (numerator,), denominator = integrals[k]
     integral_value = Fraction(numerator, denominator)
-    reference_value = table.value(n, k)
+    reference_value = level2_by_formula(n, k)
     value_match = integral_value == reference_value
     return IntegralCheck(n, k, polynomial_match, value_match, integral_value, reference_value)

@@ -276,8 +276,8 @@ _LEVEL2_FORMULAS: list[tuple[str, Callable[[int], int], Callable[[int], Fraction
 ]
 
 
-def closed_form_fixtures(nmax: int, triangle: Level2Triangle | None = None) -> list[FormulaCheck]:
-    """Sweep every closed form against the triangles for 1 <= n <= nmax.
+def closed_form_fixtures(nmax: int) -> list[FormulaCheck]:
+    """Sweep every closed form against the triangles, built by the recurrences, for 1 <= n <= nmax.
 
     Covers the seven classical diagonals [n,n]..[n,n-6], the classical
     small-m forms [n,1] and [n,2], the level-2 small-m forms with
@@ -287,10 +287,7 @@ def closed_form_fixtures(nmax: int, triangle: Level2Triangle | None = None) -> l
     """
     if nmax < 1:
         raise ValueError(f"nmax must be >= 1, got {nmax}")
-    if triangle is None:
-        triangle = level2_by_recurrence(nmax)
-    elif triangle.nmax < nmax:
-        raise ValueError(f"triangle only reaches {triangle.nmax}, need {nmax}")
+    triangle = level2_by_recurrence(nmax)
     _CLASSICAL.extend_to(nmax)
 
     checks: list[FormulaCheck] = []

@@ -34,17 +34,15 @@ def bumped_c10(monkeypatch):
 
 
 @pytest.fixture
-def bumped_table():
-    """bumped_table(nmax, m) is the k = 1 formula table to nmax with C_{2m} + 1 in place of C_{2m}.
+def bumped_route(monkeypatch):
+    """bumped_route(m) makes the formula route return C_{2m} + 1 in place of C_{2m} for the rest of the test.
 
-    The route is patched only while that table is built, so tables built
-    afterwards hold the true values. Adding D to the numerator adds 1 to the
-    value and leaves the gcd of D and the numerators unchanged.
+    Every table built afterwards holds the bumped value, and so does every
+    check that builds its own. Adding D to the numerator adds 1 to the value
+    and leaves the gcd of D and the numerators unchanged.
     """
 
-    def build(nmax, m):
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(polycauchy_module, "_formula_numerators", _bumped_formula(m, lambda d: d))
-            return PolyCauchyTable.build(nmax)
+    def bump(m):
+        monkeypatch.setattr(polycauchy_module, "_formula_numerators", _bumped_formula(m, lambda d: d))
 
-    return build
+    return bump

@@ -29,7 +29,7 @@ from polycauchy2.cli import main
 from polycauchy2.convolution import CONVOLUTION_IDENTITIES, rhs_3fold
 from polycauchy2.polynomials import poly_eval
 from series_oracle import Series, poly_mul, product_tree_row
-from test_convolution import paper_rhs_2fold_01
+from test_convolution import bump_rhs_at, truncate_2fold_01
 
 SEQUENCE_K1 = [
     "1",
@@ -154,26 +154,18 @@ def test_c08_conjecture_extraction():
     print("PASS C8: conjecture polynomials extracted for r=1,2,3 with the claimed degrees and edges")
 
 
-def test_c09_negative_controls():
+def test_c09_negative_controls(monkeypatch):
     for name, defn in sorted(CONVOLUTION_IDENTITIES.items()):
         target = defn.nmin + 1
-
-        def perturbed(nmax, table, _defn=defn, _target=target):
-            values = enumerate(_defn.rhs(nmax, table), _defn.nmin)
-            return [value + (1 if n == _target else 0) for n, value in values]
-
-        report = verify_identity(name, target + 2, rhs_override=perturbed)
+        with monkeypatch.context() as patch:
+            bump_rhs_at(patch, name, target)
+            report = verify_identity(name, target + 2)
         assert report.status == "fail", name
         assert report.first_failure is not None and report.first_failure.n == target, name
     # Theorem 3's sum without its l = n + 1 term, from the paper-form oracle;
     # that term vanishes at n = 0, so the first failure is n = 1.
-    truncated = verify_identity(
-        "thm3",
-        12,
-        rhs_override=lambda nmax, table: [
-            paper_rhs_2fold_01(n, table, lmax=n) for n in range(nmax + 1)
-        ],
-    )
+    truncate_2fold_01(monkeypatch)
+    truncated = verify_identity("thm3", 12)
     assert truncated.status == "fail"
     assert truncated.first_failure is not None and truncated.first_failure.n == 1
     print("PASS C9: every perturbed right-hand side fails with first_failure populated")

@@ -148,6 +148,30 @@ def paper_rhs_2fold_01(n, table, lmax=None):
     return factorial(2 * n) * total
 
 
+def bump_rhs_at(patch, name, target):
+    """Patch the registered right-hand side of ``name`` to read 1 more at index ``target``.
+
+    The registry looks the name up in ``convolution`` when it runs, so the real
+    function is captured before the patch; calling ``defn.rhs`` inside would recurse.
+    """
+    defn = CONVOLUTION_IDENTITIES[name]
+    real = defn.rhs
+
+    def perturbed(nmax, table):
+        return [value + (1 if n == target else 0) for n, value in enumerate(real(nmax, table), defn.nmin)]
+
+    patch.setattr(convolution_module, defn.rhs_name, perturbed)
+
+
+def truncate_2fold_01(patch):
+    """Patch Theorem 3's right-hand side to the paper's form without its l = n + 1 term."""
+    patch.setattr(
+        convolution_module,
+        "rhs_2fold_01",
+        lambda nmax, table: [paper_rhs_2fold_01(n, table, lmax=n) for n in range(nmax + 1)],
+    )
+
+
 def paper_rhs_2fold_11(n, table):
     s1 = s2 = s3 = Fraction(0)
     for l in range(n + 1):
@@ -531,6 +555,14 @@ class TestConvolveOracle:
         table = PolyCauchyTable.build(3)
         with pytest.raises(ValueError):
             convolution_sweep((0, 1), 3, table)
+        # A table one entry short is an error, and the sweep leaves it as it was.
+        table = PolyCauchyTable.build(12)
+        held = [table.value(n) for n in range(13)]
+        for offsets in ((0, 1), (1, 1)):
+            with pytest.raises(ValueError, match="table holds n <= 12, convolution needs 13"):
+                convolution_sweep(offsets, 12, table)
+            assert table.max_n() == 12
+            assert [table.value(n) for n in range(13)] == held
 
 
 class TestClosedFormSweeps:
@@ -620,10 +652,11 @@ class TestPaperFormOracles:
 
     @pytest.mark.parametrize("rhs,oracle,nmin,name", SHORT_FORMS, ids=[case[3] for case in SHORT_FORMS])
     def test_short_form_moves_from_the_first_index_reading_a_wrong_entry(
-        self, rhs, oracle, nmin, name, table18, bumped_table
+        self, rhs, oracle, nmin, name, table18, bumped_route
     ):
         # Each short form reads C_{2n} at index n, so C_10 + 1 first shows at n = 5.
-        perturbed = bumped_table(18, 5)
+        bumped_route(5)
+        perturbed = PolyCauchyTable.build(18)
         values = rhs(12, perturbed)
         truth = [oracle(n, table18) for n in range(nmin, 13)]
         assert values[: 5 - nmin] == truth[: 5 - nmin]
@@ -690,15 +723,10 @@ class TestRootWeights:
 
 class TestNegativeControls:
     @pytest.mark.parametrize("name", sorted(CONVOLUTION_IDENTITIES))
-    def test_perturbing_rhs_flips_to_fail(self, name):
-        defn = CONVOLUTION_IDENTITIES[name]
-        target = defn.nmin + 2
-
-        def perturbed(nmax, table):
-            values = enumerate(defn.rhs(nmax, table), defn.nmin)
-            return [value + (1 if n == target else 0) for n, value in values]
-
-        report = verify_identity(name, target + 3, rhs_override=perturbed)
+    def test_perturbing_rhs_flips_to_fail(self, name, monkeypatch):
+        target = CONVOLUTION_IDENTITIES[name].nmin + 2
+        bump_rhs_at(monkeypatch, name, target)
+        report = verify_identity(name, target + 3)
         assert report.status == "fail"
         assert report.first_failure is not None
         assert report.first_failure.n == target
@@ -706,13 +734,11 @@ class TestNegativeControls:
         payload = report.to_json_dict()
         assert payload["first_failure"]["n"] == target
 
-    def test_truncating_2fold_01_sum_breaks(self):
+    def test_truncating_2fold_01_sum_breaks(self, monkeypatch):
         # The paper's form without its l = n + 1 term. That term vanishes at
         # n = 0, so the truncated sum first fails at n = 1.
-        def truncated(nmax, table):
-            return [paper_rhs_2fold_01(n, table, lmax=n) for n in range(nmax + 1)]
-
-        report = verify_identity("thm3", 12, rhs_override=truncated)
+        truncate_2fold_01(monkeypatch)
+        report = verify_identity("thm3", 12)
         assert report.status == "fail"
         assert report.first_failure is not None
         assert report.first_failure.n == 1
@@ -807,18 +833,6 @@ class TestNegativeControls:
         assert len(rows) == 31
         assert all(a is b for a, b in zip(rows, built))
 
-    def test_override_limited_to_convolutions(self):
-        with pytest.raises(ValueError):
-            verify_identity("eqll", 8, rhs_override=lambda n, t: Fraction(0))
-
-    @pytest.mark.parametrize("name", ["thm1", "cor1", "eqll", "arcsinh_power", "conjecture-r1"])
-    def test_table_limited_to_convolutions(self, name, bumped_table):
-        # A table the identity never reads must not let a perturbed-table
-        # negative control pass silently.
-        perturbed = bumped_table(14, 10)
-        with pytest.raises(ValueError, match="reads no table"):
-            verify_identity(name, 12, table=perturbed)
-
     def test_unknown_identity(self):
         with pytest.raises(ValueError):
             verify_identity("thm9", 5)
@@ -840,47 +854,26 @@ class TestNegativeControls:
         assert IdentityReport("thm2", 0, "n=1..0", []).status == "fail"
 
     @pytest.mark.parametrize("name", ["thm2", "thm5", "thm6", "fold5", "fold7"])
-    def test_caller_table_is_read_as_given(self, name, bumped_table):
-        # C_20 + 1 in a table of n <= 12: every sweep that fits in it reads the
-        # bumped entry, fails first at n = 10, and leaves the table as it was.
-        perturbed = bumped_table(12, 10)
-        report = verify_identity(name, 12, table=perturbed)
+    def test_bumped_c20_first_fails_at_n_10(self, name, bumped_route):
+        # C_20 + 1 from the formula route: every sweep reads the bumped entry
+        # first at n = 10 and fails there.
+        bumped_route(10)
+        report = verify_identity(name, 12)
         assert report.status == "fail"
         assert report.first_failure.n == 10
         assert all(row.equal for row in report.per_n_results if row.n < 10)
-        assert perturbed.max_n() == 12
 
-    @pytest.mark.parametrize("name", ["thm3", "thm4"])
-    def test_short_caller_table_raises(self, name, bumped_table):
-        perturbed = bumped_table(12, 10)
-        bumped = perturbed.value(10)
-        with pytest.raises(ValueError, match="table holds n <= 12, convolution needs 13"):
-            verify_identity(name, 12, table=perturbed)
-        assert perturbed.max_n() == 12
-        assert perturbed.value(10) == bumped
-
-    def test_caller_table_is_never_recomputed(self, monkeypatch):
-        # A series-route table just long enough for thm2 is read as it is:
-        # the formula route never runs.
-        table = PolyCauchyTable.build(12, route="series")
-
-        def refuse(*args):
-            raise AssertionError("the formula route ran")
-
-        monkeypatch.setattr(polycauchy_module, "_formula_numerators", refuse)
-        assert verify_identity("thm2", 12, table=table).status == "pass"
-        assert table.max_n() == 12
-
-    def test_perturbed_table_entry_is_visible(self, table18, bumped_table):
+    def test_perturbed_table_entry_is_visible(self, table18, bumped_route):
         # C9 style: one table entry off by 1 must change the sweep and fail
         # the fold7 check, so a sweep-based check is able to fail.
         m = 4
-        perturbed = bumped_table(18, m)
+        bumped_route(m)
+        perturbed = PolyCauchyTable.build(18)
         sweep = convolution_sweep((0,) * 7, 8, perturbed)
         truth = [brute_force_convolution((0,) * 7, n, table18) for n in range(9)]
         assert sweep[:m] == truth[:m]
         assert all(sweep[n] != truth[n] for n in range(m, 9))
-        report = verify_identity("fold7", 12, table=perturbed)
+        report = verify_identity("fold7", 12)
         assert report.status == "fail"
         # At n = m both sides gain the same 7 C_{2m}, so the check fails from m + 1.
         assert report.first_failure.n == m + 1
@@ -1076,20 +1069,19 @@ class TestConjectureExtraction:
 
     def test_held_out_points_are_recorded(self):
         samples = default_conjecture_samples(1)
-        polys = extract_conjecture_polynomials(1, samples)
+        polys = extract_conjecture_polynomials(1)
         for poly in polys:
             assert [n for n, _ in poly.sample_points] == samples
 
     @pytest.mark.parametrize("r", [1, 2, 3])
-    def test_held_out_point_catches_a_perturbed_table(self, r, bumped_table):
+    def test_held_out_point_catches_a_perturbed_table(self, r, bumped_route):
         # C9 style: C at the last sample is only read at that held-out
         # point, so the solve is untouched and only the held-out check can
         # see the change. Every recovered polynomial must then fail it.
-        samples = default_conjecture_samples(r)
-        perturbed = bumped_table(samples[-1], samples[-1])
-        polys = extract_conjecture_polynomials(r, table=perturbed)
-        assert all(p.reproduces_samples() is False for p in polys)
         truth = extract_conjecture_polynomials(r)
+        bumped_route(default_conjecture_samples(r)[-1])
+        polys = extract_conjecture_polynomials(r)
+        assert all(p.reproduces_samples() is False for p in polys)
         assert [p.interpolated_coefficients for p in polys] == [
             p.interpolated_coefficients for p in truth
         ]
@@ -1103,10 +1095,17 @@ class TestConjectureExtraction:
             extract_conjecture_polynomials(0)
         with pytest.raises(ValueError):
             extract_conjecture_polynomials(4)
-        with pytest.raises(ValueError):
-            extract_conjecture_polynomials(1, [1, 2, 3])
-        with pytest.raises(ValueError):
-            extract_conjecture_polynomials(1, [2, 3, 4, 5])
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_no_weight_at_a_sample_is_zero(self, r):
+        # Each pointwise value divides by its weight, prefactor times D C_{2n-2k},
+        # so the extraction needs every weight at every sample to be nonzero.
+        samples = default_conjecture_samples(r)
+        _, _, weights, _, denominator = convolution_module._solve_conjecture(r)
+        table = PolyCauchyTable.build(samples[-1])
+        assert sorted(weights) == [(k, n) for k in range(r + 1) for n in samples]
+        for (k, n), weight in weights.items():
+            assert weight == conjecture_prefactor(r, k, n) * denominator * table.value(n - k) != 0, (k, n)
 
     def test_evaluate_matches_closed_form(self):
         _, p2 = extract_conjecture_polynomials(1)

@@ -232,7 +232,6 @@ class TestIntegerKernel:
         # share one kernel that never reads the other routes' data, so thm1
         # compares two independent routes.
         expected = {k: triangle_dot_product(12, k) for k in (-2, 0, 1, 3)}
-        triangle = level2_by_recurrence(3)
 
         def refuse(*args):
             raise AssertionError("the formula route read another route's kernel")
@@ -251,11 +250,10 @@ class TestIntegerKernel:
         with pytest.raises(AssertionError):
             level2_by_series(3)
         with pytest.raises(AssertionError):
-            integral_representation_check(3, 1, triangle)
+            integral_representation_check(3, 1)
 
     def test_series_route_never_reads_the_triangle(self, monkeypatch):
         expected = [level2_by_formula(n, -2) for n in range(9)]
-        triangle = level2_by_recurrence(3)
 
         def refuse(*args):
             raise AssertionError("the series route read the triangle")
@@ -267,9 +265,9 @@ class TestIntegerKernel:
         assert [level2_by_series(n, -2) for n in range(9)] == expected
         table = PolyCauchyTable.build(8, k=-2, route="series")
         assert [table.value(n, -2) for n in range(9)] == expected
-        # The guard is live: stage 1 of cor1 reads the triangle's rows.
+        # The guard is live: stage 1 of cor1 builds the triangle.
         with pytest.raises(AssertionError):
-            integral_representation_check(3, 1, triangle)
+            integral_representation_check(3, 1)
 
     def test_inexact_division_raises(self):
         assert polycauchy_module._exact_div(-6, 3) == -2
@@ -394,15 +392,25 @@ class TestIntegralRepresentation:
         with pytest.raises(ValueError):
             integral_representation_check(-1, 1)
 
-    def test_perturbed_triangle_fails_polynomial_stage(self):
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_perturbed_triangle_fails_polynomial_stage(self, n, monkeypatch):
         # Stage 1 compares the expanded product with the triangle's row, so a
-        # wrong [[5, 2]] must show there too, at the coefficient of z^4.
-        true = level2_by_recurrence(5)
-        rows = [list(true.row(n)) for n in range(6)]
-        rows[5][2] += 1
-        check = integral_representation_check(5, 1, Level2Triangle(rows))
-        assert check.polynomial_match is False
-        assert integral_representation_check(5, 1, true).polynomial_match is True
+        # wrong [[n, m]] must show there too, at the coefficient of z^(2m),
+        # and cor1 must first fail at n.
+        assert integral_representation_check(n, 1).polynomial_match is True
+        real, m = polycauchy_module.level2_by_recurrence, min(n, 2)
+
+        def perturbed(nmax):
+            rows = [list(real(nmax).row(i)) for i in range(nmax + 1)]
+            if nmax >= n:
+                rows[n][m] += 1
+            return Level2Triangle(rows)
+
+        monkeypatch.setattr(polycauchy_module, "level2_by_recurrence", perturbed)
+        assert integral_representation_check(n, 1).polynomial_match is False
+        report = convolution_module.verify_identity("cor1", 8)
+        assert report.status == "fail"
+        assert report.first_failure.n == n
 
     def test_matches_the_replaced_stages(self, monkeypatch):
         # A fresh product list, so every product is grown by the quadratic step.
@@ -413,25 +421,27 @@ class TestIntegralRepresentation:
             for k in range(1, 4):
                 assert integral_representation_check(n, k).integral_value == integral_over_every_power(product, k)
 
-    def test_odd_coefficient_fails_polynomial_stage(self, monkeypatch):
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_odd_coefficient_fails_polynomial_stage(self, n, monkeypatch):
         # Stage 2 sums only the even powers, so it cannot see a wrong odd
-        # coefficient; stage 1 compares every coefficient and must.
+        # coefficient; stage 1 compares every coefficient and must. The
+        # product at n has a z^3 coefficient from n = 2 on.
         real = polycauchy_module._linear_product
 
-        def perturbed(n):
-            product = list(real(n))
-            if n == 5:
+        def perturbed(i):
+            product = list(real(i))
+            if i == n:
                 product[3] += 1
             return product
 
         monkeypatch.setattr(polycauchy_module, "_linear_product", perturbed)
-        check = integral_representation_check(5, 1)
+        check = integral_representation_check(n, 1)
         assert check.polynomial_match is False
         assert check.value_match is True
         assert not check.passed
         report = convolution_module.verify_identity("cor1", 8)
         assert report.status == "fail"
-        assert report.first_failure.n == 5
+        assert report.first_failure.n == n
 
     def test_wrong_c10_fails_value_stage(self, bumped_c10):
         # C9 style: stage 2 integrates the expanded product, which reads
