@@ -56,36 +56,32 @@ two differential equations for L(t) = t / arcsinh t, ``eqll`` and
 the thm2 and thm3 sweeps on the formula route's table and report row n at
 t^(2n), divided by (2n)!, once for both sides when they agree.
 
-``extract_conjecture_polynomials`` recovers, from convolution data alone, the
-polynomials P_{r,2k}(n) in the ansatz
+``extract_conjecture_polynomials`` gives the polynomials P_{r,2k}(n) in the
+ansatz
 
     (2r+1)-fold convolution at n =
         sum over k = 0..r of P_{r,2k}(n) binom(2n, 2k) binom(2n-2k-1, 2r-2k)
             * C_{2n-2k}
 
-by solving one exact linear system for all coefficient vectors at once. Its
-inputs are fixed: the samples n = r + 1..r + (r+1)(r+2) + 3
-(``default_conjecture_samples``) and the formula route's table, built to
-the last of them. The solve (``exact._solve_exact``) runs Gauss-Jordan
-modulo primes from 2^61 - 1 down, combines the residues by CRT,
-reconstructs each unknown as a fraction and returns it only if it satisfies
-every integer row exactly (von zur Gathen & Gerhard, Modern Computer
-Algebra, ch. 5). Each P gets a degree budget of 2k + 1, one slack
-coefficient above its claimed degree, and its coefficients are its block of
-the solution. The last three sample points are held out of the solve.
-``verify conjecture-r<R>`` compares the sweep with the ansatz at every
-sample, held-out ones included, with each P truncated to its claimed degree
-and evaluated on integers over one common denominator. The library
-extraction also recovers each P pointwise, by subtracting the other solved
-terms from the convolution and dividing by its own weight; at a held-out
-point that value is an independent probe, so a wrong ansatz cannot slip
-through either check.
+for every n >= r + 1. They are derived, not fitted: with theta = t d/dt,
+Theorem 2 reads L^2 = sqrt(1+t^2)(1 - theta)L, two of its steps take
+L^(2i-1) to L^(2i+1) by an operator with integer polynomial coefficients,
+and the product of r such operators, divided exactly by the falling
+factorial of binom(2n-2k-1, 2r-2k), is each P (``_derive_conjecture``). The
+derivation is integer arithmetic on coefficient lists and reads no C value.
+``verify conjecture-r<R>`` then compares the sweep with the derived ansatz
+at the fixed samples n = r + 1..r + (r+1)(r+2) + 3
+(``default_conjecture_samples``), on the formula route's table built to the
+last of them, each P evaluated on integers over one common denominator.
+The library extraction also recovers each P pointwise at every sample, by
+subtracting the other derived terms from the convolution and dividing by
+its own weight, an independent probe of each polynomial.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
+from functools import partial, reduce
 from itertools import accumulate
 from math import factorial, lcm
 from operator import add, mul
@@ -93,8 +89,8 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 # thm1 and cor1 read the routes and stages through the module, so a patched one is the one that runs.
 from . import polycauchy as _polycauchy
-from .exact import _even_binomials, _solve_exact, binomial
-from .polynomials import poly_degree, poly_eval, poly_text, poly_trim
+from .exact import _even_binomials, binomial
+from .polynomials import _poly_compose, _poly_divide_root, _poly_times_root, poly_degree, poly_eval, poly_text
 from .polycauchy import _exact_div, PolyCauchyTable, arcsinh_power_egf
 from .stirling import level2_by_recurrence
 
@@ -587,7 +583,7 @@ def conjecture_prefactor(r: int, k: int, n: int) -> int:
 
 
 class ConjecturePolynomial(NamedTuple):
-    """One recovered P_{r,2k}: pointwise values and the solved coefficients."""
+    """One P_{r,2k}: pointwise values recovered from the convolution and the derived coefficients."""
 
     r: int
     k: int
@@ -603,97 +599,117 @@ class ConjecturePolynomial(NamedTuple):
 
 
 def default_conjecture_samples(r: int) -> list[int]:
-    """Consecutive samples from r + 1: enough to solve, plus three held-out points."""
-    unknowns = (r + 1) * (r + 2)
-    return list(range(r + 1, r + 1 + unknowns + 3))
+    """The (r+1)(r+2) + 3 consecutive samples from r + 1 at which the derived ansatz is checked."""
+    return list(range(r + 1, r + 4 + (r + 1) * (r + 2)))
 
 
 def extract_conjecture_polynomials(r: int) -> list[ConjecturePolynomial]:
-    """Recover P_{r,2k} for k = 0..r from the (2r+1)-fold convolution alone.
+    """P_{r,2k} for k = 0..r, derived by the operator rule and probed against the (2r+1)-fold convolution.
 
-    The samples are fixed (``default_conjecture_samples``), and the C values
-    come from the formula route's table, built to the last sample. The first
-    (r+1)(r+2) samples feed the linear solve (degree budget 2k + 1 per
-    polynomial), which runs modulo primes and is certified on the integer rows
-    (``exact._solve_exact``); the last three are held out, and all points,
-    held-out included, land in ``sample_points`` so ``reproduces_samples`` is
-    a genuine check. No weight at a sample is 0, so each point is a division.
+    The coefficients come from ``_derive_conjecture``, which reads no C value.
+    At each sample (``default_conjecture_samples``) the C values come from the
+    formula route's table, built to the last sample, and each P is also
+    recovered pointwise from the convolution: the other derived terms are
+    subtracted and the rest divided by its own weight. Nothing is fitted, so
+    every point in ``sample_points`` is an independent probe and
+    ``reproduces_samples`` is a genuine check. No weight at a sample is 0, so
+    each point is a division.
     """
     if r not in (1, 2, 3):
         raise ValueError(f"conjecture extraction is implemented for r in 1..3, got {r}")
-    samples, solved, weights, lhs, denominator = _solve_conjecture(r)
+    samples, derived, weights, lhs, denominator = _conjecture_data(r)
     targets = {n: denominator * lhs[n] for n in samples}
-    terms = {key: poly_eval(solved[key[0]], key[1]) * weight for key, weight in weights.items()}
+    terms = {key: poly_eval(derived[key[0]], key[1]) * weight for key, weight in weights.items()}
     polynomials: list[ConjecturePolynomial] = []
     for k in range(r + 1):
         points: list[tuple[int, Fraction]] = []
         for n in samples:
-            # Subtract the other recovered terms, divide by this term's
-            # weight; at solve points this reproduces the solved polynomial,
-            # at held-out points it is an independent probe of the ansatz.
+            # Subtract the other derived terms and divide by this term's weight.
             others = sum(terms[(other, n)] for other in range(r + 1) if other != k)
             points.append((n, (targets[n] - others) / weights[(k, n)]))
-        coefficients = poly_trim(solved[k])
-        degree_ok = poly_degree(coefficients) <= 2 * k
-        polynomials.append(ConjecturePolynomial(r, k, points, coefficients, degree_ok))
+        degree_ok = poly_degree(derived[k]) <= 2 * k
+        polynomials.append(ConjecturePolynomial(r, k, points, derived[k], degree_ok))
     return polynomials
 
 
-def _solve_conjecture(
+def _fold_step(i: int, b: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The roots c of the factors (c - theta) of (2i)(2i-1) O_i t^(2b), at t^(2b) and at t^(2b+2).
+
+    (2i)(2i-1) O_i = [(1+t^2)(2i - theta) - t^2](2i-1 - theta)
+                   = (2i - theta)(2i-1 - theta) + t^2 (2i-1 - theta)^2,
+    and theta t^(2b) = t^(2b)(theta + 2b) moves each factor (c - theta)
+    right past t^(2b) as (c - 2b - theta).
+    """
+    c = 2 * i - 2 * b
+    return (c, c - 1), (c - 1, c - 1)
+
+
+def _derive_conjecture(r: int) -> list[list[Fraction]]:
+    """The coefficients of P_{r,2k} for k = 0..r, from the operator rule alone.
+
+    With L = t / arcsinh t, s = sqrt(1+t^2) and theta = t d/dt, Theorem 2
+    reads L^2 = s (1 - theta) L, and so L^(a+1) = s (1 - theta/a) L^a for
+    every a != 0. Since s theta s = (1+t^2) theta + t^2, two steps have
+    polynomial coefficients: L^(2i+1) = O_i L^(2i-1), where
+
+        O_i = [(1+t^2)(1 - theta/(2i)) - t^2/(2i)] (1 - theta/(2i-1)).
+
+    Built from O_1 up (``_fold_step``), (2r)! L^(2r+1) is the sum over k of
+    t^(2k) R_k(theta) L, every R_k an integer polynomial of degree 2i after
+    step i. Since (2n)! [t^(2n)] t^(2k) R_k(theta) L = (2n)! / (2n-2k)!
+    R_k(2n-2k) C_{2n-2k}, the ansatz holds with P_{r,2k}(n) =
+    Q_k(2n-2k) / binom(2r, 2k), where Q_k is R_k divided by (theta-1) ...
+    (theta-2r+2k), the falling factorial of binom(2n-2k-1, 2r-2k). That the
+    division is exact is the ansatz's shape, so a remainder raises
+    ArithmeticError. The identity holds for every n >= r + 1.
+    """
+    terms = [[1]]
+    for i in range(1, r + 1):
+        grown = [[0] * (2 * i + 1) for _ in range(i + 1)]
+        for b, poly in enumerate(terms):
+            for a, roots in enumerate(_fold_step(i, b)):
+                grown[a + b] = [*map(add, grown[a + b], reduce(_poly_times_root, roots, poly))]
+        terms = grown
+    polynomials = []
+    for k, poly in enumerate(terms):
+        quotient = reduce(_poly_divide_root, range(1, 2 * (r - k) + 1), poly)
+        scale = binomial(2 * r, 2 * k)
+        polynomials.append([Fraction(x, scale) for x in _poly_compose(quotient, -2 * k, 2)])
+    return polynomials
+
+
+def _conjecture_data(
     r: int,
 ) -> tuple[list[int], list[list[Fraction]], dict[tuple[int, int], int], list[Fraction], int]:
-    """The samples, the solved coefficients of each P_{r,2k}, the weights, the convolution sweep and D.
+    """The samples, the derived P_{r,2k}, the weights, the convolution sweep and D.
 
-    Both sides of every equation are scaled by D, the common denominator of
-    the C_{2m} read: the weight of P_{r,2k} at n is then the integer
-    conjecture_prefactor(r, k, n) D C_{2n-2k}, and each solve row is those
-    weights times powers of n. With the sweep's value at n written p / q in
-    lowest terms, each row is also scaled by q, so its right side is the
-    integer D p and the solve reads integers only. No step relies on the
-    shape of a P. The samples are ``default_conjecture_samples(r)``, and the
-    table is the formula route's, built to the last of them.
+    The samples are ``default_conjecture_samples(r)``, and the table is the
+    formula route's, built to the last of them. Both sides of every row are
+    scaled by D, the common denominator of the C_{2m} read: the weight of
+    P_{r,2k} at n is then the integer conjecture_prefactor(r, k, n) D C_{2n-2k}.
     """
     samples = default_conjecture_samples(r)
     table = PolyCauchyTable.build(samples[-1])
     lhs = convolution_sweep((0,) * (2 * r + 1), samples[-1], table)
     c, denominator = table.numerators(samples[-1])
-    budgets = [2 * k + 1 for k in range(r + 1)]
     weights = {(k, n): conjecture_prefactor(r, k, n) * c[n - k] for k in range(r + 1) for n in samples}
-    solve_points = samples[: sum(b + 1 for b in budgets)]
-    matrix = [
-        [weights[(k, n)] * lhs[n].denominator * n**j for k in range(r + 1) for j in range(budgets[k] + 1)]
-        for n in solve_points
-    ]
-    solution = _solve_exact(matrix, [denominator * lhs[n].numerator for n in solve_points])
-    solved, position = [], 0
-    for budget in budgets:
-        solved.append(solution[position : position + budget + 1])
-        position += budget + 1
-    return samples, solved, weights, lhs, denominator
+    return samples, _derive_conjecture(r), weights, lhs, denominator
 
 
 def _verify_conjecture(name: str, r: int, nmax: int) -> IdentityReport:
     if nmax != DEFAULT_NMAX:
         raise ValueError(f"{name} takes no nmax other than {DEFAULT_NMAX}: its sample points are fixed")
-    samples, solved, weights, lhs, denominator = _solve_conjecture(r)
+    samples, derived, weights, lhs, denominator = _conjecture_data(r)
 
-    # Reconstruct the right side with each polynomial truncated to its
-    # claimed degree, so an extraction that needed the slack coefficient
-    # shows up as row mismatches rather than passing silently. Over their
-    # common denominator Q the truncated polynomials have integer
+    # Over their common denominator Q the derived polynomials have integer
     # coefficients, so each row's sum is an integer over Q D.
-    truncated = [coefficients[: 2 * k + 1] for k, coefficients in enumerate(solved)]
-    common = lcm(*(x.denominator for coefficients in truncated for x in coefficients))
-    integral = [[x.numerator * (common // x.denominator) for x in coefficients] for coefficients in truncated]
+    common = lcm(*(x.denominator for coefficients in derived for x in coefficients))
+    integral = [[x.numerator * (common // x.denominator) for x in coefficients] for coefficients in derived]
     rows = []
     for n in samples:
         total = sum(poly_eval(coefficients, n) * weights[(k, n)] for k, coefficients in enumerate(integral))
         rows.append(CheckRow.compare(n, lhs[n], Fraction(total, common * denominator)))
-    notes = []
-    for k, coefficients in enumerate(solved):
-        trimmed = poly_trim(coefficients)
-        excess = "" if poly_degree(trimmed) <= 2 * k else f"  (degree exceeds {2 * k})"
-        notes.append(f"P[{2 * k}] = {poly_text(trimmed)}{excess}")
+    notes = [f"P[{2 * k}] = {poly_text(coefficients)}" for k, coefficients in enumerate(derived)]
     return IdentityReport(name, nmax, f"r={r}, samples n={samples[0]}..{samples[-1]}", rows, notes)
 
 

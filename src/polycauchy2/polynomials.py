@@ -1,7 +1,8 @@
 """Dense univariate polynomials over exact rationals.
 
-Coefficient lists run low degree to high. The conjecture extraction
-evaluates, trims and prints the rational polynomials its linear solve returns.
+Coefficient lists run low degree to high. The conjecture derivation builds
+its integer polynomials with the three private helpers, and the extraction
+evaluates, trims and prints the rational polynomials they give.
 """
 
 from __future__ import annotations
@@ -22,6 +23,32 @@ def poly_eval(a: Sequence[Fraction | int], x: Fraction | int) -> Fraction | int:
     value = 0
     for coeff in reversed(a):
         value = value * x + coeff
+    return value
+
+
+def _poly_times_root(a: Sequence[int], c: int) -> list[int]:
+    """a(x) (c - x), one degree higher."""
+    return [c * hi - lo for hi, lo in zip([*a, 0], [0, *a])]
+
+
+def _poly_divide_root(a: Sequence[int], i: int) -> list[int]:
+    """a(x) / (x - i) by synthetic division; a nonzero remainder a(i) is an ArithmeticError."""
+    quotient = [0] * (len(a) - 1)
+    carry = a[-1]
+    for j in range(len(a) - 2, -1, -1):
+        quotient[j] = carry
+        carry = a[j] + i * carry
+    if carry:
+        raise ArithmeticError(f"division by (x - {i}) is not exact: remainder {carry}")
+    return quotient
+
+
+def _poly_compose(a: Sequence[int], c0: int, c1: int) -> list[int]:
+    """a(c0 + c1 x), by Horner's rule on coefficient lists."""
+    value: list[int] = []
+    for coeff in reversed(a):
+        value = [c0 * lo + c1 * hi for lo, hi in zip([*value, 0], [0, *value])]
+        value[0] += coeff
     return value
 
 

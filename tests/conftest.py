@@ -14,25 +14,6 @@ def table18():
     return PolyCauchyTable.build(18)
 
 
-def _bumped_formula(m, bump):
-    """The formula route with bump(D) added to D C_{2m} wherever its pass reaches n = m."""
-    real = polycauchy_module._formula_numerators
-
-    def perturbed(nmax, k):
-        numerators, denominator = real(nmax, k)
-        if nmax >= m:
-            numerators[m] += bump(denominator)
-        return numerators, denominator
-
-    return perturbed
-
-
-@pytest.fixture
-def bumped_c10(monkeypatch):
-    """The formula route returns D C_10 + 1 in place of D C_10 wherever its pass reaches n = 5."""
-    monkeypatch.setattr(polycauchy_module, "_formula_numerators", _bumped_formula(5, lambda d: 1))
-
-
 @pytest.fixture
 def bumped_route(monkeypatch):
     """bumped_route(m) makes the formula route return C_{2m} + 1 in place of C_{2m} for the rest of the test.
@@ -43,6 +24,14 @@ def bumped_route(monkeypatch):
     """
 
     def bump(m):
-        monkeypatch.setattr(polycauchy_module, "_formula_numerators", _bumped_formula(m, lambda d: d))
+        real = polycauchy_module._formula_numerators
+
+        def perturbed(nmax, k):
+            numerators, denominator = real(nmax, k)
+            if nmax >= m:
+                numerators[m] += denominator
+            return numerators, denominator
+
+        monkeypatch.setattr(polycauchy_module, "_formula_numerators", perturbed)
 
     return bump

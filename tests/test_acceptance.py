@@ -8,8 +8,6 @@ One test per criterion, in order; each prints a single PASS line on success
 import time
 from fractions import Fraction
 
-import pytest
-
 from polycauchy2 import (
     PolyCauchyTable,
     builtin_series,

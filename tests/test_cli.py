@@ -339,19 +339,19 @@ class TestVerifyCommand:
             "status: pass",
         ]
 
-    def test_singular_solve_is_not_a_usage_error(self, capsys, monkeypatch):
+    def test_inexact_derivation_is_not_a_usage_error(self, capsys, monkeypatch):
         # An internal failure has its own exit code: not 1 (identity failed), not 2 (usage).
-        monkeypatch.setattr(convolution_module, "conjecture_prefactor", lambda r, k, n: 0)
-        code, out, err = run(capsys, ["verify", "conjecture-r1"])
+        # Dropping the shift of the operator rule leaves a remainder from r = 2 on.
+        real = convolution_module._fold_step
+        monkeypatch.setattr(convolution_module, "_fold_step", lambda i, b: real(i, 0))
+        code, out, err = run(capsys, ["verify", "conjecture-r2"])
         assert code == 3
         assert out == ""
-        assert err.splitlines() == [
-            "polycauchy2: internal error: sample points produce a singular system; add or vary samples"
-        ]
+        assert err.splitlines() == ["polycauchy2: internal error: division by (x - 2) is not exact: remainder 2"]
         assert "usage" not in err
 
     def test_bumped_c_at_the_last_sample_fails_only_that_row(self, capsys, monkeypatch):
-        # C at the last sample is read only by that held-out row: the solve,
+        # C at the last sample is read only by that row: the derivation,
         # the rows before it and the printed polynomials stay as they were.
         _, truth, _ = run(capsys, ["verify", "conjecture-r3"])
         last = default_conjecture_samples(3)[-1]

@@ -13,15 +13,16 @@ for the two differential equations for L are their power-series checks on
 The oracles for ``thm1`` and ``cor1`` compare one Fraction per side at every
 (n, k) the sweep tries, and rebuild both stages of ``cor1`` for each
 (``fraction_route_agreement``, ``fraction_integral_representation``).
-The oracles for the modular conjecture solve are Gauss-Jordan elimination
-over Fraction (``gauss_jordan``) and the fraction-free elimination it replaced
-(``bareiss``). ``square_by_parts`` writes the symmetric
+The oracle for the derived conjecture polynomials is the sampled route, which
+reads no operator: the linear system on the convolution at the default samples
+(``sampled_conjecture``), solved by fraction-free elimination (``bareiss``),
+itself checked against Gauss-Jordan elimination over Fraction
+(``gauss_jordan``). ``square_by_parts`` writes the symmetric
 kernel term by term, so its negative controls can drop or change one part.
 """
 
 import itertools
 import math
-import operator
 import random
 from fractions import Fraction
 from math import comb, factorial
@@ -385,12 +386,20 @@ def bareiss_eliminate(rows, divide):
     return previous
 
 
+def primitive(values):
+    # The row scaled to integers by the lcm of its denominators, then divided by the gcd of its entries.
+    scale = math.lcm(*(v.denominator for v in values))
+    integers = [v.numerator * (scale // v.denominator) for v in values]
+    content = math.gcd(*integers) or 1
+    return [v // content for v in integers]
+
+
 def bareiss(matrix, rhs, divide=None):
     # The fraction-free solve on the primitive integer rows; every division,
     # back-substitution's too, goes through ``divide``.
     if divide is None:
         divide = lambda a, d: polycauchy_module._exact_div(a, d, "Bareiss solve")  # noqa: E731
-    rows = [exact_module._primitive([*row, value]) for row, value in zip(matrix, rhs)]
+    rows = [primitive([*row, value]) for row, value in zip(matrix, rhs)]
     previous = bareiss_eliminate(rows, divide)
     numerators = [0] * len(rows)
     for i in reversed(range(len(rows))):
@@ -975,11 +984,12 @@ class TestRouteAndSeriesSweeps:
             assert report.to_json_dict() == expected.to_json_dict(), (name, nmax)
 
     @pytest.mark.parametrize("name,first", [("eqll", 10), ("eqconvo02", 8)])
-    def test_wrong_c10_fails_series_identities(self, name, first, bumped_c10):
+    def test_wrong_c10_fails_series_identities(self, name, first, bumped_route):
         # C9 style: the L equations read the formula route's table, so a
         # wrong C_10 must fail them from the first coefficient whose
         # convolution reads it. Each side of row 2n is that side of the
         # sweep's row n over (2n)!, failing rows included.
+        bumped_route(5)
         report = verify_identity(name, 20)
         assert report.status == "fail"
         assert report.first_failure.n == first
@@ -1075,9 +1085,9 @@ class TestConjectureExtraction:
 
     @pytest.mark.parametrize("r", [1, 2, 3])
     def test_held_out_point_catches_a_perturbed_table(self, r, bumped_route):
-        # C9 style: C at the last sample is only read at that held-out
-        # point, so the solve is untouched and only the held-out check can
-        # see the change. Every recovered polynomial must then fail it.
+        # C9 style: C at the last sample is only read at that point, and the
+        # derivation reads no C, so only the pointwise probe there can see
+        # the change. Every recovered polynomial must then fail it.
         truth = extract_conjecture_polynomials(r)
         bumped_route(default_conjecture_samples(r)[-1])
         polys = extract_conjecture_polynomials(r)
@@ -1101,7 +1111,7 @@ class TestConjectureExtraction:
         # Each pointwise value divides by its weight, prefactor times D C_{2n-2k},
         # so the extraction needs every weight at every sample to be nonzero.
         samples = default_conjecture_samples(r)
-        _, _, weights, _, denominator = convolution_module._solve_conjecture(r)
+        _, _, weights, _, denominator = convolution_module._conjecture_data(r)
         table = PolyCauchyTable.build(samples[-1])
         assert sorted(weights) == [(k, n) for k in range(r + 1) for n in samples]
         for (k, n), weight in weights.items():
@@ -1130,23 +1140,20 @@ class TestConjectureExtraction:
     @pytest.mark.parametrize("step", ["1/Q", "1/7"])
     @pytest.mark.parametrize("k,j", [(0, 0), (1, 2), (2, 1), (3, 6)])
     def test_perturbed_coefficient_fails_r3_on_exact_rows(self, k, j, step, monkeypatch):
-        # Q is the common denominator of the truncated polynomials, so 1/Q is
+        # Q is the common denominator of the derived polynomials, so 1/Q is
         # the smallest step of their integer numerators; 1/7 is a step that
         # Q (15) does not divide. Either moves every row, and each row's
         # right side must still be the perturbed ansatz evaluated exactly.
-        real = convolution_module._solve_exact
-        position = k * (k + 1) + j
+        real = convolution_module._derive_conjecture
         blocks = []
 
-        def perturbed(matrix, rhs):
-            solution = real(matrix, rhs)
-            truncated = [solution[i * (i + 1) : i * (i + 1) + 2 * i + 1] for i in range(4)]
-            common = math.lcm(*(x.denominator for block in truncated for x in block))
-            solution[position] += Fraction(1, common if step == "1/Q" else 7)
-            blocks[:] = [solution[i * (i + 1) : i * (i + 1) + 2 * i + 1] for i in range(4)]
-            return solution
+        def perturbed(r):
+            blocks[:] = real(r)
+            common = math.lcm(*(x.denominator for block in blocks for x in block))
+            blocks[k][j] += Fraction(1, common if step == "1/Q" else 7)
+            return [list(block) for block in blocks]
 
-        monkeypatch.setattr(convolution_module, "_solve_exact", perturbed)
+        monkeypatch.setattr(convolution_module, "_derive_conjecture", perturbed)
         report = verify_identity("conjecture-r3")
         assert report.status == "fail"
         assert not any(row.equal for row in report.per_n_results)
@@ -1180,6 +1187,103 @@ class TestConjectureExtraction:
             assert name in IDENTITY_NAMES
 
 
+def sampled_conjecture(r):
+    """P_{r,2k} fitted to the (2r+1)-fold convolution, with no operator read.
+
+    At the first (r+1)(r+2) default samples, the unknowns are the
+    coefficients of each P_{r,2k} up to degree 2k + 1, one slack coefficient
+    above the derived degree. The weight of P_{r,2k} at n is
+    conjecture_prefactor(r, k, n) D C_{2n-2k}, and each row is scaled by the
+    denominator of the convolution at n, so every entry is an integer.
+    Returns each polynomial's block of the Bareiss solution.
+    """
+    samples = default_conjecture_samples(r)
+    table = PolyCauchyTable.build(samples[-1])
+    lhs = convolution_sweep((0,) * (2 * r + 1), samples[-1], table)
+    c, denominator = table.numerators(samples[-1])
+    budgets = [2 * k + 1 for k in range(r + 1)]
+    weights = {(k, n): conjecture_prefactor(r, k, n) * c[n - k] for k in range(r + 1) for n in samples}
+    solve_points = samples[: sum(b + 1 for b in budgets)]
+    matrix = [
+        [weights[(k, n)] * lhs[n].denominator * n**j for k in range(r + 1) for j in range(budgets[k] + 1)]
+        for n in solve_points
+    ]
+    solution = bareiss(matrix, [denominator * lhs[n].numerator for n in solve_points])
+    blocks, position = [], 0
+    for budget in budgets:
+        blocks.append(solution[position : position + budget + 1])
+        position += budget + 1
+    return blocks
+
+
+class TestDerivedConjecture:
+    """The derived P_{r,2k} against the sampled route, the sweep beyond the samples, and their closed patterns."""
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
+    def test_equals_the_sampled_solve(self, r):
+        # The derivation reads no C value and the solve no operator, so the
+        # two routes are independent; the solved slack coefficient must be 0.
+        derived = convolution_module._derive_conjecture(r)
+        for k, (ours, solved) in enumerate(zip(derived, sampled_conjecture(r), strict=True)):
+            assert solved[-1] == 0, (r, k)
+            assert solved[:-1] == ours, (r, k)
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 4, 5, 6])
+    def test_ansatz_matches_the_sweep_past_the_samples(self, r):
+        # The derivation holds at every n >= r + 1, so it is checked here to
+        # n = 40, past the last default sample of every r up to 5.
+        nmax = 40
+        table = PolyCauchyTable.build(nmax)
+        lhs = convolution_sweep((0,) * (2 * r + 1), nmax, table)
+        derived = convolution_module._derive_conjecture(r)
+        for n in range(r + 1, nmax + 1):
+            terms = (
+                poly_eval(p, n) * conjecture_prefactor(r, k, n) * table.value(n - k) for k, p in enumerate(derived)
+            )
+            assert sum(terms, Fraction(0)) == lhs[n], (r, n)
+
+    @pytest.mark.parametrize("r", range(1, 11))
+    def test_closed_patterns(self, r):
+        # P_{r,0} = 1, P_{r,2r}(n) = (2n - 2r - 1)^(2r), and deg P_{r,2k} = 2k.
+        derived = convolution_module._derive_conjecture(r)
+        top = [1]
+        for _ in range(2 * r):
+            top = poly_mul(top, [-2 * r - 1, 2])
+        assert derived[0] == [1]
+        assert derived[r] == top
+        assert [len(p) - 1 for p in derived] == [2 * k for k in range(r + 1)]
+        assert all(p[-1] != 0 for p in derived)
+
+
+class TestDerivationControls:
+    """Negative controls: a fault in the operator rule fails at the first r it reaches."""
+
+    def test_wrong_t2_factor_fails_every_row(self, monkeypatch):
+        # t^2's factor (2i-1 - θ) becomes (2i-2 - θ) in every step.
+        real = convolution_module._fold_step
+
+        def wrong(i, b):
+            low, (c, d) = real(i, b)
+            return low, (c - 1, d)
+
+        monkeypatch.setattr(convolution_module, "_fold_step", wrong)
+        for r in (1, 2, 3):
+            report = verify_identity(f"conjecture-r{r}")
+            assert report.status == "fail"
+            assert not any(row.equal for row in report.per_n_results), r
+
+    def test_dropped_shift_is_not_exact(self, monkeypatch):
+        # At r = 1 the only step moves past t^0, so the shift is 0 there;
+        # from r = 2 on, the unshifted product is not divisible as the ansatz says.
+        truth = verify_identity("conjecture-r1")
+        real = convolution_module._fold_step
+        monkeypatch.setattr(convolution_module, "_fold_step", lambda i, b: real(i, 0))
+        assert verify_identity("conjecture-r1") == truth
+        for r in (2, 3):
+            with pytest.raises(ArithmeticError, match=r"division by \(x - 2\) is not exact"):
+                verify_identity(f"conjecture-r{r}")
+
+
 # Square systems of mixed signs and denominators, with zeros often enough to
 # make some of them singular: a size, then the augmented rows flattened.
 _ENTRY = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 12))
@@ -1188,210 +1292,6 @@ _SYSTEMS = st.integers(1, 6).flatmap(
         lambda flat: [flat[i : i + size + 1] for i in range(0, len(flat), size + 1)]
     )
 )
-
-
-def _random_fractions(generator, count):
-    return [Fraction(generator.randint(-40, 40), generator.randint(1, 12)) for _ in range(count)]
-
-
-class TestModularSolve:
-    """``_solve_exact`` against the Gauss-Jordan and Bareiss oracles, and the checks inside it."""
-
-    @staticmethod
-    def solves(matrix, rhs, solution):
-        return all(sum(a * x for a, x in zip(row, solution)) == b for row, b in zip(matrix, rhs))
-
-    @settings(max_examples=150, deadline=None)
-    @given(_SYSTEMS)
-    def test_matches_gauss_jordan(self, augmented):
-        # A singular draw must raise on both sides.
-        matrix, rhs = [row[:-1] for row in augmented], [row[-1] for row in augmented]
-        try:
-            expected = gauss_jordan(matrix, rhs)
-        except ArithmeticError:
-            with pytest.raises(ArithmeticError, match="singular"):
-                convolution_module._solve_exact(matrix, rhs)
-            return
-        assert convolution_module._solve_exact(matrix, rhs) == expected == bareiss(matrix, rhs)
-
-    def test_seeded_systems_up_to_the_r3_size(self):
-        generator = random.Random(20260)
-        for size in range(1, 21):
-            matrix = [_random_fractions(generator, size) for _ in range(size)]
-            rhs = _random_fractions(generator, size)
-            solution = convolution_module._solve_exact(matrix, rhs)
-            assert solution == gauss_jordan(matrix, rhs) == bareiss(matrix, rhs), size
-            assert self.solves(matrix, rhs, solution)
-            assert all(type(x) is Fraction for x in solution)
-
-    @pytest.mark.parametrize("r", [1, 2, 3])
-    def test_conjecture_systems_match_gauss_jordan(self, r, monkeypatch):
-        real, systems = convolution_module._solve_exact, []
-
-        def record(matrix, rhs):
-            systems.append((matrix, rhs))
-            return real(matrix, rhs)
-
-        monkeypatch.setattr(convolution_module, "_solve_exact", record)
-        extract_conjecture_polynomials(r)
-        (matrix, rhs), = systems
-        assert len(matrix) == (r + 1) * (r + 2)
-        assert real(matrix, rhs) == gauss_jordan(matrix, rhs) == bareiss(matrix, rhs)
-        # Each integer row is the paper's row, weights conjecture_prefactor
-        # C_{2n-2k} times n^j over Fraction, scaled by one factor.
-        samples = default_conjecture_samples(r)
-        table = PolyCauchyTable.build(samples[-1])
-        lhs = convolution_sweep((0,) * (2 * r + 1), samples[-1], table)
-        for n, row, value in zip(samples, matrix, rhs):
-            assert all(type(v) is int for v in [*row, value])
-            paper_row = [
-                Fraction(conjecture_prefactor(r, k, n)) * table.value(n - k) * n**j
-                for k in range(r + 1)
-                for j in range(2 * k + 2)
-            ]
-            scale = row[0] / paper_row[0]
-            assert [scale * v for v in [*paper_row, lhs[n]]] == [*row, value], (r, n)
-
-    def test_zero_leading_pivot_swaps_rows(self):
-        matrix = [[Fraction(0), Fraction(1, 2)], [Fraction(-3, 4), Fraction(5)]]
-        rhs = [Fraction(1), Fraction(2, 3)]
-        solution = convolution_module._solve_exact(matrix, rhs)
-        assert solution == gauss_jordan(matrix, rhs) == [Fraction(112, 9), Fraction(2)]
-
-    def test_zero_pivot_in_the_middle_swaps_rows(self):
-        # Scaled to integers, the second pivot after the first step is
-        # 4 - 2 * 2 = 0, while the third row has 3 - 2 = 1 there; det = -1/27.
-        matrix = [[1, 2, 3], [2, 4, 7], [1, 3, 4]]
-        matrix = [[Fraction(v, 3) for v in row] for row in matrix]
-        rhs = [Fraction(1), Fraction(-2, 5), Fraction(7)]
-        solution = convolution_module._solve_exact(matrix, rhs)
-        assert solution == gauss_jordan(matrix, rhs)
-        assert self.solves(matrix, rhs, solution)
-
-    @pytest.mark.parametrize(
-        "matrix",
-        [
-            [[1, 2], [2, 4]],
-            [[Fraction(1, 2), 3, 1], [1, 6, Fraction(1, 3)], [2, 12, 5]],
-            [[1, 0, 2], [3, 0, 4], [5, 0, 6]],
-            [[0, 0], [0, 0]],
-        ],
-        ids=["rank-1", "dependent-columns", "zero-column", "zero-matrix"],
-    )
-    def test_singular_system_raises(self, matrix):
-        matrix = [[Fraction(v) for v in row] for row in matrix]
-        with pytest.raises(ArithmeticError, match="singular system"):
-            convolution_module._solve_exact(matrix, [Fraction(1)] * len(matrix))
-
-
-# det of [[1, 2, 3], [4, 5, 6], [7, 8, 9 + x]] is -3x: with x = 1000003, a prime,
-# the primes 3 and 1000003 divide det A and no other prime does.
-_DET_PRIME = 1000003
-_DIVISIBLE = [[1, 2, 3], [4, 5, 6], [7, 8, 9 + _DET_PRIME]]
-
-
-class TestModularSolveControls:
-    """Negative controls: each way the modular solve could go wrong ends in the right solution or an error."""
-
-    @staticmethod
-    def primes_then_real(monkeypatch, first):
-        real = exact_module._solve_primes
-        monkeypatch.setattr(exact_module, "_solve_primes", lambda: itertools.chain(first, real()))
-
-    @staticmethod
-    def record_skips(monkeypatch):
-        real, skipped = exact_module._solve_mod, []
-
-        def record(rows, p):
-            solution = real(rows, p)
-            if solution is None:
-                skipped.append(p)
-            return solution
-
-        monkeypatch.setattr(exact_module, "_solve_mod", record)
-        return skipped
-
-    def test_candidate_off_in_one_row_is_rejected(self, monkeypatch):
-        # Lower triangular, so the last unknown reaches only the last row: that
-        # unknown off by one satisfies every row but the last.
-        matrix = [[2, 0, 0, 0], [1, 3, 0, 0], [4, -5, 7, 0], [1, 1, 1, 11]]
-        rhs = [1, 2, 3, 4]
-        truth = gauss_jordan(matrix, rhs)
-        off = [*truth[:-1], truth[-1] + 1]
-        rows = [exact_module._primitive([*row, value]) for row, value in zip(matrix, rhs)]
-        assert exact_module._satisfies(rows, truth)
-        assert not exact_module._satisfies(rows, off)
-        assert [sum(map(operator.mul, row, off)) == row[-1] for row in rows] == [True, True, True, False]
-        # The reconstruction returns that candidate at every prime: the solve
-        # must refuse it, and past the Cramer bound it raises. M61 alone
-        # passes the bound of so small a system, so one prime is tried.
-        real, calls = exact_module._rational_reconstruction, []
-
-        def reconstruct(residue, modulus, bound):
-            calls.append(residue)
-            value = real(residue, modulus, bound)
-            return value + 1 if len(calls) % 4 == 0 else value
-
-        monkeypatch.setattr(exact_module, "_rational_reconstruction", reconstruct)
-        with pytest.raises(ArithmeticError, match="Cramer bound"):
-            convolution_module._solve_exact(matrix, rhs)
-        assert len(calls) == 4
-
-    @pytest.mark.parametrize("first", [[_DET_PRIME], [3, _DET_PRIME]], ids=["one", "two"])
-    def test_a_prime_dividing_det_is_skipped(self, first, monkeypatch):
-        # Both primes together stay below the Hadamard bound of A, about 3.6e7,
-        # so neither makes the system singular.
-        matrix, rhs = _DIVISIBLE, [1, -2, 5]
-        self.primes_then_real(monkeypatch, first)
-        skipped = self.record_skips(monkeypatch)
-        assert convolution_module._solve_exact(matrix, rhs) == gauss_jordan(matrix, rhs)
-        assert skipped == first
-
-    def test_singular_only_past_the_hadamard_bound(self, monkeypatch):
-        # Rank 1: singular mod every prime. Its Hadamard bound is
-        # (isqrt(5) + 1)(isqrt(20) + 1) = 15, which 2 * 3 does not pass, so a
-        # third prime must be seen, be it 5 or 2^61 - 1.
-        matrix = [[1, 2], [2, 4]]
-        for first, seen in (([2, 3, 5], 3), ([2, 3], 3)):
-            with monkeypatch.context() as patch:
-                self.primes_then_real(patch, first)
-                skipped = self.record_skips(patch)
-                with pytest.raises(ArithmeticError, match="singular system"):
-                    convolution_module._solve_exact(matrix, [1, 1])
-                assert len(skipped) == seen
-
-    @pytest.mark.parametrize("r", [1, 2, 3])
-    def test_conjecture_solve_survives_a_prime_dividing_its_det(self, r, monkeypatch):
-        # The smallest odd prime dividing det A goes first; the solve must skip
-        # it and still return the extraction's polynomials.
-        truth = extract_conjecture_polynomials(r)
-        systems = []
-        real = convolution_module._solve_exact
-        monkeypatch.setattr(convolution_module, "_solve_exact", lambda m, b: systems.append((m, b)) or real(m, b))
-        extract_conjecture_polynomials(r)
-        matrix, rhs = systems[0]
-        rows = [exact_module._primitive([*row, value]) for row, value in zip(matrix, rhs)]
-        det = abs(bareiss_eliminate([row[:-1] for row in rows], polycauchy_module._exact_div))
-        divisor = next(q for q in range(3, 10**6, 2) if det % q == 0)
-        self.primes_then_real(monkeypatch, [divisor])
-        skipped = self.record_skips(monkeypatch)
-        assert extract_conjecture_polynomials(r) == truth
-        assert skipped == [divisor]
-
-    @pytest.mark.parametrize("bound", [0, 3, 1000])
-    def test_reconstruction_bound_too_low_returns_no_wrong_value(self, bound, monkeypatch):
-        # r = 1 solves for 1, 9, -12 and 4 among zeros: a bound below 12
-        # cannot reconstruct them, so no candidate is ever offered, and the
-        # solve raises once the Cramer bound is passed. A bound of 1000 is
-        # enough, so the right answer comes back.
-        real = exact_module._rational_reconstruction
-        monkeypatch.setattr(exact_module, "_rational_reconstruction", lambda x, m, b: real(x, m, bound))
-        if bound < 12:
-            with pytest.raises(ArithmeticError, match="Cramer bound"):
-                extract_conjecture_polynomials(1)
-        else:
-            p0, p2 = extract_conjecture_polynomials(1)
-            assert p2.interpolated_coefficients == [9, -12, 4]
 
 
 class TestBareissOracle:

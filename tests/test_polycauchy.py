@@ -338,7 +338,7 @@ class TestTable:
             moved_formula, moved_series = values_by_route()
         assert moved_formula == formula
         assert moved_series != series
-        request.getfixturevalue("bumped_c10")
+        request.getfixturevalue("bumped_route")(5)
         moved_formula, moved_series = values_by_route()
         assert moved_formula != formula
         assert moved_series == series
@@ -443,10 +443,11 @@ class TestIntegralRepresentation:
         assert report.status == "fail"
         assert report.first_failure.n == n
 
-    def test_wrong_c10_fails_value_stage(self, bumped_c10):
+    def test_wrong_c10_fails_value_stage(self, bumped_route):
         # C9 style: stage 2 integrates the expanded product, which reads
         # neither the triangle nor the formula route, so a wrong C_10 from
         # the formula route must fail the value stage and only that stage.
+        bumped_route(5)
         truth = {k: triangle_dot_product(5, k)[5] for k in range(1, 4)}
         for k in range(1, 4):
             check = integral_representation_check(5, k)

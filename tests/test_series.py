@@ -7,7 +7,7 @@ polynomial. The ring operations those checks rely on are tested after.
 """
 
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial
 
 import pytest
 from hypothesis import given
