@@ -69,13 +69,11 @@ L^(2i-1) to L^(2i+1) by an operator with integer polynomial coefficients,
 and the product of r such operators, divided exactly by the falling
 factorial of binom(2n-2k-1, 2r-2k), is each P (``_derive_conjecture``). The
 derivation is integer arithmetic on coefficient lists and reads no C value.
-``verify conjecture-r<R>`` then compares the sweep with the derived ansatz
+``verify conjecture-r<R>`` is the one check on them: it reads them from
+``extract_conjecture_polynomials`` and compares the sweep with the ansatz
 at the fixed samples n = r + 1..r + (r+1)(r+2) + 3
 (``default_conjecture_samples``), on the formula route's table built to the
 last of them, each P evaluated on integers over one common denominator.
-The library extraction also recovers each P pointwise at every sample, by
-subtracting the other derived terms from the convolution and dividing by
-its own weight, an independent probe of each polynomial.
 """
 
 from __future__ import annotations
@@ -90,7 +88,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 # thm1 and cor1 read the routes and stages through the module, so a patched one is the one that runs.
 from . import polycauchy as _polycauchy
 from .exact import _even_binomials, binomial
-from .polynomials import _poly_compose, _poly_divide_root, _poly_times_root, poly_degree, poly_eval, poly_text
+from .polynomials import _poly_compose, _poly_divide_root, _poly_times_root, poly_eval, poly_text
 from .polycauchy import _exact_div, PolyCauchyTable, arcsinh_power_egf
 from .stirling import level2_by_recurrence
 
@@ -583,19 +581,14 @@ def conjecture_prefactor(r: int, k: int, n: int) -> int:
 
 
 class ConjecturePolynomial(NamedTuple):
-    """One P_{r,2k}: pointwise values recovered from the convolution and the derived coefficients."""
+    """One P_{r,2k} as the derivation gives it: its 2k + 1 coefficients, low degree first."""
 
     r: int
     k: int
-    sample_points: list[tuple[int, Fraction]]
-    interpolated_coefficients: list[Fraction]
-    degree_ok: bool
+    coefficients: list[Fraction]
 
     def evaluate(self, n: int) -> Fraction:
-        return poly_eval(self.interpolated_coefficients, n)
-
-    def reproduces_samples(self) -> bool:
-        return all(self.evaluate(n) == value for n, value in self.sample_points)
+        return poly_eval(self.coefficients, n)
 
 
 def default_conjecture_samples(r: int) -> list[int]:
@@ -604,32 +597,13 @@ def default_conjecture_samples(r: int) -> list[int]:
 
 
 def extract_conjecture_polynomials(r: int) -> list[ConjecturePolynomial]:
-    """P_{r,2k} for k = 0..r, derived by the operator rule and probed against the (2r+1)-fold convolution.
+    """P_{r,2k} for k = 0..r, derived by the operator rule (``_derive_conjecture``) from no C value or sample.
 
-    The coefficients come from ``_derive_conjecture``, which reads no C value.
-    At each sample (``default_conjecture_samples``) the C values come from the
-    formula route's table, built to the last sample, and each P is also
-    recovered pointwise from the convolution: the other derived terms are
-    subtracted and the rest divided by its own weight. Nothing is fitted, so
-    every point in ``sample_points`` is an independent probe and
-    ``reproduces_samples`` is a genuine check. No weight at a sample is 0, so
-    each point is a division.
+    ``verify conjecture-r<R>`` checks the ansatz they give against the (2r+1)-fold convolution.
     """
     if r not in (1, 2, 3):
         raise ValueError(f"conjecture extraction is implemented for r in 1..3, got {r}")
-    samples, derived, weights, lhs, denominator = _conjecture_data(r)
-    targets = {n: denominator * lhs[n] for n in samples}
-    terms = {key: poly_eval(derived[key[0]], key[1]) * weight for key, weight in weights.items()}
-    polynomials: list[ConjecturePolynomial] = []
-    for k in range(r + 1):
-        points: list[tuple[int, Fraction]] = []
-        for n in samples:
-            # Subtract the other derived terms and divide by this term's weight.
-            others = sum(terms[(other, n)] for other in range(r + 1) if other != k)
-            points.append((n, (targets[n] - others) / weights[(k, n)]))
-        degree_ok = poly_degree(derived[k]) <= 2 * k
-        polynomials.append(ConjecturePolynomial(r, k, points, derived[k], degree_ok))
-    return polynomials
+    return [ConjecturePolynomial(r, k, coefficients) for k, coefficients in enumerate(_derive_conjecture(r))]
 
 
 def _fold_step(i: int, b: int) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -678,28 +652,22 @@ def _derive_conjecture(r: int) -> list[list[Fraction]]:
     return polynomials
 
 
-def _conjecture_data(
-    r: int,
-) -> tuple[list[int], list[list[Fraction]], dict[tuple[int, int], int], list[Fraction], int]:
-    """The samples, the derived P_{r,2k}, the weights, the convolution sweep and D.
+def _verify_conjecture(name: str, r: int, nmax: int) -> IdentityReport:
+    """The (2r+1)-fold sweep against the derived ansatz at ``default_conjecture_samples(r)``.
 
-    The samples are ``default_conjecture_samples(r)``, and the table is the
-    formula route's, built to the last of them. Both sides of every row are
+    The polynomials are read through this module's ``extract_conjecture_polynomials``,
+    so a wrapped or patched one is the one that runs. The table is the
+    formula route's, built to the last sample. Both sides of every row are
     scaled by D, the common denominator of the C_{2m} read: the weight of
     P_{r,2k} at n is then the integer conjecture_prefactor(r, k, n) D C_{2n-2k}.
     """
+    if nmax != DEFAULT_NMAX:
+        raise ValueError(f"{name} takes no nmax other than {DEFAULT_NMAX}: its sample points are fixed")
+    derived = [p.coefficients for p in extract_conjecture_polynomials(r)]
     samples = default_conjecture_samples(r)
     table = PolyCauchyTable.build(samples[-1])
     lhs = convolution_sweep((0,) * (2 * r + 1), samples[-1], table)
     c, denominator = table.numerators(samples[-1])
-    weights = {(k, n): conjecture_prefactor(r, k, n) * c[n - k] for k in range(r + 1) for n in samples}
-    return samples, _derive_conjecture(r), weights, lhs, denominator
-
-
-def _verify_conjecture(name: str, r: int, nmax: int) -> IdentityReport:
-    if nmax != DEFAULT_NMAX:
-        raise ValueError(f"{name} takes no nmax other than {DEFAULT_NMAX}: its sample points are fixed")
-    samples, derived, weights, lhs, denominator = _conjecture_data(r)
 
     # Over their common denominator Q the derived polynomials have integer
     # coefficients, so each row's sum is an integer over Q D.
@@ -707,7 +675,7 @@ def _verify_conjecture(name: str, r: int, nmax: int) -> IdentityReport:
     integral = [[x.numerator * (common // x.denominator) for x in coefficients] for coefficients in derived]
     rows = []
     for n in samples:
-        total = sum(poly_eval(coefficients, n) * weights[(k, n)] for k, coefficients in enumerate(integral))
+        total = sum(poly_eval(p, n) * conjecture_prefactor(r, k, n) * c[n - k] for k, p in enumerate(integral))
         rows.append(CheckRow.compare(n, lhs[n], Fraction(total, common * denominator)))
     notes = [f"P[{2 * k}] = {poly_text(coefficients)}" for k, coefficients in enumerate(derived)]
     return IdentityReport(name, nmax, f"r={r}, samples n={samples[0]}..{samples[-1]}", rows, notes)

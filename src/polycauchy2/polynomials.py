@@ -1,8 +1,8 @@
 """Dense univariate polynomials over exact rationals.
 
 Coefficient lists run low degree to high. The conjecture derivation builds
-its integer polynomials with the three private helpers, and the extraction
-evaluates, trims and prints the rational polynomials they give.
+its integer polynomials with the three private helpers, and the conjecture
+check evaluates and prints the rational polynomials they give.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from typing import Sequence
 __all__ = [
     "poly_eval",
     "poly_trim",
-    "poly_degree",
     "poly_text",
 ]
 
@@ -58,11 +57,6 @@ def poly_trim(a: Sequence[Fraction]) -> list[Fraction]:
     while out and out[-1] == 0:
         out.pop()
     return out
-
-
-def poly_degree(a: Sequence[Fraction]) -> int:
-    """Degree after trimming; the zero polynomial reports -1."""
-    return len(poly_trim(a)) - 1
 
 
 def poly_text(a: Sequence[Fraction], variable: str = "n") -> str:

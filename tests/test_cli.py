@@ -20,10 +20,10 @@ from hypothesis import strategies as st
 import polycauchy2
 from polycauchy2 import cli
 from polycauchy2 import convolution as convolution_module
-from polycauchy2 import polycauchy as polycauchy_module
 from polycauchy2 import IdentityReport, PolyCauchyTable, level2_by_recurrence
 from polycauchy2.cli import build_parser, main
 from polycauchy2.convolution import CONVOLUTION_IDENTITIES, default_conjecture_samples
+from polycauchy2.polynomials import poly_text
 from polycauchy2.series import BUILTIN_SERIES_NAMES
 from series_oracle import paper_series
 
@@ -350,20 +350,14 @@ class TestVerifyCommand:
         assert err.splitlines() == ["polycauchy2: internal error: division by (x - 2) is not exact: remainder 2"]
         assert "usage" not in err
 
-    def test_bumped_c_at_the_last_sample_fails_only_that_row(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_bumped_c_at_the_last_sample_fails_only_that_row(self, capsys, bumped_route, r):
         # C at the last sample is read only by that row: the derivation,
         # the rows before it and the printed polynomials stay as they were.
-        _, truth, _ = run(capsys, ["verify", "conjecture-r3"])
-        last = default_conjecture_samples(3)[-1]
-        real = polycauchy_module._formula_numerators
-
-        def bumped(nmax, k):
-            numerators, denominator = real(nmax, k)
-            numerators[last] += denominator
-            return numerators, denominator
-
-        monkeypatch.setattr(polycauchy_module, "_formula_numerators", bumped)
-        code, out, _ = run(capsys, ["verify", "conjecture-r3"])
+        _, truth, _ = run(capsys, ["verify", f"conjecture-r{r}"])
+        last = default_conjecture_samples(r)[-1]
+        bumped_route(last)
+        code, out, _ = run(capsys, ["verify", f"conjecture-r{r}"])
         assert code == 1
         lines, expected = out.splitlines(), truth.splitlines()
         row = next(i for i, line in enumerate(lines) if line.startswith(f"  n={last} "))
@@ -442,6 +436,26 @@ class TestBenchmarkReferences:
         assert report["exit"] == 0, result.stderr
         calls, self_ns = report["trace"]["spans"][f"convolution.{rhs_name}"]
         assert calls == 1 and self_ns > 0
+
+    def test_traced_child_reaches_the_public_conjecture_polynomials(self):
+        # The CLI check reads the polynomials through extract_conjecture_polynomials,
+        # so the benchmark's convolution.solve_s times the derivation, and the
+        # notes it prints are those polynomials.
+        result = subprocess.run(
+            [sys.executable, str(BENCH / "child.py"), str(Path(polycauchy2.__file__).parents[1]),
+             "1", "-", "verify", "conjecture-r2"],
+            capture_output=True,
+            text=True,
+            env=TestEntryPoint.child_env(),
+        )
+        assert result.returncode == 0, result.stderr
+        report = json.loads(result.stdout.splitlines()[-1])
+        assert report["exit"] == 0, result.stderr
+        calls, self_ns = report["trace"]["spans"]["convolution.extract_conjecture_polynomials"]
+        assert calls == 1 and self_ns > 0
+        notes = [line.strip() for line in report["tail"].splitlines() if line.startswith("  P[")]
+        polys = polycauchy2.extract_conjecture_polynomials(2)
+        assert notes == [f"P[{2 * p.k}] = {poly_text(p.coefficients)}" for p in polys]
 
 
 class TestUsageErrors:

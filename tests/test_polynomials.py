@@ -11,7 +11,6 @@ from polycauchy2.polynomials import (
     _poly_compose,
     _poly_divide_root,
     _poly_times_root,
-    poly_degree,
     poly_eval,
     poly_text,
     poly_trim,
@@ -33,10 +32,9 @@ class TestArithmetic:
     def test_eval_horner(self):
         assert poly_eval([9, -12, 4], 5) == (2 * 5 - 3) ** 2
 
-    def test_degree_ignores_trailing_zeros(self):
-        assert poly_degree([Fraction(1), Fraction(0), Fraction(0)]) == 0
-        assert poly_degree([]) == -1
+    def test_trim_drops_trailing_zeros(self):
         assert poly_trim([Fraction(1), Fraction(0)]) == [Fraction(1)]
+        assert poly_trim([Fraction(0), Fraction(0)]) == []
 
     def test_text(self):
         assert poly_text([Fraction(9), Fraction(-12), Fraction(4)]) == "9 - 12*n + 4*n^2"

@@ -1,6 +1,7 @@
 """Checks on the code and the test configuration themselves.
 
-Every module under ``src/`` and ``tests/`` uses each name it imports, and the
+Every module under ``src/`` and ``tests/`` uses each name it imports, every
+private top-level name under ``src/`` is read somewhere under ``src/``, and the
 warning filters of ``pyproject.toml`` let a failing property test be reported
 as a failure while every other warning still fails the run.
 """
@@ -14,7 +15,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted([*(ROOT / "src").rglob("*.py"), *(ROOT / "tests").glob("*.py")])
+SOURCES = sorted((ROOT / "src").rglob("*.py"))
+MODULES = sorted([*SOURCES, *(ROOT / "tests").glob("*.py")])
 
 
 def unused_imports(source: str) -> list[str]:
@@ -49,6 +51,83 @@ def test_an_unused_import_is_caught():
         print(math.pi)
     """
     assert unused_imports(textwrap.dedent(source)) == ["F", "os"]
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """The top-level ``_name``s, as "module:name", that no module of ``sources`` reads.
+
+    A read is a loaded name, an attribute, an imported name or a string
+    constant equal to the name (a registry entry or a ``getattr`` by name).
+    """
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)
+    unread = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [target.id for target in targets if isinstance(target, ast.Name)]
+            else:
+                continue
+            private = (name for name in names if name.startswith("_") and not name.startswith("__"))
+            unread += [f"{module}:{name}" for name in private if name not in read]
+    return sorted(unread)
+
+
+def test_every_private_name_in_src_is_read_in_src():
+    # Reads from the tests do not count: a private name only a test reads is test-only code in src/.
+    sources = {str(path.relative_to(ROOT / "src")): path.read_text() for path in SOURCES}
+    assert unread_private_names(sources) == []
+
+
+def test_an_unread_private_name_is_caught():
+    defining = """
+        _TABLE = {"entry": "_by_name"}
+        _orphan_constant: int = 3
+        _written = 0
+
+        def _by_name():
+            pass
+
+        def _loaded():
+            pass
+
+        def _imported():
+            pass
+
+        def _attribute():
+            pass
+
+        def _orphan():
+            # Reads live names, but nothing reads it: a helper whose last caller went.
+            global _written
+            _written = _loaded()
+
+        class _Orphan:
+            pass
+
+        print(_TABLE)
+    """
+    reading = """
+        import a
+        from a import _imported
+
+        print(a._attribute, _imported)
+    """
+    sources = {"a.py": textwrap.dedent(defining), "b.py": textwrap.dedent(reading)}
+    assert unread_private_names(sources) == ["a.py:_Orphan", "a.py:_orphan", "a.py:_orphan_constant", "a.py:_written"]
 
 
 def run_pytest(tmp_path, source):

@@ -45,9 +45,7 @@ RECORDS = {
         [
             ("r", 1),
             ("k", 1),
-            ("sample_points", [(2, Fraction(1)), (3, Fraction(9))]),
-            ("interpolated_coefficients", [Fraction(9), Fraction(-12), Fraction(4)]),
-            ("degree_ok", True),
+            ("coefficients", [Fraction(9), Fraction(-12), Fraction(4)]),
         ],
         False,
     ),
