@@ -1087,6 +1087,21 @@ class TestConjectureExtraction:
         with pytest.raises(ValueError):
             extract_conjecture_polynomials(4)
 
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_a_perturbed_polynomial_fails_every_row(self, r, monkeypatch):
+        # The check sees P_{r,2k}(n) through its weight prefactor * C_{2n-2k},
+        # so a wrong P at any k must fail every sample: no weight is 0 there.
+        truth = extract_conjecture_polynomials(r)
+        for k in range(r + 1):
+            perturbed = list(truth)
+            perturbed[k] = truth[k]._replace(coefficients=[truth[k].coefficients[0] + 1, *truth[k].coefficients[1:]])
+            monkeypatch.setattr(convolution_module, "extract_conjecture_polynomials", lambda _: perturbed)
+            report = verify_identity(f"conjecture-r{r}")
+            assert [row.n for row in report.per_n_results] == default_conjecture_samples(r), k
+            assert not any(row.equal for row in report.per_n_results), k
+        monkeypatch.undo()
+        assert verify_identity(f"conjecture-r{r}").status == "pass"
+
     def test_evaluate_matches_closed_form(self):
         _, p2 = extract_conjecture_polynomials(1)
         for n in range(2, 9):
