@@ -28,7 +28,7 @@ n of a range in one call. Both sides run on integers (Knuth, TAOCP Vol. 2,
 4.7). A sweep reads the C_{2m} it needs from the table once, as integer
 numerators over D, the lcm of their denominators
 (``PolyCauchyTable.numerators``). The left sweep multiplies those integers
-and divides by D^k once per n; its products and sums run inside ``map`` and
+and returns them over D^k; its products and sums run inside ``map`` and
 ``sum`` over row n of the rows of binom(2n, 2i) that ``exact`` builds once
 per process, each from its first half, for it and the series route. The
 closed forms of Theorems 2-4 and 6 weight C_{2l}, up to a small factor, by
@@ -36,7 +36,8 @@ closed forms of Theorems 2-4 and 6 weight C_{2l}, up to a small factor, by
 j = n - l, where -sqrt(1+4u) = sum of v_j u^j has the small coefficients
 -1, -2, 2, -4, 10, -28, ... (Concrete Mathematics, 5.4 and 7.5). ``_root_sums`` makes each an ordinary product,
 one big integer times a small one per term, that reads no binomial row. The
-other closed forms are a few terms per n. Only the last division builds a Fraction.
+other closed forms are a few terms per n. Each returns an integer numerator
+and denominator per n, and neither side builds a Fraction.
 
 The test suite holds the oracles: ``brute_force_convolution`` enumerates the
 defining sum term by term, and the ``paper_rhs_*`` functions evaluate the
@@ -45,16 +46,14 @@ paper's right-hand sides as written, one Fraction per term
 
 ``verify_identity`` sweeps a named identity over a range and reports per-n
 equality without ever aborting on a failure. Each check builds its own
-inputs from nmax alone. ``thm1`` (the formula route against the series
-route, k = -3..3) and ``cor1`` (the integral representation against the
-formula route, k = 1..3) hold each side of each k as integer numerators
-over its own denominator and compare a / d with b / e as a e = b d; each n
-reports its first failing k, else k = 1, and only that row builds
-Fractions, one for both sides when they agree. The
-two differential equations for L(t) = t / arcsinh t, ``eqll`` and
-``eqconvo02``, are Theorems 2 and 3 read as power series: their checks run
-the thm2 and thm3 sweeps on the formula route's table and report row n at
-t^(2n), divided by (2n)!, once for both sides when they agree.
+inputs from nmax alone, and every row compares integer sides a / d and
+b / e as a e = b d (``CheckRow.of``), building a Fraction only to print.
+``thm1`` (the formula route against the series route, k = -3..3) and
+``cor1`` (the integral representation against the formula route, k = 1..3)
+report at each n its first failing k, else k = 1. The two differential
+equations for L(t) = t / arcsinh t, ``eqll`` and ``eqconvo02``, are
+Theorems 2 and 3 read as power series: their checks compare the thm2 and
+thm3 sides at t^(2n) with (2n)! in both denominators.
 
 ``extract_conjecture_polynomials`` gives the polynomials P_{r,2k}(n) in the
 ansatz
@@ -174,10 +173,10 @@ def _egf_power(xs: Sequence[int], exponent: int, nmax: int) -> list[int]:
 
 def convolution_sweep(
     offsets: Sequence[int], nmax: int, table: PolyCauchyTable
-) -> list[Fraction]:
-    """The convolution with these offsets at every n = 0..nmax, exactly.
+) -> tuple[list[int], int]:
+    """The convolution with these offsets at every n = 0..nmax, as integer numerators over D^(len(offsets)).
 
-    The table must hold C_{2m} (k = 1) for all m up to nmax + max(offsets).
+    The table must hold C_{2m} (k = 1), as numerators over D, for all m up to nmax + max(offsets).
     """
     offsets = tuple(offsets)
     if len(offsets) < 2:
@@ -199,19 +198,19 @@ def convolution_sweep(
         product, *rest = [_egf_power(numerators[j : j + nmax + 1], m, nmax) for j, m in multiplicity.items()]
         for factor in rest:
             product = _egf_product(product, factor, nmax)
-    scale = denominator ** len(offsets)
-    return [Fraction(value, scale) for value in product]
+    return product, denominator ** len(offsets)
 
 
 # -- closed-form right-hand sides ---------------------------------------------------
 #
 # Each evaluator is a sweep: it takes nmax and a table of C_{2m} values and
 # returns the claimed closed form exactly at every n from the identity's first
-# index to nmax, first index first. Offsets in the name describe the
-# convolution it matches: rhs_2fold_01 is the closed form for the 2-fold
-# convolution with offsets (0, 1), rhs_5fold for the 5-fold with all offsets
-# 0, and so on. The sum forms read the table and build the weights once; a
-# factor of a term that depends on both n and l is one small-int row per n.
+# index to nmax, first index first, as an integer numerator and a positive
+# denominator per n; Theorem 3's denominator changes with n. Offsets in the
+# name describe the convolution it matches: rhs_2fold_01 is the closed form for
+# the 2-fold convolution with offsets (0, 1), rhs_5fold for the 5-fold with all
+# offsets 0, and so on. The sum forms read the table and build the weights
+# once; a factor of a term that depends on both n and l is one small-int row per n.
 
 
 def _check_first_index(nmax: int, nmin: int) -> None:
@@ -248,14 +247,14 @@ def _odd_scaled(c: list[int]) -> list[int]:
     return [(2 * l - 1) * value for l, value in enumerate(c)]
 
 
-def rhs_2fold_00(nmax: int, table: PolyCauchyTable) -> list[Fraction]:
+def rhs_2fold_00(nmax: int, table: PolyCauchyTable) -> list[tuple[int, int]]:
     _check_first_index(nmax, 0)
     c, denominator = table.numerators(nmax)
     v = _root_weights(nmax)
-    return [Fraction(total, denominator) for total in _root_sums(nmax, (_odd_scaled(c), lambda n: v[n::-1]))]
+    return [(total, denominator) for total in _root_sums(nmax, (_odd_scaled(c), lambda n: v[n::-1]))]
 
 
-def rhs_2fold_01(nmax: int, table: PolyCauchyTable) -> list[Fraction]:
+def rhs_2fold_01(nmax: int, table: PolyCauchyTable) -> list[tuple[int, int]]:
     """Closed form for offsets (0, 1); at index n the sum runs to l = n + 1.
 
     With m = n + 1 and j = m - l, the paper's term is (2m)! v_j (2l-1) q C_{2l} / ((2l)! 4^j)
@@ -270,10 +269,10 @@ def rhs_2fold_01(nmax: int, table: PolyCauchyTable) -> list[Fraction]:
         return [(j * (2 * j - m) + base) * v[j] for j in range(m, -1, -1)]
 
     sums = _root_sums(nmax + 1, (_odd_scaled(c), row))
-    return [Fraction(sums[n + 1], 3 * (2 * n + 1) * (n + 1) * denominator) for n in range(nmax + 1)]
+    return [(sums[n + 1], 3 * (2 * n + 1) * (n + 1) * denominator) for n in range(nmax + 1)]
 
 
-def rhs_2fold_11(nmax: int, table: PolyCauchyTable) -> list[Fraction]:
+def rhs_2fold_11(nmax: int, table: PolyCauchyTable) -> list[tuple[int, int]]:
     """Closed form for offsets (1, 1); its C_{2l+2} and C_{2l} terms carry (2j+1)!!, j = n - l.
 
     There the paper's weight is (2n)! / ((2l)! 4^j) times -(1 - 4j^2) v_j, and
@@ -287,19 +286,18 @@ def rhs_2fold_11(nmax: int, table: PolyCauchyTable) -> list[Fraction]:
     sums = _root_sums(
         nmax, (c[2:], lambda n: [(2 * n + 5 + 8 * j) * v[j] for j in range(n, -1, -1)]), (y, lambda n: odd[n::-1])
     )
-    return [Fraction(total, 30 * denominator) for total in sums]
+    return [(total, 30 * denominator) for total in sums]
 
 
-def rhs_3fold(nmax: int, table: PolyCauchyTable) -> list[Fraction]:
+def rhs_3fold(nmax: int, table: PolyCauchyTable) -> list[tuple[int, int]]:
     _check_first_index(nmax, 1)
     c, denominator = table.numerators(nmax)
     return [
-        Fraction((2 * n - 1) * ((n - 1) * c[n] + n * (2 * n - 3) ** 2 * c[n - 1]), denominator)
-        for n in range(1, nmax + 1)
+        ((2 * n - 1) * ((n - 1) * c[n] + n * (2 * n - 3) ** 2 * c[n - 1]), denominator) for n in range(1, nmax + 1)
     ]
 
 
-def rhs_4fold(nmax: int, table: PolyCauchyTable) -> list[Fraction]:
+def rhs_4fold(nmax: int, table: PolyCauchyTable) -> list[tuple[int, int]]:
     _check_first_index(nmax, 1)
     c, denominator = table.numerators(nmax)
     x = [
@@ -308,15 +306,15 @@ def rhs_4fold(nmax: int, table: PolyCauchyTable) -> list[Fraction]:
         for l in range(nmax + 1)
     ]
     v = _root_weights(nmax)
-    return [Fraction(total, 6 * denominator) for total in _root_sums(nmax, (x, lambda n: v[n::-1]))[1:]]
+    return [(total, 6 * denominator) for total in _root_sums(nmax, (x, lambda n: v[n::-1]))[1:]]
 
 
-def rhs_5fold(nmax: int, table: PolyCauchyTable) -> list[Fraction]:
+def rhs_5fold(nmax: int, table: PolyCauchyTable) -> list[tuple[int, int]]:
     """The middle term carries a factor 1/3, so every term lies over 3 D."""
     _check_first_index(nmax, 2)
     c, denominator = table.numerators(nmax)
     return [
-        Fraction(
+        (
             3 * binomial(2 * n - 1, 4) * c[n]
             + (4 * n * n - 16 * n + 17) * binomial(2 * n, 2) * binomial(2 * n - 3, 2) * c[n - 1]
             + 3 * binomial(2 * n, 4) * (2 * n - 5) ** 4 * c[n - 2],
@@ -326,12 +324,12 @@ def rhs_5fold(nmax: int, table: PolyCauchyTable) -> list[Fraction]:
     ]
 
 
-def rhs_7fold(nmax: int, table: PolyCauchyTable) -> list[Fraction]:
+def rhs_7fold(nmax: int, table: PolyCauchyTable) -> list[tuple[int, int]]:
     """The two middle terms carry a factor 1/15, so every term lies over 15 D."""
     _check_first_index(nmax, 3)
     c, denominator = table.numerators(nmax)
     return [
-        Fraction(
+        (
             15 * binomial(2 * n - 1, 6) * c[n]
             + (12 * n * n - 60 * n + 83) * binomial(2 * n, 2) * binomial(2 * n - 3, 4) * c[n - 1]
             + (4 * n * n - 24 * n + 39)
@@ -358,8 +356,12 @@ class CheckRow(NamedTuple):
     equal: bool
 
     @classmethod
-    def compare(cls, n: int, lhs: Fraction, rhs: Fraction) -> "CheckRow":
-        return cls(n, lhs, rhs, lhs == rhs)
+    def of(cls, n: int, a: int, d: int, b: int, e: int) -> "CheckRow":
+        """Row n comparing a / d with b / e as a e = b d; agreeing sides hold one Fraction, printed for both."""
+        if a * e == b * d:
+            value = Fraction(a, d)
+            return cls(n, value, value, True)
+        return cls(n, Fraction(a, d), Fraction(b, e), False)
 
 
 class IdentityReport:
@@ -437,7 +439,7 @@ class _ConvolutionIdentity(NamedTuple):
     nmin: int
 
     @property
-    def rhs(self) -> Callable[[int, PolyCauchyTable], list[Fraction]]:
+    def rhs(self) -> Callable[[int, PolyCauchyTable], list[tuple[int, int]]]:
         return globals()[self.rhs_name]
 
 
@@ -461,40 +463,40 @@ _ROUTE_K_RANGE = range(-3, 4)
 _INTEGRAL_K_RANGE = range(1, 4)
 
 
-def _verify_convolution(name: str, nmax: int) -> IdentityReport:
+def _convolution_sides(name: str, nmax: int) -> list[tuple[int, int, int, int, int]]:
+    """(n, a, d, b, e) for each n of a convolution identity: the sweep a / d, the closed form b / e."""
     defn = CONVOLUTION_IDENTITIES[name]
     if nmax < defn.nmin:
         raise ValueError(f"{name} starts at n = {defn.nmin}: nmax must be >= {defn.nmin}, got {nmax}")
     table = PolyCauchyTable.build(nmax + 2)
-    lhs = convolution_sweep(defn.offsets, nmax, table)
-    ns = range(defn.nmin, nmax + 1)
-    rows = [CheckRow.compare(n, lhs[n], value) for n, value in zip(ns, defn.rhs(nmax, table), strict=True)]
-    return IdentityReport(name, nmax, f"n={defn.nmin}..{nmax}", rows)
+    lhs, d = convolution_sweep(defn.offsets, nmax, table)
+    return [(n, lhs[n], d, b, e) for n, (b, e) in zip(range(defn.nmin, nmax + 1), defn.rhs(nmax, table), strict=True)]
+
+
+def _verify_convolution(name: str, nmax: int) -> IdentityReport:
+    rows = [CheckRow.of(*sides) for sides in _convolution_sides(name, nmax)]
+    return IdentityReport(name, nmax, f"n={CONVOLUTION_IDENTITIES[name].nmin}..{nmax}", rows)
 
 
 def _report_over_k(
-    name: str,
-    nmax: int,
-    k_range: range,
-    sides: dict[int, tuple[list[int], int, list[int], int]],
-    held: Sequence[bool],
+    name: str, nmax: int, k_range: range, sides: dict[int, tuple[list[int], int, list[int], int]], held: Sequence[bool]
 ) -> IdentityReport:
     """One row per n = 0..nmax: the first failing k's row, else the k = 1 row.
 
     ``sides[k]`` is (a, d, b, e), and at n the two sides are a[n] / d and
-    b[n] / e, compared by cross-multiplication. A false ``held[n]`` fails
-    every k at n. Only the reported row builds Fractions, and a passing row
-    holds one on both sides: equal sides reduce to the same value and text.
+    b[n] / e, compared by cross-multiplication; the reported row is built by
+    ``CheckRow.of``. A false ``held[n]`` fails every k at n, so n reports its first k.
     """
 
     def row(n: int) -> CheckRow:
         for k in k_range:
             a, d, b, e = sides[k]
             if not held[n] or a[n] * e != b[n] * d:
-                return CheckRow(n, Fraction(a[n], d), Fraction(b[n], e), False)
-        a, d, _, _ = sides[1]
-        value = Fraction(a[n], d)
-        return CheckRow(n, value, value, True)
+                break
+        else:
+            a, d, b, e = sides[1]
+        checked = CheckRow.of(n, a[n], d, b[n], e)
+        return checked if held[n] else checked._replace(equal=False)
 
     rows = [row(n) for n in range(nmax + 1)]
     return IdentityReport(name, nmax, f"n=0..{nmax}, k={k_range[0]}..{k_range[-1]}", rows)
@@ -536,17 +538,16 @@ def _verify_l_equation(name: str, identity: str, nmax: int) -> IdentityReport:
               + (s^(-1/2) - s^(1/2)) L'' / 2 - t s^(1/2) L''' / 3,
 
     whose right side, collected the same way, is ``rhs_2fold_01``. Row 2n
-    of the report is row n of the sweep divided by (2n)!, carried from row
-    to row; a row whose sides agree is divided once, and both sides show it.
+    of the report compares the integer sides of the sweep's row n with
+    (2n)!, carried from row to row, multiplied into both denominators.
     """
-    zero, scale, rows = Fraction(0), 1, []
-    for row in _verify_convolution(identity, nmax // 2).per_n_results:
-        i = 2 * row.n
+    scale, rows = 1, []
+    for n, a, d, b, e in _convolution_sides(identity, nmax // 2):
+        i = 2 * n
         scale *= max(i * (i - 1), 1)
-        lhs = row.lhs / scale
-        rows.append(CheckRow(i, lhs, lhs if row.equal else row.rhs / scale, row.equal))
+        rows.append(CheckRow.of(i, a, d * scale, b, e * scale))
         if i < nmax:
-            rows.append(CheckRow(i + 1, zero, zero, True))
+            rows.append(CheckRow.of(i + 1, 0, 1, 0, 1))
     return IdentityReport(name, nmax, f"coefficients t^0..t^{nmax}", rows)
 
 
@@ -564,11 +565,10 @@ def _verify_arcsinh_power(nmax: int) -> IdentityReport:
     for m in range(1, top + 1):
         lhs = [egf[n][m] if m <= n else 0 for n in range(half + 1)]
         rhs = [(-4) ** (n - m) * triangle.value(n, m) if m <= n else 0 for n in range(half + 1)]
-        mismatch = next((n for n in range(half + 1) if lhs[n] != rhs[n]), None)
-        # Show the t^(2m) coefficient, else the first mismatch.
-        n = m if mismatch is None else mismatch
+        # Show the first mismatch, else the t^(2m) coefficient.
+        n = next((n for n in range(half + 1) if lhs[n] != rhs[n]), m)
         scale = factorial(2 * n)
-        rows.append(CheckRow(m, Fraction(lhs[n], scale), Fraction(rhs[n], scale), mismatch is None))
+        rows.append(CheckRow.of(m, lhs[n], scale, rhs[n], scale))
     return IdentityReport("arcsinh_power", nmax, f"m=1..{top}, coefficients through t^{nmax}", rows)
 
 
@@ -666,7 +666,7 @@ def _verify_conjecture(name: str, r: int, nmax: int) -> IdentityReport:
     derived = [p.coefficients for p in extract_conjecture_polynomials(r)]
     samples = default_conjecture_samples(r)
     table = PolyCauchyTable.build(samples[-1])
-    lhs = convolution_sweep((0,) * (2 * r + 1), samples[-1], table)
+    lhs, scale = convolution_sweep((0,) * (2 * r + 1), samples[-1], table)
     c, denominator = table.numerators(samples[-1])
 
     # Over their common denominator Q the derived polynomials have integer
@@ -676,7 +676,7 @@ def _verify_conjecture(name: str, r: int, nmax: int) -> IdentityReport:
     rows = []
     for n in samples:
         total = sum(poly_eval(p, n) * conjecture_prefactor(r, k, n) * c[n - k] for k, p in enumerate(integral))
-        rows.append(CheckRow.compare(n, lhs[n], Fraction(total, common * denominator)))
+        rows.append(CheckRow.of(n, lhs[n], scale, total, common * denominator))
     notes = [f"P[{2 * k}] = {poly_text(coefficients)}" for k, coefficients in enumerate(derived)]
     return IdentityReport(name, nmax, f"r={r}, samples n={samples[0]}..{samples[-1]}", rows, notes)
 

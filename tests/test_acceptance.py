@@ -13,7 +13,6 @@ from polycauchy2 import (
     builtin_series,
     central_factorial_triangle,
     closed_form_fixtures,
-    convolution_sweep,
     extract_conjecture_polynomials,
     integral_representation_check,
     level2_by_classical_combination,
@@ -27,7 +26,7 @@ from polycauchy2.cli import main
 from polycauchy2.convolution import CONVOLUTION_IDENTITIES, rhs_3fold
 from polycauchy2.polynomials import poly_eval
 from series_oracle import Series, poly_mul, product_tree_row
-from test_convolution import bump_rhs_at, truncate_2fold_01
+from test_convolution import bump_rhs_at, sweep_values, truncate_2fold_01, values
 
 SEQUENCE_K1 = [
     "1",
@@ -121,7 +120,7 @@ def test_c07_convolution_and_series_identity_sweeps(table18):
         for j in offsets:
             factor = big_l.derivative(2 * j) if j else big_l
             product = factor if product is None else product * factor
-        sweep = convolution_sweep(offsets, 10, table18)
+        sweep = sweep_values(offsets, 10, table18)
         for n in range(11):
             assert product.egf_even_coefficient(n) == sweep[n], (offsets, n)
     elapsed = time.perf_counter() - started
@@ -143,7 +142,7 @@ def test_c08_conjecture_extraction():
     # r = 1 reproduces the 3-fold closed form exactly
     p0, p2 = extract_conjecture_polynomials(1)
     table = PolyCauchyTable.build(14)
-    closed_form = rhs_3fold(12, table)  # n = 1..12
+    closed_form = values(rhs_3fold(12, table))  # n = 1..12
     for n in range(2, 13):
         reconstructed = (
             poly_eval(p0.coefficients, n) * (2 * n - 1) * (n - 1) * table.value(n)

@@ -275,7 +275,7 @@ class TestVerifyCommand:
         monkeypatch.setattr(
             convolution_module,
             "rhs_2fold_00",
-            lambda nmax, table: [v + (n == 4) for n, v in enumerate(original(nmax, table))],
+            lambda nmax, table: [(b + e * (n == 4), e) for n, (b, e) in enumerate(original(nmax, table))],
         )
         code, out, _ = run(capsys, ["verify", "thm2", "--nmax", "6", "--format", "json"])
         assert code == 1
@@ -365,6 +365,165 @@ class TestVerifyCommand:
         assert lines[:row] == expected[:row]
         assert lines[row + 1 : -1] == expected[row + 1 : -1]
         assert (lines[-1], expected[-1]) == ("status: fail", "status: pass")
+
+
+# verify <name> for every identity: (exit code, SHA-256 of stdout), csv and json
+# at nmax 0, 1, 2, 5 and 13; the conjecture family at its fixed samples and its
+# refusal of --nmax. Exit 2 is a usage error, which writes nothing to stdout.
+# Recorded before the sweeps and right-hand sides changed from Fractions to
+# integer pairs, so every identity's output is pinned byte for byte.
+VERIFY_DIGESTS = {
+    "thm1 --format csv --nmax 0": (0, "2b6451c777fba72bad809808ad199bcd4e03563c3a6c6b56d73105d5714f9070"),
+    "thm1 --format csv --nmax 1": (0, "6f036454ed7f2a5262f2a572198bf64b9ef7ed7e690c6ab108ca1e0cd3c262c3"),
+    "thm1 --format csv --nmax 2": (0, "96d8f3f6751021f914006afff5292fb75c2769b3d45ef1bd49556c0e869188f6"),
+    "thm1 --format csv --nmax 5": (0, "c6ab256fe27ce0e508ec194d08c20a464ddc60f8f4db9091bcdfc989fa585cfa"),
+    "thm1 --format csv --nmax 13": (0, "aab70c07054e38b23c98974ff7d5808657aaea4011f6251a85ebcc94d6b8c3a4"),
+    "thm1 --format json --nmax 0": (0, "493e5171ac9b36705e9313e5033cf3455e9b38eded7f6276e07db6ed2a796a2a"),
+    "thm1 --format json --nmax 1": (0, "57ae2e4216dd67fa64d766c1586665f6a5a52f0ccd9fabcd3d64dd12f419e294"),
+    "thm1 --format json --nmax 2": (0, "14b34ac486972c224fdd40bcfb412b67f007950428193ae76a7803d92bd31f8e"),
+    "thm1 --format json --nmax 5": (0, "8f7fa5e17e9a7224d2679ef35d12a2b17d8b29f23e9d3963d53712a8eb566874"),
+    "thm1 --format json --nmax 13": (0, "9f1837d7097f27b00346249b11049150c1fe750786949a22bd47e64cc701f3bf"),
+    "cor1 --format csv --nmax 0": (0, "57fd63ebb7170264f5494fa27a520f5c5e0f4066ebe18d771d22a0e2736295f7"),
+    "cor1 --format csv --nmax 1": (0, "3dd0d1b0308de4c08488ee4ed56cc169a57a0488fb732f668bcb92a5a4ec1bdf"),
+    "cor1 --format csv --nmax 2": (0, "0bc289f4a41a650308496abb578efecd862e67e40e3be60066cceb0fb1e94d1f"),
+    "cor1 --format csv --nmax 5": (0, "0bd04fdb6d5d33f2319b26d876179caa7cb7a408c677e91810edd61b28f597dc"),
+    "cor1 --format csv --nmax 13": (0, "e431cb21499f18ba8442178efb91630a555e2ebdf23e19752212fe33a9ae31b2"),
+    "cor1 --format json --nmax 0": (0, "fe84e12026d7a17f9b0b6e0dc6c7908675464c1788e4ef97c4e377e81c854cdb"),
+    "cor1 --format json --nmax 1": (0, "b645ec168389e3e0f8337cd74b5a8d151d8605f87aee7587ea1f42aed50c3494"),
+    "cor1 --format json --nmax 2": (0, "cd896c8e01e188d9d2ce10d4bd2c647ba6a0ad58cf0526b484c0c5bb443e123c"),
+    "cor1 --format json --nmax 5": (0, "c1edd2147c8da2a4fcdaf9efa5c0de14c94507f25fac3e04068bb59c9d05f54e"),
+    "cor1 --format json --nmax 13": (0, "a9c825e2f75ba301cf63252c6535b39f360bc64d72a1cdc3a4155d1de9127da5"),
+    "thm2 --format csv --nmax 0": (0, "708631bba87a6fb79abb164a660f8e87268099104ce21f3650a896e2456543d1"),
+    "thm2 --format csv --nmax 1": (0, "00e846cda723bfa46ef13e86a029677f02482a6c23f7a1f530e164754bda61ab"),
+    "thm2 --format csv --nmax 2": (0, "9efc13bc8c9f1ef61c7895bda85fbca9212b5ae43d108fa171770439da8befa2"),
+    "thm2 --format csv --nmax 5": (0, "be0be354f49d661c52f2faa29230fc1622aabf5b35285357ef82741f84c8008f"),
+    "thm2 --format csv --nmax 13": (0, "6f692889d62c3bde7a665a884381108fada8e791ee26fd53599bf494ad1153f3"),
+    "thm2 --format json --nmax 0": (0, "c97aa9c8a753f7efb4b193cc284488df78103722dca6e7ae59e95e34dc23899d"),
+    "thm2 --format json --nmax 1": (0, "4a00c821d4c72496a746d0125f4d3512a05a319f8b06150bd3772c35c3a9355d"),
+    "thm2 --format json --nmax 2": (0, "95efbe76c1fa0f9381316b886bc3cfe98b318be15b8f994e00127fdd3ab3a901"),
+    "thm2 --format json --nmax 5": (0, "c02cada5a386528ba0cf9b045917ef55bd6e9cb713f56c8b05c6d00b44cbcdbf"),
+    "thm2 --format json --nmax 13": (0, "f77b55ac12653901d429761089807d99c315f00eba9cbccafd7424d2f16a3e5f"),
+    "thm3 --format csv --nmax 0": (0, "b81014ae870a8374c72742a4ed6c08c5162715a7a1b6b6fc2686b5d7657b39f9"),
+    "thm3 --format csv --nmax 1": (0, "dc4f38561fa6e7cf67943c16bb0fee25f73e325828936e7a21b85223d4539d9a"),
+    "thm3 --format csv --nmax 2": (0, "3471f979c1aaa156b069494556929378f48910f350b339b50678074991831d62"),
+    "thm3 --format csv --nmax 5": (0, "25ed9aeeb669d123962768113454b3c8287a9cf099cca3afc9d5b6862ae38e72"),
+    "thm3 --format csv --nmax 13": (0, "4bee4c741cafa556642a255fc9ec7b6fd01094d7a895251ff6a579c5ed4b2a8a"),
+    "thm3 --format json --nmax 0": (0, "b5f4edb3177261a12c17e60d94fa8ef0a94b487de5408a89c5dd6d1551715d04"),
+    "thm3 --format json --nmax 1": (0, "7f1733adb1dfaac1c65d9a5ca6caa0d7af8535a85157669ba26994a1b834dbe7"),
+    "thm3 --format json --nmax 2": (0, "d365d84657625cbfa5b72dc1810ab4282ab3451701c1527a3efa909aff3145ba"),
+    "thm3 --format json --nmax 5": (0, "7d4d47107e226ca2e0b9225b624e6949d85e1ce5abc42171488fbd00c75c45f0"),
+    "thm3 --format json --nmax 13": (0, "3aca1b38e5d8d81b7a48c093bde8978469269925684be2a00ce747646364c3ce"),
+    "thm4 --format csv --nmax 0": (0, "c12097cf31666fcf80399d6b65f88732a610f666bcec5cd6e11e2f909371670a"),
+    "thm4 --format csv --nmax 1": (0, "602f6f34fbfc115098310f30f18de3546a030f5f0bde6c8cbb37203b269224d0"),
+    "thm4 --format csv --nmax 2": (0, "9c8aa3ef068882471649e6c6f6bd487e8d7c360bf1dd76dee8b9ca10594dc824"),
+    "thm4 --format csv --nmax 5": (0, "da9540d09e47832f97864b8d5babe778e527baa944d78a136265ce942ed35071"),
+    "thm4 --format csv --nmax 13": (0, "2263f27ae1e4acca4994ae2e1e7dbca19df543e27d5789439498b645504cb025"),
+    "thm4 --format json --nmax 0": (0, "22bbe117438038bd6cd912dbf8a78942d4cf15e3870f00429fdbd855ea482dbb"),
+    "thm4 --format json --nmax 1": (0, "19d5648b6566c8550e295dbcbb60e5a3247ec608709ae0949d717f5e331de577"),
+    "thm4 --format json --nmax 2": (0, "672a1c461c0f4825c5a54486de14fab9ca024eda1f329733e41ab83079307941"),
+    "thm4 --format json --nmax 5": (0, "5bb0e1bb8db4d7d720bceb96b6ffbfc9caa74989b41eec49d5cb2a35fba4d4d9"),
+    "thm4 --format json --nmax 13": (0, "d7823c1eebac07b984acb14d147137d8f11de929d3da979776f521b3b5b91bfd"),
+    "thm5 --format csv --nmax 0": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "thm5 --format csv --nmax 1": (0, "7d13eb647c7bb74d517100becc38c3caad30ca28822e3316d89f4afb33dfc2a4"),
+    "thm5 --format csv --nmax 2": (0, "8c455a18db4473f6a8b7df4843de6060d96b14490353890cbc9822750288744e"),
+    "thm5 --format csv --nmax 5": (0, "f7d928db58bd17fda6bdb0c048046a6ed8b535165eceb076cc6a0706eb938cd7"),
+    "thm5 --format csv --nmax 13": (0, "5f25c56d661588e468275d4cd7b488f7d45b63e660786461e664479a5638d54a"),
+    "thm5 --format json --nmax 0": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "thm5 --format json --nmax 1": (0, "1f7907bc43053eaa6661f485fe2da6948e4d5e117219af70344b9b036ec8726c"),
+    "thm5 --format json --nmax 2": (0, "27a834b25df139a780d0f8af3e1539cf3abbafeb5e65480d8577d92fe405aa9a"),
+    "thm5 --format json --nmax 5": (0, "a7a8a4e2bff63734249d5b93e8865011e550fc8b28dc9d4076c6097e9c490bf5"),
+    "thm5 --format json --nmax 13": (0, "149e59b89adae26192526cff0c6851651bbae7db01164454d9f1df15dd542032"),
+    "thm6 --format csv --nmax 0": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "thm6 --format csv --nmax 1": (0, "91f1a11c0f58b280e5a701d4229ffeafe18e2c83c350cf2ad55bd92ccb7987bb"),
+    "thm6 --format csv --nmax 2": (0, "403e7182c196bcfd8360ca475725462fd3b8417c4f7ae2d86d70550230fd3198"),
+    "thm6 --format csv --nmax 5": (0, "1abd52e2ef839de0012ffec323576d9986a50352a1562c71f7a60e00dd9d27b7"),
+    "thm6 --format csv --nmax 13": (0, "beb311e7f3b28000656ae8008fc3991856e71dadbaac37d2f07782cb2f56f250"),
+    "thm6 --format json --nmax 0": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "thm6 --format json --nmax 1": (0, "d1ec3545689dbf449bf59ad120768205785a1fedf533efc57bdcfc48f539c0ad"),
+    "thm6 --format json --nmax 2": (0, "1d99af88625cc8b17de0e451ce4985ca968ea8c0c433cbc82ca2d19995a97a90"),
+    "thm6 --format json --nmax 5": (0, "89c3b59b7c0f1656fd4e8a337d8d9005bb955e6c8cbafa1e594a0997f2486261"),
+    "thm6 --format json --nmax 13": (0, "eac18f15f4ffd8f5ede3b128850e860221708a77e2fdaf87a3595ea3076e757b"),
+    "fold5 --format csv --nmax 0": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "fold5 --format csv --nmax 1": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "fold5 --format csv --nmax 2": (0, "40408c2a83929d96833bc040a37b151f9e7aaf7fff6761000473016f6016af79"),
+    "fold5 --format csv --nmax 5": (0, "ad6015ca2955384564faa860f0886f86ac1f3869c2592fd533f57cf77dc049e6"),
+    "fold5 --format csv --nmax 13": (0, "fc884ab4f8407631e6c77027681274c1134b12b144df97039832151db4daa1bb"),
+    "fold5 --format json --nmax 0": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "fold5 --format json --nmax 1": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "fold5 --format json --nmax 2": (0, "f532526adc05c7c727817692ffc605b9632feff87ade1e8ecb051c05a97b435f"),
+    "fold5 --format json --nmax 5": (0, "d53e1df4289b198b18093621952e4aa8a2ac3d16fe29bed580d4998cb35383ea"),
+    "fold5 --format json --nmax 13": (0, "5726fea42f64002519ab2b3932a18080c394689c176962e7abfe8c9bb4dabde9"),
+    "fold7 --format csv --nmax 0": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "fold7 --format csv --nmax 1": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "fold7 --format csv --nmax 2": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "fold7 --format csv --nmax 5": (0, "a0ff41896f494c1f73460b53ce05e96acc7880ac1a5086a760ab560a3ef654f1"),
+    "fold7 --format csv --nmax 13": (0, "5e8d91379ba399d72dc65abcebcc9a8053373c4d187c6f0715615ff661c73617"),
+    "fold7 --format json --nmax 0": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "fold7 --format json --nmax 1": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "fold7 --format json --nmax 2": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "fold7 --format json --nmax 5": (0, "82e46e2237bb272c8ae48d5406f1f9adb1fd6e0712a983679c006dd06ac8d104"),
+    "fold7 --format json --nmax 13": (0, "c6fac003192d6fa80286cca438d5b5c7abd22981be572e727909edaf1eaccb9d"),
+    "eqll --format csv --nmax 0": (0, "294be7c74d3866ff3a3ec8e52a6b636192c7d05fa31c0429fe98c320bcf4de6e"),
+    "eqll --format csv --nmax 1": (0, "41a1f2fc8ac6df519eadaa604fba5d201f3c62f12137d75f2e87a38ac6be44e3"),
+    "eqll --format csv --nmax 2": (0, "ad6963cf81a3b4f1a973639009d2f56b5ab5c13a0089075ac01aa66fee2740ef"),
+    "eqll --format csv --nmax 5": (0, "f2abe440c8528090fb1f738f7457123b5736cd6220dafc4226feaafbb50c6c79"),
+    "eqll --format csv --nmax 13": (0, "058b87c3fcf2f9b103140e31c02fbda2208ec3a866b98e3d7e8fa1875dfceb81"),
+    "eqll --format json --nmax 0": (0, "aeb6f041097258c40597888e81329f106c142cce3602948eee10f0e3bfd7845c"),
+    "eqll --format json --nmax 1": (0, "4bcbaa4c31f3ffc933f700256ca1d0a1ebdcbd0e6287a8c4ca207203ce33857b"),
+    "eqll --format json --nmax 2": (0, "ec5c727ba87c6e5a71d10a83bed5a50dd741c5c31177e40323b672bd9226478c"),
+    "eqll --format json --nmax 5": (0, "94c92b87c98b69f6fe90814cb08fb694bab6a38d9684b9d7523567568ee9b4ab"),
+    "eqll --format json --nmax 13": (0, "f5e146d60fd3866f5d2d809d78f0a1b32644bb45d168b5ddf1f82ddffeb284d6"),
+    "eqconvo02 --format csv --nmax 0": (0, "e409fefde58516daf512fd3f65ed8552c1b3184d474871b5490c79bca5b4f1bb"),
+    "eqconvo02 --format csv --nmax 1": (0, "38d851b176a4af379faad55ff1b54a66bf4241575785e238fbc2212b4c31e3e1"),
+    "eqconvo02 --format csv --nmax 2": (0, "0b3700c39aa8ad6871d28e59af44509289801baf7730f34b9c56b8efab0c6f2a"),
+    "eqconvo02 --format csv --nmax 5": (0, "734745631d2c64fa47c4c3ce83f328b66e970f7f37fabae0ea2e1a71ac65642a"),
+    "eqconvo02 --format csv --nmax 13": (0, "3a944273c79b0aa75f79eab9b8ebdc0c39d88578746e21594427e41dc2e4ba84"),
+    "eqconvo02 --format json --nmax 0": (0, "963fa32f2251a55fd6d00348b28f498a3956b7f62583d77c7b6a42d2ece2ea85"),
+    "eqconvo02 --format json --nmax 1": (0, "98024e03cfe28b6c05cd975e85179a1ee42c51d4c694533fdea662ab330f5c95"),
+    "eqconvo02 --format json --nmax 2": (0, "fbebadaca28c4ae65a96b5a129bb54827a586ed776e58d676f4f4e64238a3390"),
+    "eqconvo02 --format json --nmax 5": (0, "6f0015f04927cda3ec9e68137f79af46cef2167be6462fee4ffa7a5905844cc7"),
+    "eqconvo02 --format json --nmax 13": (0, "52e85fdee35606a1b9aaaa6a249ade796f3a31cbc0e9aa5986f01169debf97ec"),
+    "arcsinh_power --format csv --nmax 0": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "arcsinh_power --format csv --nmax 1": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "arcsinh_power --format csv --nmax 2": (0, "b2e8e30dcecad2f9382deeeedfe384f0c44bb1a802c0dccce14491943d6dbdeb"),
+    "arcsinh_power --format csv --nmax 5": (0, "3a902ee307a6f1ca3f69f6da5de459bebcacab560aa9a073e1fa61fc53d9482d"),
+    "arcsinh_power --format csv --nmax 13": (0, "ddf984a2dd6dae615a6969efd87d90af26d042cabcc69276c4df8699a3592899"),
+    "arcsinh_power --format json --nmax 0": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "arcsinh_power --format json --nmax 1": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "arcsinh_power --format json --nmax 2": (0, "4a5d6abaeb382e598dd38afa2e93f5fb5649973cfb24a4387b06475f0954f688"),
+    "arcsinh_power --format json --nmax 5": (0, "8a0d2182add7f8b9dedc00e13669b4a1b16540fa2487e67779bcbecc40779d45"),
+    "arcsinh_power --format json --nmax 13": (0, "9b4068ef78d5031d8144d49d2bed5c5383c216b0fe83faa4e8555f217dfb7a7e"),
+    "conjecture --format csv": (0, "db3cef03e88c5ef7d2e9d5775148b916a5054962e97e57af15ffdd794e6123fb"),
+    "conjecture --format csv --nmax 13": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "conjecture --format json": (0, "602de52bbb4f1bb8efc78acce7b08a8cc64ad834718a2d8f691cac5be4942cdd"),
+    "conjecture --format json --nmax 13": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "conjecture-r1 --format csv": (0, "40eb608a689e3b55884559a83a7fd2282bc7363ce584627727c5ce4d3b81123f"),
+    "conjecture-r1 --format csv --nmax 13": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "conjecture-r1 --format json": (0, "2615341bdd2683fcc848557e325b4a86e0be08af02eb414c9605df05e5997f42"),
+    "conjecture-r1 --format json --nmax 13": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "conjecture-r2 --format csv": (0, "03a75e630d2c8d8d51a018e0106e38bdca82c64073f94b04a3141fda37d76a24"),
+    "conjecture-r2 --format csv --nmax 13": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "conjecture-r2 --format json": (0, "ee4d17953e364e423dbc8eebc650e52fe08ae74bc6d99f58e6245ea85a63067b"),
+    "conjecture-r2 --format json --nmax 13": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "conjecture-r3 --format csv": (0, "b2cbe9080edca5ef230112b6de8bc69fe8ab3e92d19a32ae7f4aee776eaf2ba3"),
+    "conjecture-r3 --format csv --nmax 13": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "conjecture-r3 --format json": (0, "0a443022d9e931f979f615c8a009dc073976d69d424765a7dde30e1aef2c9627"),
+    "conjecture-r3 --format json --nmax 13": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+}
+
+
+class TestVerifyDigests:
+    def test_every_identity_is_pinned(self):
+        assert {case.split()[0] for case in VERIFY_DIGESTS} == set(polycauchy2.IDENTITY_NAMES)
+
+    @pytest.mark.parametrize("case", sorted(VERIFY_DIGESTS))
+    def test_stdout_and_exit_code(self, capsys, case):
+        try:
+            code = main(["verify", *case.split()])
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr().out
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == VERIFY_DIGESTS[case]
 
 
 class TestBenchmarkReferences:
