@@ -34,7 +34,6 @@ from .stirling import (
     CentralFactorialTriangle,
     FormulaCheck,
     Level2Triangle,
-    StirlingTriangle,
     central_factorial_triangle,
     closed_form_fixtures,
     level2_by_classical_combination,
@@ -53,7 +52,6 @@ __all__ = [
     "harmonic",
     "builtin_series",
     "BUILTIN_SERIES_NAMES",
-    "StirlingTriangle",
     "Level2Triangle",
     "CentralFactorialTriangle",
     "stirling1",

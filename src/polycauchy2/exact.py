@@ -56,17 +56,10 @@ def _even_binomials(n: int) -> list[list[int]]:
     return rows
 
 
-# Prefix sums of 1/i^k per order k, grown lazily: _HARMONIC[k][n] = H_n^(k).
-_HARMONIC: dict[int, list[Fraction]] = {}
-
-
 def harmonic(n: int, k: int = 1) -> Fraction:
-    """Generalized harmonic number H_n^(k) = sum of 1/i^k for i = 1..n."""
+    """Generalized harmonic number H_n^(k) = sum of 1/i^k for i = 1..n, summed afresh on each call."""
     if k < 1:
         raise ValueError(f"harmonic order must be >= 1, got {k}")
     if n < 0:
         raise ValueError(f"harmonic index must be >= 0, got {n}")
-    sums = _HARMONIC.setdefault(k, [Fraction(0)])
-    while len(sums) <= n:
-        sums.append(sums[-1] + Fraction(1, len(sums) ** k))
-    return sums[n]
+    return sum((Fraction(1, i**k) for i in range(1, n + 1)), Fraction(0))

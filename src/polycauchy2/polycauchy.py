@@ -94,23 +94,21 @@ def _power_table(first: Sequence[int], top: int | None = None) -> list[list[int]
     return table
 
 
-def _power_weights(size: int, k: int, step: int) -> tuple[list[int], int]:
-    """D / (step m + 1)^k for m = 0..size-1, and D, the lcm of those powers (1 when k <= 0)."""
-    bases = [step * m + 1 for m in range(size)]
+def _power_weights(size: int, k: int) -> tuple[list[int], int]:
+    """D / (2m + 1)^k for m = 0..size-1, and D, the lcm of those powers (1 when k <= 0)."""
+    bases = [2 * m + 1 for m in range(size)]
     if k <= 0:
         return [base**-k for base in bases], 1
     denominator = lcm(*bases) ** k
     return [_exact_div(denominator, base**k) for base in bases], denominator
 
 
-def _sum_over_powers(
-    columns: Iterable[Sequence[int]], size: int, k: int, step: int
-) -> tuple[list[int], int]:
-    """D times the sum over m of column[m] / (step m + 1)^k for each column, and D.
+def _sum_over_powers(columns: Sequence[Sequence[int]], k: int) -> tuple[list[int], int]:
+    """D times the sum over m of column[m] / (2m + 1)^k for each column, and D.
 
-    Columns hold at most ``size`` entries; they may be generated one at a time.
+    The weights run as far as the longest column.
     """
-    weights, denominator = _power_weights(size, k, step)
+    weights, denominator = _power_weights(max(map(len, columns)), k)
     return [sum(map(mul, column, weights)) for column in columns], denominator
 
 
@@ -119,7 +117,7 @@ def _formula_numerators(nmax: int, k: int) -> tuple[list[int], int]:
 
     Row n holds S_n(j) for j = 0..nmax-n; no triangle entry is built.
     """
-    sums, denominator = _power_weights(nmax + 1, k, 2)
+    sums, denominator = _power_weights(nmax + 1, k)
     numerators = [sums[0]]
     for n in range(1, nmax + 1):
         weight = 4 * (n - 1) ** 2
@@ -168,7 +166,7 @@ def arcsinh_power_egf(nmax: int, *, top: int | None = None) -> list[list[int]]:
 
 def level2_series_values(egf: Sequence[Sequence[int]], k: int = 1) -> list[Fraction]:
     """C_{2n}^(k) for n = 0..len(egf)-1 from the columns of ``arcsinh_power_egf``."""
-    numerators, denominator = _sum_over_powers(egf, len(egf), k, 2)
+    numerators, denominator = _sum_over_powers(egf, k)
     return [Fraction(x, denominator) for x in numerators]
 
 
@@ -217,7 +215,7 @@ class PolyCauchyTable:
         if route == "formula":
             self._passes[k] = _formula_numerators(nmax, k)
         else:
-            self._passes[k] = _sum_over_powers(arcsinh_power_egf(nmax), nmax + 1, k, 2)
+            self._passes[k] = _sum_over_powers(arcsinh_power_egf(nmax), k)
 
     def max_n(self, k: int = 1) -> int:
         """Largest n held for this k, or -1 when none is."""
@@ -279,19 +277,18 @@ class IntegralCheck(NamedTuple):
         )
 
 
-# Stage-1 products (-1)^n prod over i < n of (z - 2i)(-z - 2i), grown lazily one
-# pair of linear factors at a time: _LINEAR_PRODUCTS[n] is the product for n.
-_LINEAR_PRODUCTS: list[list[int]] = [[1]]
+def _linear_products(last: int) -> list[list[int]]:
+    """The stage-1 products (-1)^n prod over i < n of (z - 2i)(-z - 2i), for n = 0..last.
 
-
-def _linear_product(n: int) -> list[int]:
-    # With its sign, the pair for i is -(z - 2i)(-z - 2i) = z^2 - 4i^2, so one
-    # step is P_(i+1)[j] = P_i[j-2] - 4i^2 P_i[j].
-    while len(_LINEAR_PRODUCTS) <= n:
-        i = len(_LINEAR_PRODUCTS) - 1
-        previous, square = _LINEAR_PRODUCTS[i], 4 * i * i
-        _LINEAR_PRODUCTS.append([a - square * b for a, b in zip([0, 0, *previous], [*previous, 0, 0])])
-    return _LINEAR_PRODUCTS[n]
+    With its sign, the pair for i is -(z - 2i)(-z - 2i) = z^2 - 4i^2, so each
+    product is one quadratic step from the one before:
+    P_(i+1)[j] = P_i[j-2] - 4i^2 P_i[j].
+    """
+    products = [[1]]
+    for i in range(last):
+        previous, square = products[-1], 4 * i * i
+        products.append([a - square * b for a, b in zip([0, 0, *previous], [*previous, 0, 0])])
+    return products
 
 
 def _integral_stages(ns: range, ks: Iterable[int]) -> tuple[list[bool], dict[int, tuple[list[int], int]]]:
@@ -301,20 +298,23 @@ def _integral_stages(ns: range, ks: Iterable[int]) -> tuple[list[bool], dict[int
     last n, the binomial product expanded factor by factor:
     (-4)^n (n!)^2 binom(z/2, n) binom(-z/2, n) = (-4)^n prod (z/2 - i)(-z/2 - i)
     = (-1)^n prod (z - 2i)(-z - 2i), a product of integer linear factors.
+    The products for n = 0..last are built once per call, each from the one
+    before (``_linear_products``), and none is kept after it.
     Stage 2 integrates that product, which never read the triangle, termwise
     over the unit cube: z^j becomes 1/(j+1)^k, summed over one common
     denominator whose weights are built once per k. The k-fold integral is
     never evaluated numerically. Only the even powers z^(2m), with bases
     2m + 1, are summed: stage 1 compares every odd coefficient with 0.
     """
-    triangle, matches, evens = level2_by_recurrence(ns[-1]), [], []
+    triangle, products = level2_by_recurrence(ns[-1]), _linear_products(ns[-1])
+    matches, evens = [], []
     for n in ns:
-        product = _linear_product(n)
+        product = products[n]
         expected = [0] * (2 * n + 1)
         expected[::2] = _formula_column(n, triangle)
         matches.append(product == expected)
         evens.append(product[::2])
-    return matches, {k: _sum_over_powers(evens, ns[-1] + 1, k, 2) for k in ks}
+    return matches, {k: _sum_over_powers(evens, k) for k in ks}
 
 
 def integral_representation_check(n: int, k: int) -> IntegralCheck:

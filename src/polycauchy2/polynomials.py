@@ -59,7 +59,7 @@ def poly_trim(a: Sequence[Fraction]) -> list[Fraction]:
     return out
 
 
-def poly_text(a: Sequence[Fraction], variable: str = "n") -> str:
+def poly_text(a: Sequence[Fraction]) -> str:
     """Readable form like "9 - 12*n + 4*n^2", low degree first."""
     trimmed = poly_trim(a)
     if not trimmed:
@@ -72,7 +72,7 @@ def poly_text(a: Sequence[Fraction], variable: str = "n") -> str:
         if i == 0:
             term = magnitude
         else:
-            power = variable if i == 1 else f"{variable}^{i}"
+            power = "n" if i == 1 else f"n^{i}"
             term = power if magnitude == "1" else f"{magnitude}*{power}"
         if not pieces:
             pieces.append(term if coeff > 0 else f"-{term}")

@@ -8,18 +8,20 @@ squares e_{n-m}(1^2, ..., (n-1)^2). The routes, checked against each other:
 
   * the recurrence, the one row kernel for every view of the triangle;
   * brute-force enumeration of the symmetric sums (n <= 20 in the tests);
-  * a signed combination of products of classical numbers;
+  * a signed combination of products of classical numbers, whose rows come
+    from the classical recurrence in a loop of its own, not the level-2 kernel;
   * the closed forms of columns and diagonals (``closed_form_fixtures``);
   * in the tests, the product above multiplied out by a balanced product tree.
 
 The signed view t(2n, 2m) = (-1)^(n-m) [[n, m]], the central factorial
 numbers of even indices, is built by the same row kernel as ``stirling2 --signed``.
 
-All entries are exact integers. ``stirling2`` runs the recurrence over trapped
-``decimal.Decimal``, whose base-10^19 digits print in linear time (``str`` of a
-binary int is quadratic; Knuth, TAOCP Vol. 2, 4.4). It first checks that the
-sum of the last row fits the precision, which bounds every entry, then
-computes and renders one row at a time.
+All entries are exact integers. Every function builds the rows it reads on
+each call, and nothing is kept between calls. ``stirling2`` runs the
+recurrence over trapped ``decimal.Decimal``, whose base-10^19 digits print in
+linear time (``str`` of a binary int is quadratic; Knuth, TAOCP Vol. 2, 4.4).
+It first checks that the sum of the last row fits the precision, which bounds
+every entry, then computes and renders one row at a time.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from typing import Callable, Iterator, NamedTuple
 from .exact import binomial, harmonic
 
 __all__ = [
-    "StirlingTriangle",
     "Level2Triangle",
     "CentralFactorialTriangle",
     "stirling1",
@@ -70,36 +71,20 @@ class _Triangle:
         return self._rows[n][m]
 
 
-class StirlingTriangle(_Triangle):
-    """Unsigned Stirling numbers of the first kind, grown lazily by the recurrence."""
-
-    def __init__(self):
-        super().__init__([[1]])
-
-    def extend_to(self, nmax: int) -> None:
-        while self.nmax < nmax:
-            n = self.nmax + 1
-            prev = self._rows[-1]
-            row = [0] * (n + 1)
-            for m in range(1, n + 1):
-                above = prev[m] if m <= n - 1 else 0
-                row[m] = prev[m - 1] + (n - 1) * above
-            self._rows.append(row)
-
-    def value(self, n: int, m: int) -> int:
-        if n > self.nmax:
-            self.extend_to(n)
-        return super().value(n, m)
-
-
-_CLASSICAL = StirlingTriangle()
+def _classical_rows(nmax: int) -> list[list[int]]:
+    """Rows 0..nmax of [n, m] by [n, m] = [n-1, m-1] + (n-1) [n-1, m], a loop of its own, not the level-2 kernel."""
+    rows = [[1]]
+    for n in range(1, nmax + 1):
+        prev = rows[-1]
+        rows.append([0, *[a + (n - 1) * b for a, b in zip(prev, prev[1:])], prev[-1]])
+    return rows
 
 
 def stirling1(n: int, m: int) -> int:
-    """Unsigned [n, m]; any index outside the triangle returns 0."""
+    """Unsigned [n, m], from rows 0..n built for this call; any index outside the triangle returns 0."""
     if n < 0 or m < 0 or m > n:
         return 0
-    return _CLASSICAL.value(n, m)
+    return _classical_rows(n)[n][m]
 
 
 class Level2Triangle(_Triangle):
@@ -189,9 +174,10 @@ def level2_by_classical_combination(n: int, m: int) -> int:
     """
     if n < 1 or m < 1:
         raise ValueError(f"this route needs n, m >= 1, got ({n}, {m})")
-    total = stirling1(n, m) ** 2
+    value = _Triangle(_classical_rows(n)).value
+    total = value(n, m) ** 2
     for d in range(1, m):
-        term = stirling1(n, m - d) * stirling1(n, m + d)
+        term = value(n, m - d) * value(n, m + d)
         total += 2 * term if d % 2 == 0 else -2 * term
     return total
 
@@ -288,11 +274,11 @@ def closed_form_fixtures(nmax: int) -> list[FormulaCheck]:
     if nmax < 1:
         raise ValueError(f"nmax must be >= 1, got {nmax}")
     triangle = level2_by_recurrence(nmax)
-    _CLASSICAL.extend_to(nmax)
+    classical = _Triangle(_classical_rows(nmax))
 
     checks: list[FormulaCheck] = []
     for lookup, formulas in (
-        (stirling1, _CLASSICAL_FORMULAS),
+        (classical.value, _CLASSICAL_FORMULAS),
         (triangle.value, _LEVEL2_FORMULAS),
     ):
         for name, column, formula in formulas:

@@ -361,10 +361,10 @@ def fraction_route_agreement(nmax):
 
 def fraction_integral_check(n, k, triangle, table):
     """Both stages of cor1 at one (n, k), rebuilt for it: stage 1, stage 2's weights, a Fraction per side."""
-    product = polycauchy_module._linear_product(n)
+    product = polycauchy_module._linear_products(n)[n]
     expected = [0] * (2 * n + 1)
     expected[::2] = polycauchy_module._formula_column(n, triangle)
-    (numerator,), denominator = polycauchy_module._sum_over_powers([product[::2]], n + 1, k, 2)
+    (numerator,), denominator = polycauchy_module._sum_over_powers([product[::2]], k)
     integral, reference = Fraction(numerator, denominator), table.value(n, k)
     return CheckRow(n, integral, reference, product == expected and integral == reference)
 
@@ -600,7 +600,7 @@ class TestConvolveOracle:
         table = PolyCauchyTable.build(12)
         held = [table.value(n) for n in range(13)]
         for offsets in ((0, 1), (1, 1)):
-            with pytest.raises(ValueError, match="table holds n <= 12, convolution needs 13"):
+            with pytest.raises(ValueError, match="table holds n = 0..12 for k = 1, requested n = 13"):
                 convolution_sweep(offsets, 12, table)
             assert table.max_n() == 12
             assert [table.value(n) for n in range(13)] == held
@@ -981,8 +981,8 @@ class TestRouteAndSeriesSweeps:
         # n = 7 alone, and that row prints the two values of k = -3.
         real = polycauchy_module._sum_over_powers
 
-        def perturbed(columns, size, k, step):
-            numerators, denominator = real(columns, size, k, step)
+        def perturbed(columns, k):
+            numerators, denominator = real(columns, k)
             if k == -3 and len(numerators) > 7:
                 numerators[7] += 1
             return numerators, denominator
@@ -1005,8 +1005,8 @@ class TestRouteAndSeriesSweeps:
         real = polycauchy_module._sum_over_powers
         expected = verify_identity(name, 12)
 
-        def doubled(columns, size, k, step):
-            numerators, denominator = real(columns, size, k, step)
+        def doubled(columns, k):
+            numerators, denominator = real(columns, k)
             return [2 * x for x in numerators], 2 * denominator
 
         monkeypatch.setattr(polycauchy_module, "_sum_over_powers", doubled)
@@ -1151,10 +1151,13 @@ class TestConjectureExtraction:
         assert conjecture_prefactor(1, 0, 3) == 10
 
     def test_domain_errors(self):
-        with pytest.raises(ValueError):
+        # Only r < 1 is refused: the derivation reads no sample, so every r >= 1 derives.
+        with pytest.raises(ValueError, match="needs r >= 1"):
             extract_conjecture_polynomials(0)
-        with pytest.raises(ValueError):
-            extract_conjecture_polynomials(4)
+        with pytest.raises(ValueError, match="needs r >= 1"):
+            extract_conjecture_polynomials(-1)
+        polys = extract_conjecture_polynomials(4)
+        assert [(p.r, p.k) for p in polys] == [(4, k) for k in range(5)]
 
     @pytest.mark.parametrize("r", [1, 2, 3])
     def test_a_perturbed_polynomial_fails_every_row(self, r, monkeypatch):
@@ -1299,8 +1302,9 @@ class TestDerivedConjecture:
 
     @pytest.mark.parametrize("r", range(1, 11))
     def test_closed_patterns(self, r):
-        # P_{r,0} = 1, P_{r,2r}(n) = (2n - 2r - 1)^(2r), and deg P_{r,2k} = 2k.
-        derived = convolution_module._derive_conjecture(r)
+        # P_{r,0} = 1, P_{r,2r}(n) = (2n - 2r - 1)^(2r), and deg P_{r,2k} = 2k,
+        # read through the public extraction, which takes every r >= 1.
+        derived = [p.coefficients for p in extract_conjecture_polynomials(r)]
         top = [1]
         for _ in range(2 * r):
             top = poly_mul(top, [-2 * r - 1, 2])

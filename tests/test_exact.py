@@ -107,9 +107,9 @@ class TestHarmonic:
         assert harmonic(3, 2) == Fraction(49, 36)
         assert harmonic(2, 4) == Fraction(17, 16)
 
-    def test_cache_object(self):
-        # The per-order memo answers the same whether it grows up or is
-        # read back below what it already holds.
+    def test_calls_are_independent(self):
+        # Each call sums its own terms: a call below an earlier one, or the
+        # same call again, answers as a first call would.
         assert harmonic(4, 3) == Fraction(2035, 1728)
         assert harmonic(1, 3) == 1
         assert harmonic(4, 3) == Fraction(2035, 1728)

@@ -93,9 +93,8 @@ def linear_product_by_poly_mul(n):
 
 
 def integral_over_every_power(product, k):
-    """Stage 2 over every z^j of the product, odd j included: z^j becomes 1/(j+1)^k."""
-    (numerator,), denominator = polycauchy_module._sum_over_powers([product], len(product), k, 1)
-    return Fraction(numerator, denominator)
+    """Stage 2 over every z^j of the product, odd j included: z^j becomes 1/(j+1)^k, summed over Fraction."""
+    return sum((Fraction(c, (j + 1) ** k) for j, c in enumerate(product)), Fraction(0))
 
 
 def horner_composition(k, order):
@@ -412,12 +411,13 @@ class TestIntegralRepresentation:
         assert report.status == "fail"
         assert report.first_failure.n == n
 
-    def test_matches_the_replaced_stages(self, monkeypatch):
-        # A fresh product list, so every product is grown by the quadratic step.
-        monkeypatch.setattr(polycauchy_module, "_LINEAR_PRODUCTS", [[1]])
+    def test_matches_the_replaced_stages(self):
+        # Every product is grown by the quadratic step from [1], on each call.
+        products = polycauchy_module._linear_products(15)
+        assert len(products) == 16
         for n in range(16):
             product = linear_product_by_poly_mul(n)
-            assert polycauchy_module._linear_product(n) == product, n
+            assert products[n] == product, n
             for k in range(1, 4):
                 assert integral_representation_check(n, k).integral_value == integral_over_every_power(product, k)
 
@@ -426,15 +426,15 @@ class TestIntegralRepresentation:
         # Stage 2 sums only the even powers, so it cannot see a wrong odd
         # coefficient; stage 1 compares every coefficient and must. The
         # product at n has a z^3 coefficient from n = 2 on.
-        real = polycauchy_module._linear_product
+        real = polycauchy_module._linear_products
 
-        def perturbed(i):
-            product = list(real(i))
-            if i == n:
-                product[3] += 1
-            return product
+        def perturbed(last):
+            products = real(last)
+            if last >= n:
+                products[n][3] += 1
+            return products
 
-        monkeypatch.setattr(polycauchy_module, "_linear_product", perturbed)
+        monkeypatch.setattr(polycauchy_module, "_linear_products", perturbed)
         check = integral_representation_check(n, 1)
         assert check.polynomial_match is False
         assert check.value_match is True

@@ -116,7 +116,7 @@ class TestClassicalTriangle:
         assert stirling1(3, 5) == 0
         assert stirling1(-2, 0) == 0
 
-    def test_extends_on_demand(self):
+    def test_far_row_is_built_for_the_call(self):
         assert stirling1(40, 1) == math.factorial(39)
 
 

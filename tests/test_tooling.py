@@ -1,9 +1,10 @@
 """Checks on the code and the test configuration themselves.
 
 Every module under ``src/`` and ``tests/`` uses each name it imports, every
-private top-level name under ``src/`` is read somewhere under ``src/``, and the
-warning filters of ``pyproject.toml`` let a failing property test be reported
-as a failure while every other warning still fails the run.
+private top-level name under ``src/`` is read somewhere under ``src/``, no
+function under ``src/`` mutates module-level state but the shared binomial
+rows, and the warning filters of ``pyproject.toml`` let a failing property
+test be reported as a failure while every other warning still fails the run.
 """
 
 import ast
@@ -128,6 +129,123 @@ def test_an_unread_private_name_is_caught():
     """
     sources = {"a.py": textwrap.dedent(defining), "b.py": textwrap.dedent(reading)}
     assert unread_private_names(sources) == ["a.py:_Orphan", "a.py:_orphan", "a.py:_orphan_constant", "a.py:_written"]
+
+
+MUTATING_METHODS = {"append", "extend", "insert", "setdefault", "update", "pop", "clear"}
+
+
+def _root(node: ast.expr) -> str | None:
+    """The name an expression such as ``x``, ``x[i]`` or ``x.a[i]`` starts from, if any."""
+    while isinstance(node, (ast.Subscript, ast.Attribute)):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def module_state_mutations(sources: dict[str, str]) -> list[str]:
+    """The module-level names, as "module:name", that some function of their module mutates.
+
+    A mutation is a call of a mutating container method or of a method that a
+    class of the same module defines, an item assignment or deletion, or a
+    ``global`` rebinding. It counts on the name itself and on a local alias
+    (``rows = _TABLE`` or ``row = _TABLE[i]``), reported under the aliased name.
+    """
+    found = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        module_names = set()
+        for node in tree.body:
+            targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+            module_names.update(target.id for target in targets if isinstance(target, ast.Name))
+        # A property's value is what gets called, so a property is not a method here.
+        mutators = MUTATING_METHODS | {
+            item.name
+            for node in tree.body
+            if isinstance(node, ast.ClassDef)
+            for item in node.body
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not any(getattr(decorator, "id", None) == "property" for decorator in item.decorator_list)
+        }
+        for function in ast.walk(tree):
+            if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            nodes = list(ast.walk(function))
+            declared = {name for node in nodes if isinstance(node, ast.Global) for name in node.names}
+            bound = {node.arg for node in nodes if isinstance(node, ast.arg)}
+            bound |= {node.id for node in nodes if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load)}
+            # origin[name] is the module-level name that a name in this function refers to.
+            origin = {name: name for name in module_names if name not in bound or name in declared}
+            assignments = [
+                (target.id, node.value)
+                for node in nodes
+                if isinstance(node, ast.Assign)
+                for target in node.targets
+                if isinstance(target, ast.Name) and target.id not in declared
+            ]
+            grown = True
+            while grown:
+                aliases = {name: origin[_root(value)] for name, value in assignments if _root(value) in origin}
+                grown = not aliases.items() <= origin.items()
+                origin.update(aliases)
+            for node in nodes:
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                    if node.func.attr in mutators:
+                        name = _root(node.func.value)
+                    else:
+                        continue
+                elif isinstance(node, ast.Subscript) and not isinstance(node.ctx, ast.Load):
+                    name = _root(node)
+                elif isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load) and node.id in declared:
+                    name = node.id
+                else:
+                    continue
+                if name in origin:
+                    found.add(f"{module}:{origin[name]}")
+    return sorted(found)
+
+
+def test_no_function_in_src_mutates_module_state_but_the_binomial_rows():
+    # The rows every EGF product of a call reads are the one thing kept between calls.
+    sources = {str(path.relative_to(ROOT / "src")): path.read_text() for path in SOURCES}
+    assert module_state_mutations(sources) == ["polycauchy2/exact.py:_EVEN_BINOMIALS"]
+
+
+def test_a_module_state_mutation_is_caught():
+    source = """
+        _DIRECT = []
+        _ALIASED = {}
+        _COUNT = 0
+        _READ = (1, 2)
+        _SHADOWED = []
+
+        class Grower:
+            def grow(self, n):
+                pass
+
+        _GROWN = Grower()
+
+        def direct(x):
+            _DIRECT.append(x)
+
+        def aliased(key):
+            table = _ALIASED
+            entry = table
+            entry[key] = len(_READ)
+
+        def by_method():
+            _GROWN.grow(3)
+
+        def rebinds():
+            global _COUNT
+            _COUNT = _COUNT + 1
+
+        def local_only():
+            _SHADOWED = []
+            _SHADOWED.append(sum(_READ))
+            return _SHADOWED
+    """
+    assert module_state_mutations({"a.py": textwrap.dedent(source)}) == [
+        "a.py:_ALIASED", "a.py:_COUNT", "a.py:_DIRECT", "a.py:_GROWN"
+    ]
 
 
 def run_pytest(tmp_path, source):
