@@ -62,17 +62,16 @@ ansatz
         sum over k = 0..r of P_{r,2k}(n) binom(2n, 2k) binom(2n-2k-1, 2r-2k)
             * C_{2n-2k}
 
-for every n >= r + 1. They are derived, not fitted: with theta = t d/dt,
-Theorem 2 reads L^2 = sqrt(1+t^2)(1 - theta)L, two of its steps take
-L^(2i-1) to L^(2i+1) by an operator with integer polynomial coefficients,
-and the product of r such operators, divided exactly by the falling
-factorial of binom(2n-2k-1, 2r-2k), is each P (``_derive_conjecture``). The
-derivation is integer arithmetic on coefficient lists and reads no C value.
-``verify conjecture-r<R>`` is the one check on them: it reads them from
-``extract_conjecture_polynomials`` and compares the sweep with the ansatz
-at the fixed samples n = r + 1..r + (r+1)(r+2) + 3
-(``default_conjecture_samples``), on the formula route's table built to the
-last of them, each P evaluated on integers over one common denominator.
+for every n >= 0, binom(2n-2k-1, 2r-2k) read as a polynomial in n. They are
+derived, not fitted: with theta = t d/dt, Theorem 2 reads L^2 =
+sqrt(1+t^2)(1 - theta)L, two of its steps take L^(2i-1) to L^(2i+1) by an
+operator with integer polynomial coefficients, and the product of r such
+operators, divided exactly by the falling factorial of binom(2n-2k-1, 2r-2k),
+is each P (``_derive_conjecture``), on integers, reading no C value. One
+evaluator sums the ansatz on integers (``_odd_fold_sums``): ``fold5`` and
+``fold7`` sweep it at r = 2 and 3, and ``verify conjecture-r<R>`` compares it,
+on ``extract_conjecture_polynomials``, with the sweep at the fixed samples
+n = r + 1..r + (r+1)(r+2) + 3 (``default_conjecture_samples``).
 """
 
 from __future__ import annotations
@@ -80,7 +79,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import partial, reduce
 from itertools import accumulate
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 from operator import add, mul
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -307,38 +306,15 @@ def rhs_4fold(nmax: int, table: PolyCauchyTable) -> list[tuple[int, int]]:
 
 
 def rhs_5fold(nmax: int, table: PolyCauchyTable) -> list[tuple[int, int]]:
-    """The middle term carries a factor 1/3, so every term lies over 3 D."""
+    """The derived expansion at r = 2 (``_odd_fold_sums``), whose P_{2,2} lies over 3."""
     _check_first_index(nmax, 2)
-    c, denominator = table.numerators(nmax)
-    return [
-        (
-            3 * binomial(2 * n - 1, 4) * c[n]
-            + (4 * n * n - 16 * n + 17) * binomial(2 * n, 2) * binomial(2 * n - 3, 2) * c[n - 1]
-            + 3 * binomial(2 * n, 4) * (2 * n - 5) ** 4 * c[n - 2],
-            3 * denominator,
-        )
-        for n in range(2, nmax + 1)
-    ]
+    return _odd_fold_sums(_derive_conjecture(2), range(2, nmax + 1), table)
 
 
 def rhs_7fold(nmax: int, table: PolyCauchyTable) -> list[tuple[int, int]]:
-    """The two middle terms carry a factor 1/15, so every term lies over 15 D."""
+    """The derived expansion at r = 3 (``_odd_fold_sums``), whose P_{3,2} and P_{3,4} lie over 15."""
     _check_first_index(nmax, 3)
-    c, denominator = table.numerators(nmax)
-    return [
-        (
-            15 * binomial(2 * n - 1, 6) * c[n]
-            + (12 * n * n - 60 * n + 83) * binomial(2 * n, 2) * binomial(2 * n - 3, 4) * c[n - 1]
-            + (4 * n * n - 24 * n + 39)
-            * (12 * n * n - 72 * n + 109)
-            * binomial(2 * n, 4)
-            * binomial(2 * n - 5, 2)
-            * c[n - 2]
-            + 15 * binomial(2 * n, 6) * (2 * n - 7) ** 6 * c[n - 3],
-            15 * denominator,
-        )
-        for n in range(3, nmax + 1)
-    ]
+    return _odd_fold_sums(_derive_conjecture(3), range(3, nmax + 1), table)
 
 
 # -- reports ------------------------------------------------------------------------
@@ -573,8 +549,13 @@ def _verify_arcsinh_power(nmax: int) -> IdentityReport:
 
 
 def conjecture_prefactor(r: int, k: int, n: int) -> int:
-    """binom(2n, 2k) binom(2n - 2k - 1, 2r - 2k), the fixed factor next to P_{r,2k}."""
-    return binomial(2 * n, 2 * k) * binomial(2 * n - 2 * k - 1, 2 * r - 2 * k)
+    """binom(2n, 2k) binom(2n - 2k - 1, 2r - 2k), the fixed factor next to P_{r,2k}.
+
+    The second is read as a polynomial in n: binom(x, m) = binom(m - x - 1, m) for x < 0 and
+    even m (upper negation, Concrete Mathematics, 5.1), so binom(-1, m) = 1.
+    """
+    top, bottom = 2 * n - 2 * k - 1, 2 * r - 2 * k
+    return binomial(2 * n, 2 * k) * binomial(top if top >= 0 else bottom - top - 1, bottom)
 
 
 class ConjecturePolynomial(NamedTuple):
@@ -601,7 +582,8 @@ def extract_conjecture_polynomials(r: int) -> list[ConjecturePolynomial]:
     """
     if r < 1:
         raise ValueError(f"conjecture extraction needs r >= 1, got {r}")
-    return [ConjecturePolynomial(r, k, coefficients) for k, coefficients in enumerate(_derive_conjecture(r))]
+    polynomials, common = _derive_conjecture(r)
+    return [ConjecturePolynomial(r, k, [Fraction(x, common) for x in p]) for k, p in enumerate(polynomials)]
 
 
 def _fold_step(i: int, b: int) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -616,7 +598,7 @@ def _fold_step(i: int, b: int) -> tuple[tuple[int, int], tuple[int, int]]:
     return (c, c - 1), (c - 1, c - 1)
 
 
-def _derive_conjecture(r: int) -> list[list[Fraction]]:
+def _derive_conjecture(r: int) -> tuple[list[list[int]], int]:
     """The coefficients of P_{r,2k} for k = 0..r, from the operator rule alone.
 
     With L = t / arcsinh t, s = sqrt(1+t^2) and theta = t d/dt, Theorem 2
@@ -633,7 +615,9 @@ def _derive_conjecture(r: int) -> list[list[Fraction]]:
     Q_k(2n-2k) / binom(2r, 2k), where Q_k is R_k divided by (theta-1) ...
     (theta-2r+2k), the falling factorial of binom(2n-2k-1, 2r-2k). That the
     division is exact is the ansatz's shape, so a remainder raises
-    ArithmeticError. The identity holds for every n >= r + 1.
+    ArithmeticError. With that falling factorial read as a polynomial in n
+    (``conjecture_prefactor``), the identity holds for every n >= 0.
+    Returns the P_{r,2k} as integer lists over their least common denominator Q, and Q.
     """
     terms = [[1]]
     for i in range(1, r + 1):
@@ -642,22 +626,38 @@ def _derive_conjecture(r: int) -> list[list[Fraction]]:
             for a, roots in enumerate(_fold_step(i, b)):
                 grown[a + b] = [*map(add, grown[a + b], reduce(_poly_times_root, roots, poly))]
         terms = grown
-    polynomials = []
-    for k, poly in enumerate(terms):
-        quotient = reduce(_poly_divide_root, range(1, 2 * (r - k) + 1), poly)
-        scale = binomial(2 * r, 2 * k)
-        polynomials.append([Fraction(x, scale) for x in _poly_compose(quotient, -2 * k, 2)])
-    return polynomials
+    quotients = [reduce(_poly_divide_root, range(1, 2 * (r - k) + 1), poly) for k, poly in enumerate(terms)]
+    scaled = [(_poly_compose(q, -2 * k, 2), binomial(2 * r, 2 * k)) for k, q in enumerate(quotients)]
+    common = lcm(*(scale // gcd(x, scale) for poly, scale in scaled for x in poly))
+    return [[x * common // scale for x in poly] for poly, scale in scaled], common
+
+
+def _odd_fold_sums(
+    derived: tuple[list[list[int]], int], ns: Sequence[int], table: PolyCauchyTable
+) -> list[tuple[int, int]]:
+    """The (2r+1)-fold expansion at each n of ns, as integer numerators over Q D.
+
+    ``derived`` is (P, Q), the P_{r,2k} as integers over Q (``_derive_conjecture``), and D
+    is the table's denominator. Term k at n is P_{r,2k}(n) conjecture_prefactor(r, k, n)
+    D C_{2n-2k}; the zip pairs P_{r,2k} with C_{2n-2k}, so it drops every k > n, where binom(2n, 2k) = 0.
+    """
+    polynomials, common = derived
+    r = len(polynomials) - 1
+    c, denominator = table.numerators(max(ns))
+    sums = []
+    for n in ns:
+        terms = enumerate(zip(polynomials, c[n::-1]))
+        sums.append(sum(poly_eval(p, n) * conjecture_prefactor(r, k, n) * x for k, (p, x) in terms))
+    return [(total, common * denominator) for total in sums]
 
 
 def _verify_conjecture(name: str, r: int, nmax: int) -> IdentityReport:
     """The (2r+1)-fold sweep against the derived ansatz at ``default_conjecture_samples(r)``.
 
     The polynomials are read through this module's ``extract_conjecture_polynomials``,
-    so a wrapped or patched one is the one that runs. The table is the
-    formula route's, built to the last sample. Both sides of every row are
-    scaled by D, the common denominator of the C_{2m} read: the weight of
-    P_{r,2k} at n is then the integer conjecture_prefactor(r, k, n) D C_{2n-2k}.
+    so a wrapped or patched one is the one that runs, and evaluated by
+    ``_odd_fold_sums``, as ``rhs_5fold`` and ``rhs_7fold`` evaluate theirs. The
+    table is the formula route's, built to the last sample.
     """
     if nmax != DEFAULT_NMAX:
         raise ValueError(f"{name} takes no nmax other than {DEFAULT_NMAX}: its sample points are fixed")
@@ -665,16 +665,11 @@ def _verify_conjecture(name: str, r: int, nmax: int) -> IdentityReport:
     samples = default_conjecture_samples(r)
     table = PolyCauchyTable.build(samples[-1])
     lhs, scale = convolution_sweep((0,) * (2 * r + 1), samples[-1], table)
-    c, denominator = table.numerators(samples[-1])
-
-    # Over their common denominator Q the derived polynomials have integer
-    # coefficients, so each row's sum is an integer over Q D.
+    # Over their common denominator Q the polynomials have integer coefficients.
     common = lcm(*(x.denominator for coefficients in derived for x in coefficients))
     integral = [[x.numerator * (common // x.denominator) for x in coefficients] for coefficients in derived]
-    rows = []
-    for n in samples:
-        total = sum(poly_eval(p, n) * conjecture_prefactor(r, k, n) * c[n - k] for k, p in enumerate(integral))
-        rows.append(CheckRow.of(n, lhs[n], scale, total, common * denominator))
+    sums = _odd_fold_sums((integral, common), samples, table)
+    rows = [CheckRow.of(n, lhs[n], scale, b, e) for n, (b, e) in zip(samples, sums, strict=True)]
     notes = [f"P[{2 * k}] = {poly_text(coefficients)}" for k, coefficients in enumerate(derived)]
     return IdentityReport(name, nmax, f"r={r}, samples n={samples[0]}..{samples[-1]}", rows, notes)
 

@@ -5,7 +5,9 @@ enumeration over index tuples written here with itertools only; the closed
 forms are then swept against the engine, and the series side of each
 identity is checked against the convolution side through the EGF product
 rule. The oracles for the integer right-hand sides are the paper's
-formulas as written, one Fraction per term (``paper_rhs_*``). The oracle
+formulas as written, one Fraction per term (``paper_rhs_*``); ``fold5`` and
+``fold7`` evaluate the derived expansion, so their oracles are the 5- and
+7-fold forms typed by hand, and Theorem 5 as printed is the r = 1 case. The oracle
 for their small weights is the double-factorial weights of the paper's
 sums (``weights``), from which ``TestRootWeights`` derives them. The oracles
 for the two differential equations for L are their power-series checks on
@@ -1150,6 +1152,19 @@ class TestConjectureExtraction:
         # binom(2n, 2k) binom(2n-2k-1, 2r-2k) at r=1, k=0, n=3: binom(5, 2)
         assert conjecture_prefactor(1, 0, 3) == 10
 
+    def test_prefactor_reads_its_second_binomial_as_a_polynomial(self):
+        # binom(2n-2k-1, 2r-2k) is the falling factorial of its top over
+        # (2r-2k)!, so at n = k its top -1 gives binom(-1, 0) = binom(-1, 2) = 1.
+        assert conjecture_prefactor(2, 2, 2) == 1
+        assert conjecture_prefactor(1, 1, 1) == 1
+        assert conjecture_prefactor(2, 1, 1) == 1
+        for r in range(1, 5):
+            for k in range(r + 1):
+                m = 2 * r - 2 * k
+                for n in range(10):
+                    falling = math.prod(2 * n - 2 * k - 1 - i for i in range(m))
+                    assert conjecture_prefactor(r, k, n) == comb(2 * n, 2 * k) * falling // factorial(m), (r, k, n)
+
     def test_domain_errors(self):
         # Only r < 1 is refused: the derivation reads no sample, so every r >= 1 derives.
         with pytest.raises(ValueError, match="needs r >= 1"):
@@ -1205,10 +1220,14 @@ class TestConjectureExtraction:
         blocks = []
 
         def perturbed(r):
-            blocks[:] = real(r)
-            common = math.lcm(*(x.denominator for block in blocks for x in block))
-            blocks[k][j] += Fraction(1, common if step == "1/Q" else 7)
-            return [list(block) for block in blocks]
+            # x / Q + 1 / s is (x L/Q + L/s) / L over L = lcm(Q, s).
+            polynomials, common = real(r)
+            size = common if step == "1/Q" else 7
+            shared = math.lcm(common, size)
+            bumped = [[x * (shared // common) for x in block] for block in polynomials]
+            bumped[k][j] += shared // size
+            blocks[:] = [[Fraction(x, shared) for x in block] for block in bumped]
+            return bumped, shared
 
         monkeypatch.setattr(convolution_module, "_derive_conjecture", perturbed)
         report = verify_identity("conjecture-r3")
@@ -1274,6 +1293,12 @@ def sampled_conjecture(r):
     return blocks
 
 
+def derived_fractions(r):
+    """``_derive_conjecture(r)``'s integer coefficient lists over Q, as Fractions."""
+    polynomials, common = convolution_module._derive_conjecture(r)
+    return [[Fraction(x, common) for x in p] for p in polynomials]
+
+
 class TestDerivedConjecture:
     """The derived P_{r,2k} against the sampled route, the sweep beyond the samples, and their closed patterns."""
 
@@ -1281,24 +1306,29 @@ class TestDerivedConjecture:
     def test_equals_the_sampled_solve(self, r):
         # The derivation reads no C value and the solve no operator, so the
         # two routes are independent; the solved slack coefficient must be 0.
-        derived = convolution_module._derive_conjecture(r)
+        derived = derived_fractions(r)
         for k, (ours, solved) in enumerate(zip(derived, sampled_conjecture(r), strict=True)):
             assert solved[-1] == 0, (r, k)
             assert solved[:-1] == ours, (r, k)
 
-    @pytest.mark.parametrize("r", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("r", range(1, 9))
     def test_ansatz_matches_the_sweep_past_the_samples(self, r):
-        # The derivation holds at every n >= r + 1, so it is checked here to
-        # n = 40, past the last default sample of every r up to 5.
+        # With binom(2n-2k-1, 2r-2k) read as a polynomial in n, the derivation
+        # holds at every n >= 0, so it is checked here at n = 0..40, below the
+        # first default sample and past the last one of every r up to 5. The
+        # terms k > n have binom(2n, 2k) = 0. The evaluator must agree.
         nmax = 40
         table = PolyCauchyTable.build(nmax)
         lhs = sweep_values((0,) * (2 * r + 1), nmax, table)
-        derived = convolution_module._derive_conjecture(r)
-        for n in range(r + 1, nmax + 1):
+        derived = derived_fractions(r)
+        for n in range(nmax + 1):
             terms = (
-                poly_eval(p, n) * conjecture_prefactor(r, k, n) * table.value(n - k) for k, p in enumerate(derived)
+                poly_eval(p, n) * conjecture_prefactor(r, k, n) * table.value(n - k)
+                for k, p in enumerate(derived[: n + 1])
             )
             assert sum(terms, Fraction(0)) == lhs[n], (r, n)
+        evaluated = convolution_module._odd_fold_sums(convolution_module._derive_conjecture(r), range(nmax + 1), table)
+        assert values(evaluated) == lhs
 
     @pytest.mark.parametrize("r", range(1, 11))
     def test_closed_patterns(self, r):
@@ -1312,6 +1342,46 @@ class TestDerivedConjecture:
         assert derived[r] == top
         assert [len(p) - 1 for p in derived] == [2 * k for k in range(r + 1)]
         assert all(p[-1] != 0 for p in derived)
+
+
+class TestOddFoldEvaluator:
+    """``fold5`` and ``fold7`` sweep the derived expansion; Theorem 5 as printed and the typed forms are its oracles."""
+
+    def test_thm5_is_the_derived_r1_expansion(self, table42):
+        derived = convolution_module._odd_fold_sums(convolution_module._derive_conjecture(1), range(1, 41), table42)
+        assert values(derived) == values(rhs_3fold(40, table42))
+
+    def test_derived_polynomials_are_the_typed_factors(self):
+        # The middle factors that paper_rhs_5fold and paper_rhs_7fold type.
+        typed = {
+            (2, 1): ([17, -16, 4], 3),
+            (3, 1): ([83, -60, 12], 15),
+            (3, 2): (poly_mul([39, -24, 4], [109, -72, 12]), 15),
+        }
+        for (r, k), (numerators, denominator) in typed.items():
+            expected = [Fraction(x, denominator) for x in numerators]
+            assert extract_conjecture_polynomials(r)[k].coefficients == expected, (r, k)
+
+    @pytest.mark.parametrize("name,r", [("fold5", 2), ("fold7", 3)])
+    def test_a_coefficient_raised_by_one_over_q_fails_the_fold(self, name, r, monkeypatch):
+        # A wrong P_{r,2k} fails at the first n where its weight is not 0:
+        # n = r for k = r, and n = r + 1 for k < r, since there
+        # binom(2n-2k-1, 2r-2k) = binom(2r-2k-1, 2r-2k) = 0 at n = r.
+        real = convolution_module._derive_conjecture
+        for k in range(r + 1):
+            for j in range(2 * k + 1):
+
+                def bumped(s, k=k, j=j):
+                    polynomials, common = real(s)
+                    polynomials[k][j] += 1
+                    return polynomials, common
+
+                monkeypatch.setattr(convolution_module, "_derive_conjecture", bumped)
+                report = verify_identity(name)
+                assert report.status == "fail", (k, j)
+                assert report.first_failure.n == (r if k == r else r + 1), (k, j)
+        monkeypatch.undo()
+        assert verify_identity(name).status == "pass"
 
 
 class TestDerivationControls:
