@@ -79,7 +79,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import partial, reduce
 from itertools import accumulate
-from math import factorial, gcd, lcm
+from math import comb, factorial, gcd, lcm
 from operator import add, mul
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -318,6 +318,8 @@ def rhs_7fold(nmax: int, table: PolyCauchyTable) -> list[tuple[int, int]]:
 
 
 # -- reports ------------------------------------------------------------------------
+#
+# Every record of the package is a NamedTuple, so its equality and repr come from its fields.
 
 
 class CheckRow(NamedTuple):
@@ -337,36 +339,24 @@ class CheckRow(NamedTuple):
         return cls(n, Fraction(a, d), Fraction(b, e), False)
 
 
-class IdentityReport:
-    """One identity's rows, the notes printed after them, and the verdict they give."""
+class _ReportFields(NamedTuple):
+    identity_name: str
+    nmax: int
+    parameter_range: str
+    per_n_results: list[CheckRow]
+    notes: list[str]
 
-    __slots__ = ("identity_name", "nmax", "parameter_range", "per_n_results", "notes")
 
-    def __init__(
-        self,
-        identity_name: str,
-        nmax: int,
-        parameter_range: str,
-        per_n_results: list[CheckRow],
-        notes: list[str] | None = None,
-    ) -> None:
-        self.identity_name = identity_name
-        self.nmax = nmax
-        self.parameter_range = parameter_range
-        self.per_n_results = per_n_results
-        self.notes = [] if notes is None else notes
+class IdentityReport(_ReportFields):
+    """One identity's rows, the notes printed after them, and the verdict they give.
 
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
+    A report built without notes gets a list of its own; a field default would be one list for every report.
+    """
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
+    __slots__ = ()
 
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._values()))
-        return f"IdentityReport({fields})"
+    def __new__(cls, identity_name, nmax, parameter_range, per_n_results, notes=None) -> "IdentityReport":
+        return super().__new__(cls, identity_name, nmax, parameter_range, per_n_results, [] if notes is None else notes)
 
     @property
     def status(self) -> str:
@@ -554,8 +544,15 @@ def conjecture_prefactor(r: int, k: int, n: int) -> int:
     The second is read as a polynomial in n: binom(x, m) = binom(m - x - 1, m) for x < 0 and
     even m (upper negation, Concrete Mathematics, 5.1), so binom(-1, m) = 1.
     """
+    if n < 0 or not 0 <= k <= r:
+        raise ValueError(f"the prefactor needs n >= 0 and 0 <= k <= r, got r={r}, k={k}, n={n}")
+    return _prefactor(r, k, n)
+
+
+def _prefactor(r: int, k: int, n: int) -> int:
+    """``conjecture_prefactor`` for n >= 0 and 0 <= k <= r, where every argument of ``comb`` is >= 0."""
     top, bottom = 2 * n - 2 * k - 1, 2 * r - 2 * k
-    return binomial(2 * n, 2 * k) * binomial(top if top >= 0 else bottom - top - 1, bottom)
+    return comb(2 * n, 2 * k) * comb(top if top >= 0 else bottom - top - 1, bottom)
 
 
 class ConjecturePolynomial(NamedTuple):
@@ -638,8 +635,8 @@ def _odd_fold_sums(
     """The (2r+1)-fold expansion at each n of ns, as integer numerators over Q D.
 
     ``derived`` is (P, Q), the P_{r,2k} as integers over Q (``_derive_conjecture``), and D
-    is the table's denominator. Term k at n is P_{r,2k}(n) conjecture_prefactor(r, k, n)
-    D C_{2n-2k}; the zip pairs P_{r,2k} with C_{2n-2k}, so it drops every k > n, where binom(2n, 2k) = 0.
+    is the table's denominator. Term k at n is P_{r,2k}(n) _prefactor(r, k, n) D C_{2n-2k}; the
+    zip pairs P_{r,2k} with C_{2n-2k}, so it drops every k > n, where binom(2n, 2k) = 0, and k <= r.
     """
     polynomials, common = derived
     r = len(polynomials) - 1
@@ -647,7 +644,7 @@ def _odd_fold_sums(
     sums = []
     for n in ns:
         terms = enumerate(zip(polynomials, c[n::-1]))
-        sums.append(sum(poly_eval(p, n) * conjecture_prefactor(r, k, n) * x for k, (p, x) in terms))
+        sums.append(sum(poly_eval(p, n) * _prefactor(r, k, n) * x for k, (p, x) in terms))
     return [(total, common * denominator) for total in sums]
 
 

@@ -596,6 +596,26 @@ class TestBenchmarkReferences:
         calls, self_ns = report["trace"]["spans"][f"convolution.{rhs_name}"]
         assert calls == 1 and self_ns > 0
 
+    @pytest.mark.parametrize("identity", ["fold5", "fold7"])
+    def test_traced_odd_fold_spends_its_prefactors_inside_the_right_hand_side(self, identity):
+        # The odd-fold sums weigh each term through a private helper, not the
+        # public conjecture_prefactor, so the tracer records no span per term and
+        # the benchmark's convolution.rhs_s holds the whole right side.
+        result = subprocess.run(
+            [sys.executable, str(BENCH / "child.py"), str(Path(polycauchy2.__file__).parents[1]),
+             "1", "-", "verify", identity, "--nmax", "40"],
+            capture_output=True,
+            text=True,
+            env=TestEntryPoint.child_env(),
+        )
+        assert result.returncode == 0, result.stderr
+        report = json.loads(result.stdout.splitlines()[-1])
+        assert report["exit"] == 0, result.stderr
+        spans = report["trace"]["spans"]
+        assert "convolution.conjecture_prefactor" not in spans
+        rhs_spans = {name: calls for name, (calls, _) in spans.items() if name.startswith("convolution.rhs_")}
+        assert rhs_spans == {f"convolution.{CONVOLUTION_IDENTITIES[identity].rhs_name}": 1}
+
     def test_traced_child_reaches_the_public_conjecture_polynomials(self):
         # The CLI check reads the polynomials through extract_conjecture_polynomials,
         # so the benchmark's convolution.solve_s times the derivation, and the

@@ -1165,6 +1165,12 @@ class TestConjectureExtraction:
                     falling = math.prod(2 * n - 2 * k - 1 - i for i in range(m))
                     assert conjecture_prefactor(r, k, n) == comb(2 * n, 2 * k) * falling // factorial(m), (r, k, n)
 
+    @pytest.mark.parametrize("r, k, n", [(2, 0, -1), (2, -1, 3), (2, 3, 3), (0, 1, 0)])
+    def test_prefactor_refuses_a_term_outside_the_ansatz(self, r, k, n):
+        # The ansatz has terms k = 0..r at n >= 0; the odd-fold sums skip this check.
+        with pytest.raises(ValueError, match="n >= 0 and 0 <= k <= r"):
+            conjecture_prefactor(r, k, n)
+
     def test_domain_errors(self):
         # Only r < 1 is refused: the derivation reads no sample, so every r >= 1 derives.
         with pytest.raises(ValueError, match="needs r >= 1"):

@@ -72,9 +72,9 @@ def run_and_check(source: str) -> int:
 
 
 def test_library_example_values_hold():
-    # Nine comments state values today; a comment that stops parsing as one
+    # Ten comments state values today; a comment that stops parsing as one
     # lowers the count and fails here rather than going unchecked.
-    assert run_and_check(library_block()) == 9
+    assert run_and_check(library_block()) == 10
 
 
 def test_a_wrong_stated_value_fails():

@@ -2,9 +2,10 @@
 
 Every module under ``src/`` and ``tests/`` uses each name it imports, every
 private top-level name under ``src/`` is read somewhere under ``src/``, no
-function under ``src/`` mutates module-level state but the shared binomial
-rows, and the warning filters of ``pyproject.toml`` let a failing property
-test be reported as a failure while every other warning still fails the run.
+class under ``src/`` writes its own ``__eq__`` or ``__repr__``, no function
+under ``src/`` mutates module-level state but the shared binomial rows, and
+the warning filters of ``pyproject.toml`` let a failing property test be
+reported as a failure while every other warning still fails the run.
 """
 
 import ast
@@ -129,6 +130,46 @@ def test_an_unread_private_name_is_caught():
     """
     sources = {"a.py": textwrap.dedent(defining), "b.py": textwrap.dedent(reading)}
     assert unread_private_names(sources) == ["a.py:_Orphan", "a.py:_orphan", "a.py:_orphan_constant", "a.py:_written"]
+
+
+def hand_written_record_methods(source: str) -> list[str]:
+    """``Class.method`` for each ``__eq__`` or ``__repr__`` that a class of the module defines or assigns."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                names = [getattr(target, "id", None) for target in getattr(item, "targets", [])]
+                names.append(getattr(item, "name", None))
+                found += [f"{node.name}.{name}" for name in names if name in ("__eq__", "__repr__")]
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[str(path.relative_to(ROOT)) for path in SOURCES])
+def test_no_class_in_src_writes_its_own_equality_or_repr(path):
+    # Records are NamedTuples, which give equality and repr by field.
+    assert hand_written_record_methods(path.read_text()) == []
+
+
+def test_a_hand_written_equality_or_repr_is_caught():
+    source = """
+        def __eq__(a, b):
+            return a is b
+
+        class Plain:
+            def __hash__(self):
+                return 0
+
+        class Record:
+            def __eq__(self, other):
+                return True
+
+            __repr__ = object.__repr__
+
+            class Inner:
+                def __repr__(self):
+                    return "inner"
+    """
+    assert hand_written_record_methods(textwrap.dedent(source)) == ["Inner.__repr__", "Record.__eq__", "Record.__repr__"]
 
 
 MUTATING_METHODS = {"append", "extend", "insert", "setdefault", "update", "pop", "clear"}
