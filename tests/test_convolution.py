@@ -19,7 +19,9 @@ The oracle for the derived conjecture polynomials is the sampled route, which
 reads no operator: the linear system on the convolution at the default samples
 (``sampled_conjecture``), solved by fraction-free elimination (``bareiss``),
 itself checked against Gauss-Jordan elimination over Fraction
-(``gauss_jordan``). ``square_by_parts`` writes the symmetric
+(``gauss_jordan``). Every conjecture oracle weighs P_{r,2k}(n) by
+``ansatz_prefactor``, built from ``math.comb`` and a falling factorial apart
+from the module's ``_prefactor``. ``square_by_parts`` writes the symmetric
 kernel term by term, so its negative controls can drop or change one part.
 The sweep returns integer numerators over one denominator and each
 right-hand side an integer pair per n; ``sweep_values`` and ``values`` read
@@ -56,7 +58,6 @@ from polycauchy2.convolution import (
     CONVOLUTION_IDENTITIES,
     CheckRow,
     IdentityReport,
-    conjecture_prefactor,
     default_conjecture_samples,
     rhs_2fold_00,
     rhs_2fold_01,
@@ -287,6 +288,16 @@ def paper_rhs_7fold(n, table):
         * value(n - 2)
         + comb(2 * n, 6) * (2 * n - 7) ** 6 * value(n - 3)
     )
+
+
+def ansatz_prefactor(r, k, n):
+    """binom(2n, 2k) binom(2n-2k-1, 2r-2k), the second as the falling factorial of its top over (2r-2k)!.
+
+    Read so as a polynomial in n, it is 1 at n = k, where its top is -1.
+    """
+    m = 2 * r - 2 * k
+    falling = math.prod(2 * n - 2 * k - 1 - i for i in range(m))
+    return comb(2 * n, 2 * k) * falling // factorial(m)
 
 
 def paper_l_squared(nmax):
@@ -1150,26 +1161,19 @@ class TestConjectureExtraction:
 
     def test_prefactor(self):
         # binom(2n, 2k) binom(2n-2k-1, 2r-2k) at r=1, k=0, n=3: binom(5, 2)
-        assert conjecture_prefactor(1, 0, 3) == 10
+        assert convolution_module._prefactor(1, 0, 3) == 10
 
     def test_prefactor_reads_its_second_binomial_as_a_polynomial(self):
         # binom(2n-2k-1, 2r-2k) is the falling factorial of its top over
         # (2r-2k)!, so at n = k its top -1 gives binom(-1, 0) = binom(-1, 2) = 1.
-        assert conjecture_prefactor(2, 2, 2) == 1
-        assert conjecture_prefactor(1, 1, 1) == 1
-        assert conjecture_prefactor(2, 1, 1) == 1
+        prefactor = convolution_module._prefactor
+        assert prefactor(2, 2, 2) == 1
+        assert prefactor(1, 1, 1) == 1
+        assert prefactor(2, 1, 1) == 1
         for r in range(1, 5):
             for k in range(r + 1):
-                m = 2 * r - 2 * k
                 for n in range(10):
-                    falling = math.prod(2 * n - 2 * k - 1 - i for i in range(m))
-                    assert conjecture_prefactor(r, k, n) == comb(2 * n, 2 * k) * falling // factorial(m), (r, k, n)
-
-    @pytest.mark.parametrize("r, k, n", [(2, 0, -1), (2, -1, 3), (2, 3, 3), (0, 1, 0)])
-    def test_prefactor_refuses_a_term_outside_the_ansatz(self, r, k, n):
-        # The ansatz has terms k = 0..r at n >= 0; the odd-fold sums skip this check.
-        with pytest.raises(ValueError, match="n >= 0 and 0 <= k <= r"):
-            conjecture_prefactor(r, k, n)
+                    assert prefactor(r, k, n) == ansatz_prefactor(r, k, n), (r, k, n)
 
     def test_domain_errors(self):
         # Only r < 1 is refused: the derivation reads no sample, so every r >= 1 derives.
@@ -1198,7 +1202,7 @@ class TestConjectureExtraction:
     def test_evaluate_matches_closed_form(self):
         _, p2 = extract_conjecture_polynomials(1)
         for n in range(2, 9):
-            assert p2.evaluate(n) == (2 * n - 3) ** 2
+            assert poly_eval(p2.coefficients, n) == (2 * n - 3) ** 2
 
     def test_verify_conjecture_reports(self):
         for name, r in (("conjecture", 1), ("conjecture-r2", 2)):
@@ -1242,7 +1246,7 @@ class TestConjectureExtraction:
         table = PolyCauchyTable.build(default_conjecture_samples(3)[-1])
         for row in report.per_n_results:
             n = row.n
-            terms = (poly_eval(blocks[i], n) * conjecture_prefactor(3, i, n) * table.value(n - i) for i in range(4))
+            terms = (poly_eval(blocks[i], n) * ansatz_prefactor(3, i, n) * table.value(n - i) for i in range(4))
             assert row.rhs == sum(terms, Fraction(0)), n
 
     @pytest.mark.parametrize("name", IDENTITY_NAMES)
@@ -1276,7 +1280,7 @@ def sampled_conjecture(r):
     At the first (r+1)(r+2) default samples, the unknowns are the
     coefficients of each P_{r,2k} up to degree 2k + 1, one slack coefficient
     above the derived degree. The weight of P_{r,2k} at n is
-    conjecture_prefactor(r, k, n) D C_{2n-2k}, and each row is scaled by the
+    ansatz_prefactor(r, k, n) D C_{2n-2k}, and each row is scaled by the
     denominator of the convolution at n, so every entry is an integer.
     Returns each polynomial's block of the Bareiss solution.
     """
@@ -1285,7 +1289,7 @@ def sampled_conjecture(r):
     lhs = sweep_values((0,) * (2 * r + 1), samples[-1], table)
     c, denominator = table.numerators(samples[-1])
     budgets = [2 * k + 1 for k in range(r + 1)]
-    weights = {(k, n): conjecture_prefactor(r, k, n) * c[n - k] for k in range(r + 1) for n in samples}
+    weights = {(k, n): ansatz_prefactor(r, k, n) * c[n - k] for k in range(r + 1) for n in samples}
     solve_points = samples[: sum(b + 1 for b in budgets)]
     matrix = [
         [weights[(k, n)] * lhs[n].denominator * n**j for k in range(r + 1) for j in range(budgets[k] + 1)]
@@ -1329,7 +1333,7 @@ class TestDerivedConjecture:
         derived = derived_fractions(r)
         for n in range(nmax + 1):
             terms = (
-                poly_eval(p, n) * conjecture_prefactor(r, k, n) * table.value(n - k)
+                poly_eval(p, n) * ansatz_prefactor(r, k, n) * table.value(n - k)
                 for k, p in enumerate(derived[: n + 1])
             )
             assert sum(terms, Fraction(0)) == lhs[n], (r, n)

@@ -1,4 +1,4 @@
-"""Dense rational polynomials: evaluation, trimming and text, the integer helpers of the
+"""Dense rational polynomials: evaluation and text, the integer helpers of the
 conjecture derivation, and the tests' product oracle."""
 
 from fractions import Fraction
@@ -13,7 +13,6 @@ from polycauchy2.polynomials import (
     _poly_times_root,
     poly_eval,
     poly_text,
-    poly_trim,
 )
 from series_oracle import poly_mul
 
@@ -33,8 +32,10 @@ class TestArithmetic:
         assert poly_eval([9, -12, 4], 5) == (2 * 5 - 3) ** 2
 
     def test_trim_drops_trailing_zeros(self):
-        assert poly_trim([Fraction(1), Fraction(0)]) == [Fraction(1)]
-        assert poly_trim([Fraction(0), Fraction(0)]) == []
+        # poly_text trims as it prints: zero terms are left out, and no terms read "0".
+        assert poly_text([Fraction(1), Fraction(0)]) == "1"
+        assert poly_text([Fraction(0), Fraction(0)]) == "0"
+        assert poly_text([]) == "0"
 
     def test_text(self):
         assert poly_text([Fraction(9), Fraction(-12), Fraction(4)]) == "9 - 12*n + 4*n^2"
