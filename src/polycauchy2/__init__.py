@@ -26,7 +26,6 @@ from .polycauchy import (
     integral_representation_check,
     level2_by_formula,
     level2_by_series,
-    level2_series_values,
 )
 from .series import BUILTIN_SERIES_NAMES, builtin_series
 from .stirling import (
@@ -67,7 +66,6 @@ __all__ = [
     "IntegralCheck",
     "integral_representation_check",
     "arcsinh_power_egf",
-    "level2_series_values",
     "convolution_sweep",
     "CheckRow",
     "IdentityReport",

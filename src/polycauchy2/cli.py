@@ -1,13 +1,13 @@
 """Command-line front end: triangle tables, sequence tables, series dumps, verification.
 
 Exit codes are the machine contract: 0 success (or identity pass), 1 identity
-failure, 2 usage error, 3 internal error (an ArithmeticError, reported on one
-stderr line), 141 stdout closed early (128 + SIGPIPE). Numbers print as
-canonical rational text, so identical calls give identical bytes. Every value
-is recomputed on every call; ``--cache PATH`` is accepted and ignored.
-``stirling2`` checks that no entry can round before its first byte, then
-computes and writes one row at a time, and writes its JSON directly. The
-other commands import ``json`` only when they print JSON.
+failure, 2 usage error, 3 internal error (an ArithmeticError, MemoryError or
+RecursionError, reported on one stderr line), 141 stdout closed early (128 +
+SIGPIPE). Numbers print as canonical rational text, so identical calls give
+identical bytes. Every value is recomputed on every call; ``--cache PATH`` is
+accepted and ignored. ``stirling2`` checks that no entry can round before its
+first byte, then computes and writes one row at a time, and writes its JSON
+directly. The other commands import ``json`` only when they print JSON.
 
 One table, ``_COMMANDS``, states the grammar. Plain calls are parsed straight
 from it: ``--opt value``, flags, one positional from its choices, and ints
@@ -235,8 +235,8 @@ def main(argv: list[str] | None = None) -> int:
         return args.handler(args)
     except ValueError as exc:
         build_parser().error(str(exc))
-    except ArithmeticError as exc:
-        print(f"polycauchy2: internal error: {exc}", file=sys.stderr)
+    except (ArithmeticError, MemoryError, RecursionError) as exc:
+        print(f"polycauchy2: internal error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 3
     finally:
         sys.set_int_max_str_digits(digit_limit)

@@ -32,7 +32,9 @@ EGF product of P_{m-1} and P_1 divided by m(2m-1), each division checked
 exact. It then takes the dot product of each column with s_m over D. The
 two routes share only the weights s_m: neither reads the other's integers.
 Both yield D C_{2n}^(k) for n = 0..nmax and D, the pair ``PolyCauchyTable``
-holds per k: values stay integer numerators over D until one is read.
+holds per k: values stay integer numerators over D until one is read. A
+table fills by the one route it was made with, and ``level2_by_formula``,
+``level2_by_series`` and the series L(t) read a table of their route.
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ __all__ = [
     "level2_by_formula",
     "level2_by_series",
     "arcsinh_power_egf",
-    "level2_series_values",
     "PolyCauchyTable",
     "IntegralCheck",
     "integral_representation_check",
@@ -164,55 +165,52 @@ def arcsinh_power_egf(nmax: int, *, top: int | None = None) -> list[list[int]]:
     return _power_table(square, top)
 
 
-def level2_series_values(egf: Sequence[Sequence[int]], k: int = 1) -> list[Fraction]:
-    """C_{2n}^(k) for n = 0..len(egf)-1 from the columns of ``arcsinh_power_egf``."""
-    numerators, denominator = _sum_over_powers(egf, k)
-    return [Fraction(x, denominator) for x in numerators]
-
-
 def _formula_column(n: int, triangle: Level2Triangle) -> list[int]:
     """(-4)^(n-m) [[n, m]] for m = 0..n, as a shift by 2(n - m) bits and a sign."""
     return [-(v << 2 * (n - m)) if (n - m) % 2 else v << 2 * (n - m) for m, v in enumerate(triangle.row(n))]
 
 
 def level2_by_formula(n: int, k: int = 1) -> Fraction:
-    """C_{2n}^(k) via the level-2 triangle sum, run as the weighted-sum recurrence. Exact for any integer k."""
+    """C_{2n}^(k) via the level-2 triangle sum, read from a formula-route table. Exact for any integer k."""
     if n < 0:
         raise ValueError(f"index n must be >= 0, got {n}")
-    numerators, denominator = _formula_numerators(n, k)
-    return Fraction(numerators[n], denominator)
+    return PolyCauchyTable.build(n, k).value(n, k)
 
 
 def level2_by_series(n: int, k: int = 1) -> Fraction:
-    """C_{2n}^(k) as the even EGF coefficient of lif2k(arcsinh t)."""
+    """C_{2n}^(k) as the even EGF coefficient of lif2k(arcsinh t), read from a series-route table."""
     if n < 0:
         raise ValueError(f"index n must be >= 0, got {n}")
-    return level2_series_values(arcsinh_power_egf(n), k)[n]
+    return PolyCauchyTable.build(n, k, "series").value(n, k)
 
 
 class PolyCauchyTable:
     """C_{2n}^(k) for n = 0..max_n(k) at each k built, held as integer numerators over D.
 
-    Each k holds one route's pass, (numerators, D); ``value`` builds one Fraction
-    on demand. Growing a k recomputes its pass, since both kernels start from n = 0.
+    The route, "formula" or "series", belongs to the table: it is fixed when
+    the table is made, and every k fills by it. Each k holds that route's
+    pass, (numerators, D); ``value`` builds one Fraction on demand. Growing a
+    k reruns the table's route from n = 0, since both kernels start there, so
+    no table mixes the routes.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, route: str = "formula") -> None:
+        if route not in ("formula", "series"):
+            raise ValueError(f"route must be 'formula' or 'series', got {route!r}")
+        self._route = route
         self._passes: dict[int, tuple[list[int], int]] = {}
 
     @classmethod
     def build(cls, nmax: int, k: int = 1, route: str = "formula") -> "PolyCauchyTable":
-        table = cls()
-        table.ensure(nmax, k=k, route=route)
+        table = cls(route)
+        table.ensure(nmax, k)
         return table
 
-    def ensure(self, nmax: int, k: int = 1, route: str = "formula") -> None:
-        """Hold n = 0..nmax for this k, recomputed by the given route if the table holds fewer."""
-        if route not in ("formula", "series"):
-            raise ValueError(f"route must be 'formula' or 'series', got {route!r}")
+    def ensure(self, nmax: int, k: int = 1) -> None:
+        """Hold n = 0..nmax for this k, recomputed by the table's route if it holds fewer."""
         if nmax <= self.max_n(k):
             return
-        if route == "formula":
+        if self._route == "formula":
             self._passes[k] = _formula_numerators(nmax, k)
         else:
             self._passes[k] = _sum_over_powers(arcsinh_power_egf(nmax), k)

@@ -8,8 +8,8 @@ lif_k and their level-2 variant lif2k, log(1+t), the three powers
 
 Each expansion is a closed-form coefficient generator. L(t) is lif2k at
 k = 1 composed with arcsinh, so its even EGF coefficients are the
-poly-Cauchy numbers C_{2n}^(1); they are read from the integer kernel's
-arcsinh powers, never from the triangle. The package does no power-series
+poly-Cauchy numbers C_{2n}^(1); they are read from a series-route
+``PolyCauchyTable``, never from the triangle. The package does no power-series
 arithmetic: the identities on L are checked as convolution sweeps in
 ``convolution.py``.
 """
@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import partial
 from math import factorial
 
-from .polycauchy import arcsinh_power_egf, level2_series_values
+from .polycauchy import PolyCauchyTable
 
 __all__ = ["builtin_series", "BUILTIN_SERIES_NAMES"]
 
@@ -70,9 +70,10 @@ def _root_power(e: int, order: int) -> tuple[Fraction, ...]:
 
 def _big_l(order: int) -> tuple[Fraction, ...]:
     # L(t) = t / arcsinh(t) = lif2k(arcsinh t) at k = 1: C_{2n}^(1) / (2n)! at t^(2n).
+    table = PolyCauchyTable.build(order // 2, route="series")
     coeffs = [Fraction(0)] * (order + 1)
-    for n, value in enumerate(level2_series_values(arcsinh_power_egf(order // 2))):
-        coeffs[2 * n] = value / factorial(2 * n)
+    for n in range(order // 2 + 1):
+        coeffs[2 * n] = table.value(n) / factorial(2 * n)
     return tuple(coeffs)
 
 

@@ -22,6 +22,11 @@ the tests expand products with it to check the polynomials the package builds.
 ``product_tree_row`` multiplies out x (x ± 1^2) ... (x ± (n-1)^2) with it by a
 balanced product tree, a route to [[n, m]] and t(2n, 2m) that never builds a
 row of the triangle from the row before, as the package's recurrence does.
+
+``series_route_values`` reads C_{2n}^(k) off columns of
+``arcsinh_power_egf`` a test already holds, through the series route's own
+weighted sum ``polycauchy._sum_over_powers``, looked up at each call so that a
+test that patches the kernel patches this read too.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from polycauchy2 import stirling1
+from polycauchy2 import polycauchy, stirling1
 
 _Scalar = (int, Fraction)
 
@@ -395,3 +400,9 @@ def level1_by_formula(n: int, k: int = 1) -> Fraction:
 def level1_by_series(n: int, k: int = 1) -> Fraction:
     """Classical poly-Cauchy c_n^(k) = n! [t^n] lif_k(log(1+t))."""
     return paper_series("lif_k", n, k).compose(paper_series("log1p", n)).egf_coefficient(n)
+
+
+def series_route_values(egf, k: int = 1) -> list[Fraction]:
+    """C_{2n}^(k) for n = 0..len(egf)-1 from the columns of ``arcsinh_power_egf``."""
+    numerators, denominator = polycauchy._sum_over_powers(egf, k)
+    return [Fraction(x, denominator) for x in numerators]

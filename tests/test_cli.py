@@ -350,6 +350,20 @@ class TestVerifyCommand:
         assert err.splitlines() == ["polycauchy2: internal error: division by (x - 2) is not exact: remainder 2"]
         assert "usage" not in err
 
+    @pytest.mark.parametrize("error", [MemoryError, RecursionError])
+    @pytest.mark.parametrize("argv", [["verify", "thm2"], ["polycauchy", "--nmax", "3"]])
+    def test_running_out_of_memory_is_an_internal_error(self, capsys, monkeypatch, error, argv):
+        # Exit 1 means a checked identity failed: a kernel that cannot finish
+        # is exit 3 with one stderr line, never a traceback.
+        def exhausted(nmax, k):
+            raise error()
+
+        monkeypatch.setattr(polycauchy2.polycauchy, "_formula_numerators", exhausted)
+        code, out, err = run(capsys, argv)
+        assert code == 3
+        assert out == ""
+        assert err.splitlines() == [f"polycauchy2: internal error: {error.__name__}"]
+
     @pytest.mark.parametrize("r", [1, 2, 3])
     def test_bumped_c_at_the_last_sample_fails_only_that_row(self, capsys, bumped_route, r):
         # C at the last sample is read only by that row: the derivation,

@@ -47,7 +47,6 @@ from polycauchy2 import (
     extract_conjecture_polynomials,
     level2_by_formula,
     level2_by_recurrence,
-    level2_series_values,
     verify_identity,
 )
 from polycauchy2 import convolution as convolution_module
@@ -68,7 +67,7 @@ from polycauchy2.convolution import (
     rhs_7fold,
 )
 from polycauchy2.polynomials import poly_eval
-from series_oracle import Series, double_factorial, paper_series, poly_mul
+from series_oracle import Series, double_factorial, paper_series, poly_mul, series_route_values
 
 
 def brute_force_convolution(offsets, n, table):
@@ -366,7 +365,7 @@ def fraction_route_agreement(nmax):
     """thm1 as a Fraction per route and (n, k), compared with ==."""
     formula = formula_table(nmax, range(-3, 4))
     egf = arcsinh_power_egf(nmax)
-    series = {k: level2_series_values(egf, k) for k in range(-3, 4)}
+    series = {k: series_route_values(egf, k) for k in range(-3, 4)}
     return report_over_k(
         "thm1", nmax, range(-3, 4), lambda n, k: fraction_row(n, formula.value(n, k), series[k][n])
     )

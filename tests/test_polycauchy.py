@@ -30,13 +30,12 @@ from polycauchy2 import (
     level2_by_formula,
     level2_by_series,
     level2_by_recurrence,
-    level2_series_values,
 )
 from polycauchy2 import convolution as convolution_module
 from polycauchy2 import polycauchy as polycauchy_module
 from polycauchy2 import stirling as stirling_module
 from polycauchy2.cli import main
-from series_oracle import Series, level1_by_formula, level1_by_series, poly_mul
+from series_oracle import Series, level1_by_formula, level1_by_series, poly_mul, series_route_values
 
 # C_{2n} for n = 0..6 at k = 1.
 SEQUENCE_K1 = [
@@ -160,7 +159,7 @@ class TestIntegerKernel:
         for k in range(-3, 4):
             composed = horner_composition(k, 30)
             expected = [composed.egf_even_coefficient(n) for n in range(16)]
-            assert level2_series_values(egf, k) == expected, k
+            assert series_route_values(egf, k) == expected, k
 
     def test_arcsinh_powers_are_the_signed_triangle(self):
         egf = arcsinh_power_egf(20)
@@ -370,9 +369,27 @@ class TestTable:
         assert held == ratio * denominator
         assert (numerators, denominator) == reduced_numerators(table, nmax - 2, 1)
 
+    def test_growth_keeps_the_table_route(self, monkeypatch):
+        # A wrong arcsinh coefficient moves the series route alone, so a
+        # series table grown past its first build must hold the moved values
+        # at every n, never the formula route's.
+        real = polycauchy_module._arcsinh_egf
+
+        def perturbed(count):
+            return [a + (j == 2) for j, a in enumerate(real(count))]
+
+        monkeypatch.setattr(polycauchy_module, "_arcsinh_egf", perturbed)
+        grown = PolyCauchyTable.build(7, -1, "series")
+        grown.ensure(9, -1)
+        fresh = PolyCauchyTable.build(9, -1, "series")
+        assert [grown.value(n, -1) for n in range(10)] == [fresh.value(n, -1) for n in range(10)]
+        assert [fresh.value(n, -1) for n in range(10)] != [level2_by_formula(n, -1) for n in range(10)]
+
     def test_bad_route_rejected(self):
         with pytest.raises(ValueError):
             PolyCauchyTable.build(3, route="guess")
+        with pytest.raises(ValueError, match="^route must be 'formula' or 'series', got 'guess'$"):
+            PolyCauchyTable(route="guess")
 
 
 class TestIntegralRepresentation:
