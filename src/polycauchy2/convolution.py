@@ -322,7 +322,8 @@ def rhs_7fold(nmax: int, table: PolyCauchyTable) -> list[tuple[int, int]]:
 
 # -- reports ------------------------------------------------------------------------
 #
-# Every record of the package is a NamedTuple, so its equality and repr come from its fields.
+# Every record of the package is a NamedTuple, fixed when built, so its equality and repr
+# come from its fields; a report's notes are a tuple, so the empty default is shared safely.
 
 
 class CheckRow(NamedTuple):
@@ -342,24 +343,14 @@ class CheckRow(NamedTuple):
         return cls(n, Fraction(a, d), Fraction(b, e), False)
 
 
-class _ReportFields(NamedTuple):
+class IdentityReport(NamedTuple):
+    """One identity's rows, the notes printed after them, and the verdict they give."""
+
     identity_name: str
     nmax: int
     parameter_range: str
     per_n_results: list[CheckRow]
-    notes: list[str]
-
-
-class IdentityReport(_ReportFields):
-    """One identity's rows, the notes printed after them, and the verdict they give.
-
-    A report built without notes gets a list of its own; a field default would be one list for every report.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, identity_name, nmax, parameter_range, per_n_results, notes=None) -> "IdentityReport":
-        return super().__new__(cls, identity_name, nmax, parameter_range, per_n_results, [] if notes is None else notes)
+    notes: tuple[str, ...] = ()
 
     @property
     def status(self) -> str:
@@ -662,7 +653,7 @@ def _verify_conjecture(name: str, r: int, nmax: int) -> IdentityReport:
     integral = [[x.numerator * (common // x.denominator) for x in coefficients] for coefficients in derived]
     sums = _odd_fold_sums((integral, common), samples, table)
     rows = [CheckRow.of(n, lhs[n], scale, b, e) for n, (b, e) in zip(samples, sums, strict=True)]
-    notes = [f"P[{2 * k}] = {poly_text(coefficients)}" for k, coefficients in enumerate(derived)]
+    notes = tuple(f"P[{2 * k}] = {poly_text(coefficients)}" for k, coefficients in enumerate(derived))
     return IdentityReport(name, nmax, f"r={r}, samples n={samples[0]}..{samples[-1]}", rows, notes)
 
 

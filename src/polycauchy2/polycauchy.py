@@ -31,10 +31,11 @@ binomial EGF product of those coefficients halved, and P_m is the binomial
 EGF product of P_{m-1} and P_1 divided by m(2m-1), each division checked
 exact. It then takes the dot product of each column with s_m over D. The
 two routes share only the weights s_m: neither reads the other's integers.
-Both yield D C_{2n}^(k) for n = 0..nmax and D, the pair ``PolyCauchyTable``
-holds per k: values stay integer numerators over D until one is read. A
-table fills by the one route it was made with, and ``level2_by_formula``,
-``level2_by_series`` and the series L(t) read a table of their route.
+Both yield D C_{2n}^(k) for n = 0..nmax and D, the pass a ``PolyCauchyTable``
+holds for its one k: values stay integer numerators over D until one is
+read. A table is one pass of one route, built once and never grown, and
+``level2_by_formula``, ``level2_by_series`` and the series L(t) each build
+a table of their route.
 """
 
 from __future__ import annotations
@@ -184,60 +185,47 @@ def level2_by_series(n: int, k: int = 1) -> Fraction:
     return PolyCauchyTable.build(n, k, "series").value(n, k)
 
 
-class PolyCauchyTable:
-    """C_{2n}^(k) for n = 0..max_n(k) at each k built, held as integer numerators over D.
+class PolyCauchyTable(NamedTuple):
+    """C_{2n}^(k) for n = 0..nmax at one k, held as one route's integer numerators over D.
 
-    The route, "formula" or "series", belongs to the table: it is fixed when
-    the table is made, and every k fills by it. Each k holds that route's
-    pass, (numerators, D); ``value`` builds one Fraction on demand. Growing a
-    k reruns the table's route from n = 0, since both kernels start there, so
-    no table mixes the routes.
+    ``build`` runs the kernel of its route, "formula" or "series", once; the
+    record holds k and that pass, and ``value`` builds one Fraction on demand.
+    A table never grows, so no table mixes the routes: a longer range or
+    another k is another build.
     """
 
-    def __init__(self, route: str = "formula") -> None:
-        if route not in ("formula", "series"):
-            raise ValueError(f"route must be 'formula' or 'series', got {route!r}")
-        self._route = route
-        self._passes: dict[int, tuple[list[int], int]] = {}
+    k: int
+    held: list[int]
+    denominator: int
 
     @classmethod
     def build(cls, nmax: int, k: int = 1, route: str = "formula") -> "PolyCauchyTable":
-        table = cls(route)
-        table.ensure(nmax, k)
-        return table
+        if nmax < 0:
+            raise ValueError(f"nmax must be >= 0, got {nmax}")
+        if route == "formula":
+            return cls(k, *_formula_numerators(nmax, k))
+        if route == "series":
+            return cls(k, *_sum_over_powers(arcsinh_power_egf(nmax), k))
+        raise ValueError(f"route must be 'formula' or 'series', got {route!r}")
 
-    def ensure(self, nmax: int, k: int = 1) -> None:
-        """Hold n = 0..nmax for this k, recomputed by the table's route if it holds fewer."""
-        if nmax <= self.max_n(k):
-            return
-        if self._route == "formula":
-            self._passes[k] = _formula_numerators(nmax, k)
-        else:
-            self._passes[k] = _sum_over_powers(arcsinh_power_egf(nmax), k)
-
-    def max_n(self, k: int = 1) -> int:
-        """Largest n held for this k, or -1 when none is."""
-        numerators, _ = self._passes.get(k, ((), 1))
-        return len(numerators) - 1
-
-    def _pass(self, n: int, k: int) -> tuple[list[int], int]:
-        if not 0 <= n <= self.max_n(k):
-            raise ValueError(f"table holds n = 0..{self.max_n(k)} for k = {k}, requested n = {n}")
-        return self._passes[k]
+    def _check(self, n: int, k: int) -> None:
+        top = len(self.held) - 1 if k == self.k else -1
+        if not 0 <= n <= top:
+            raise ValueError(f"table holds n = 0..{top} for k = {k}, requested n = {n}")
 
     def value(self, n: int, k: int = 1) -> Fraction:
-        numerators, denominator = self._pass(n, k)
-        return Fraction(numerators[n], denominator)
+        self._check(n, k)
+        return Fraction(self.held[n], self.denominator)
 
     def numerators(self, need: int, k: int = 1) -> tuple[list[int], int]:
         """C_{2m}^(k) for m = 0..need as integer numerators over D, the lcm of their denominators.
 
-        That is the held pair divided by the gcd of D and every numerator read.
+        That is the held pass divided by the gcd of D and every numerator read.
         """
-        numerators, denominator = self._pass(need, k)
-        head = numerators[: need + 1]
-        common = gcd(denominator, *head)
-        return [x // common for x in head], denominator // common
+        self._check(need, k)
+        head = self.held[: need + 1]
+        common = gcd(self.denominator, *head)
+        return [x // common for x in head], self.denominator // common
 
 
 class IntegralCheck(NamedTuple):

@@ -8,10 +8,10 @@ lif_k and their level-2 variant lif2k, log(1+t), the three powers
 
 Each expansion is a closed-form coefficient generator. L(t) is lif2k at
 k = 1 composed with arcsinh, so its even EGF coefficients are the
-poly-Cauchy numbers C_{2n}^(1); they are read from a series-route
-``PolyCauchyTable``, never from the triangle. The package does no power-series
-arithmetic: the identities on L are checked as convolution sweeps in
-``convolution.py``.
+poly-Cauchy numbers C_{2n}^(1); they are read from one series-route
+``PolyCauchyTable``, built once to order // 2, never from the triangle.
+The package does no power-series arithmetic: the identities on L are
+checked as convolution sweeps in ``convolution.py``.
 """
 
 from __future__ import annotations

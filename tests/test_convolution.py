@@ -355,10 +355,8 @@ def report_over_k(name, nmax, k_range, check):
 
 
 def formula_table(nmax, k_range):
-    table = PolyCauchyTable()
-    for k in k_range:
-        table.ensure(nmax, k)
-    return table
+    """One formula-route table per k, keyed by k."""
+    return {k: PolyCauchyTable.build(nmax, k) for k in k_range}
 
 
 def fraction_route_agreement(nmax):
@@ -367,25 +365,25 @@ def fraction_route_agreement(nmax):
     egf = arcsinh_power_egf(nmax)
     series = {k: series_route_values(egf, k) for k in range(-3, 4)}
     return report_over_k(
-        "thm1", nmax, range(-3, 4), lambda n, k: fraction_row(n, formula.value(n, k), series[k][n])
+        "thm1", nmax, range(-3, 4), lambda n, k: fraction_row(n, formula[k].value(n, k), series[k][n])
     )
 
 
-def fraction_integral_check(n, k, triangle, table):
+def fraction_integral_check(n, k, triangle, tables):
     """Both stages of cor1 at one (n, k), rebuilt for it: stage 1, stage 2's weights, a Fraction per side."""
     product = polycauchy_module._linear_products(n)[n]
     expected = [0] * (2 * n + 1)
     expected[::2] = polycauchy_module._formula_column(n, triangle)
     (numerator,), denominator = polycauchy_module._sum_over_powers([product[::2]], k)
-    integral, reference = Fraction(numerator, denominator), table.value(n, k)
+    integral, reference = Fraction(numerator, denominator), tables[k].value(n, k)
     return CheckRow(n, integral, reference, product == expected and integral == reference)
 
 
 def fraction_integral_representation(nmax):
     """cor1 as ``fraction_integral_check`` at every (n, k) the sweep tries."""
-    triangle, table = level2_by_recurrence(nmax), formula_table(nmax, range(1, 4))
+    triangle, tables = level2_by_recurrence(nmax), formula_table(nmax, range(1, 4))
     return report_over_k(
-        "cor1", nmax, range(1, 4), lambda n, k: fraction_integral_check(n, k, triangle, table)
+        "cor1", nmax, range(1, 4), lambda n, k: fraction_integral_check(n, k, triangle, tables)
     )
 
 
@@ -608,14 +606,25 @@ class TestConvolveOracle:
         table = PolyCauchyTable.build(3)
         with pytest.raises(ValueError):
             convolution_sweep((0, 1), 3, table)
-        # A table one entry short is an error, and the sweep leaves it as it was.
+        # A table one entry short is an error, and the sweep leaves its values as they were.
         table = PolyCauchyTable.build(12)
         held = [table.value(n) for n in range(13)]
         for offsets in ((0, 1), (1, 1)):
             with pytest.raises(ValueError, match="table holds n = 0..12 for k = 1, requested n = 13"):
                 convolution_sweep(offsets, 12, table)
-            assert table.max_n() == 12
             assert [table.value(n) for n in range(13)] == held
+
+    def test_table_of_another_k_is_refused(self):
+        # Every sweep reads C_{2m} at k = 1, so a table built for k = 3 holds none of them.
+        table = PolyCauchyTable.build(12, 3)
+        refused = r"^table holds n = 0\.\.-1 for k = 1, requested n = \d+$"
+        with pytest.raises(ValueError, match=refused):
+            convolution_sweep((0, 0), 10, table)
+        rhs_names = [name for name in convolution_module.__all__ if name.startswith("rhs_")]
+        assert len(rhs_names) == 7
+        for name in rhs_names:
+            with pytest.raises(ValueError, match=refused):
+                getattr(convolution_module, name)(10, table)
 
 
 class TestClosedFormSweeps:

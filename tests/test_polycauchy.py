@@ -297,24 +297,20 @@ class TestIntegerKernel:
 
 class TestTable:
     def test_build_and_range(self):
+        # A table holds n = 0..nmax for the one k it was built for.
         table = PolyCauchyTable.build(6)
-        assert table.max_n(1) == 6
-        assert table.max_n(2) == -1
         assert [table.value(n) for n in range(7)] == SEQUENCE_K1
+        with pytest.raises(ValueError, match=r"^table holds n = 0\.\.6 for k = 1, requested n = 7$"):
+            table.value(7)
+        with pytest.raises(ValueError, match=r"^table holds n = 0\.\.-1 for k = 2, requested n = 0$"):
+            table.value(0, 2)
+        for route in ("formula", "series"):
+            with pytest.raises(ValueError, match="^nmax must be >= 0, got -1$"):
+                PolyCauchyTable.build(-1, route=route)
 
     def test_index_zero_is_one_for_every_weight(self):
-        table = PolyCauchyTable()
         for k in (-3, 0, 1, 5):
-            table.ensure(0, k=k)
-            assert table.value(0, k) == 1
-
-    def test_ensure_extends_and_reuses(self):
-        table = PolyCauchyTable.build(4)
-        table.ensure(8)
-        assert table.max_n(1) == 8
-        table.ensure(2)
-        assert table.max_n(1) == 8
-        assert table.value(8) == level2_by_formula(8)
+            assert PolyCauchyTable.build(0, k).value(0, k) == 1
 
     def test_routes_fill_identically(self, monkeypatch, request):
         # Each route's table reads only its own kernel: a wrong arcsinh
@@ -369,27 +365,9 @@ class TestTable:
         assert held == ratio * denominator
         assert (numerators, denominator) == reduced_numerators(table, nmax - 2, 1)
 
-    def test_growth_keeps_the_table_route(self, monkeypatch):
-        # A wrong arcsinh coefficient moves the series route alone, so a
-        # series table grown past its first build must hold the moved values
-        # at every n, never the formula route's.
-        real = polycauchy_module._arcsinh_egf
-
-        def perturbed(count):
-            return [a + (j == 2) for j, a in enumerate(real(count))]
-
-        monkeypatch.setattr(polycauchy_module, "_arcsinh_egf", perturbed)
-        grown = PolyCauchyTable.build(7, -1, "series")
-        grown.ensure(9, -1)
-        fresh = PolyCauchyTable.build(9, -1, "series")
-        assert [grown.value(n, -1) for n in range(10)] == [fresh.value(n, -1) for n in range(10)]
-        assert [fresh.value(n, -1) for n in range(10)] != [level2_by_formula(n, -1) for n in range(10)]
-
     def test_bad_route_rejected(self):
-        with pytest.raises(ValueError):
-            PolyCauchyTable.build(3, route="guess")
         with pytest.raises(ValueError, match="^route must be 'formula' or 'series', got 'guess'$"):
-            PolyCauchyTable(route="guess")
+            PolyCauchyTable.build(3, route="guess")
 
 
 class TestIntegralRepresentation:

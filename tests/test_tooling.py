@@ -2,7 +2,8 @@
 
 Every module under ``src/`` and ``tests/`` uses each name it imports, every
 private top-level name under ``src/`` is read somewhere under ``src/``, no
-class under ``src/`` writes its own ``__eq__`` or ``__repr__``, no function
+class under ``src/`` writes its own ``__eq__`` or ``__repr__``, no method of
+a class under ``src/`` changes its object after construction, no function
 under ``src/`` mutates module-level state but the shared binomial rows, and
 the warning filters of ``pyproject.toml`` let a failing property test be
 reported as a failure while every other warning still fails the run.
@@ -286,6 +287,88 @@ def test_a_module_state_mutation_is_caught():
     """
     assert module_state_mutations({"a.py": textwrap.dedent(source)}) == [
         "a.py:_ALIASED", "a.py:_COUNT", "a.py:_DIRECT", "a.py:_GROWN"
+    ]
+
+
+def object_mutations(source: str) -> list[str]:
+    """``Class.method`` for each method that changes its object, outside ``__init__`` and ``__new__``.
+
+    The object is the method's first parameter; a static method has none. A
+    change is an assignment, augmented assignment or ``del`` of an attribute
+    or item rooted at it, or a call of a mutating container method on it.
+    """
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for method in node.body:
+            if not isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)) or method.name in ("__init__", "__new__"):
+                continue
+            parameters = [*method.args.posonlyargs, *method.args.args]
+            if not parameters or any(getattr(d, "id", None) == "staticmethod" for d in method.decorator_list):
+                continue
+            for inner in ast.walk(method):
+                if isinstance(inner, (ast.Attribute, ast.Subscript)) and not isinstance(inner.ctx, ast.Load):
+                    target = inner
+                elif isinstance(inner, ast.Call) and getattr(inner.func, "attr", None) in MUTATING_METHODS:
+                    target = inner.func.value
+                else:
+                    continue
+                if _root(target) == parameters[0].arg:
+                    found.add(f"{node.name}.{method.name}")
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[str(path.relative_to(ROOT)) for path in SOURCES])
+def test_no_method_in_src_changes_its_object(path):
+    # A record is fixed when built: a different value is a new record.
+    assert object_mutations(path.read_text()) == []
+
+
+def test_a_method_that_changes_its_object_is_caught():
+    source = """
+        class Grows:
+            def __init__(self):
+                self.items = []
+                self.count = 0
+
+            def add(self, x):
+                self.items.append(x)
+
+            def bump(this):
+                this.count += 1
+
+            def put(self, key, x):
+                self.items[key] = x
+
+            def drop(self):
+                del self.items[0]
+
+            def rename(self):
+                self.items = ()
+
+            @classmethod
+            def share(cls):
+                cls.shared = 0
+
+        class Fixed(tuple):
+            def __new__(cls, x):
+                self = super().__new__(cls, (x,))
+                self.__dict__.update()
+                return self
+
+            def read(self, other):
+                copy = list(self)
+                copy.append(self[0])
+                other.items[0] = len(self)
+                return copy
+
+            @staticmethod
+            def fill(items):
+                items.append(0)
+    """
+    assert object_mutations(textwrap.dedent(source)) == [
+        "Grows.add", "Grows.bump", "Grows.drop", "Grows.put", "Grows.rename", "Grows.share"
     ]
 
 

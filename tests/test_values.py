@@ -1,9 +1,9 @@
-"""Value semantics of the record classes: field order, equality by value, immutability, fresh defaults.
+"""Value semantics of the record classes: field order, equality by value, immutability, defaults.
 
 Each class is built from one list of field values in declaration order, by
 position and by keyword. The frozen records must refuse attribute
-assignment and hash by value; a report built without notes must get a
-notes list of its own, and a report is a tuple of its five fields.
+assignment and hash by value; a report built without notes holds the
+empty tuple, and a report is a tuple of its five fields.
 """
 
 from fractions import Fraction
@@ -35,7 +35,7 @@ RECORDS = {
             ("nmax", 1),
             ("parameter_range", "n=0..1"),
             ("per_n_results", [CheckRow(0, Fraction(1), Fraction(1), True)]),
-            ("notes", ["a note"]),
+            ("notes", ("a note",)),
         ],
         False,
     ),
@@ -114,27 +114,17 @@ def test_frozen_records_refuse_assignment_and_hash_by_value(frozen_record):
     assert len({instance, cls(**dict(fields))}) == 1
 
 
-def test_reports_without_notes_do_not_share_a_list():
-    first = IdentityReport("thm2", 0, "n=0..0", [])
-    second = IdentityReport("thm2", 0, "n=0..0", [])
-    assert first.notes == [] and second.notes == []
-    assert first.notes is not second.notes
-    first.notes.append("only the first")
-    assert second.notes == []
-    assert IdentityReport("thm2", 0, "n=0..0", []).notes == []
-
-
 def test_identity_report_is_a_tuple_of_its_five_fields():
     report = IdentityReport("thm2", 0, "n=0..0", [])
     assert IdentityReport._fields == ("identity_name", "nmax", "parameter_range", "per_n_results", "notes")
     assert isinstance(report, tuple)
-    assert tuple(report) == ("thm2", 0, "n=0..0", [], [])
+    assert tuple(report) == ("thm2", 0, "n=0..0", [], ())
 
 
 def test_identity_report_repr_names_every_field():
     row = CheckRow(2, Fraction(1, 3), Fraction(1, 3), True)
-    report = IdentityReport("conjecture", 12, "r=1, samples n=2..11", [row], ["P[0] = 1"])
+    report = IdentityReport("conjecture", 12, "r=1, samples n=2..11", [row], ("P[0] = 1",))
     assert repr(report) == (
         "IdentityReport(identity_name='conjecture', nmax=12, parameter_range='r=1, samples n=2..11', "
-        "per_n_results=[CheckRow(n=2, lhs=Fraction(1, 3), rhs=Fraction(1, 3), equal=True)], notes=['P[0] = 1'])"
+        "per_n_results=[CheckRow(n=2, lhs=Fraction(1, 3), rhs=Fraction(1, 3), equal=True)], notes=('P[0] = 1',))"
     )
