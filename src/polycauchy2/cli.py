@@ -7,7 +7,12 @@ SIGPIPE). Numbers print as canonical rational text, so identical calls give
 identical bytes. Every value is recomputed on every call; ``--cache PATH`` is
 accepted and ignored. ``stirling2`` checks that no entry can round before its
 first byte, then computes and writes one row at a time, and writes its JSON
-directly. The other commands import ``json`` only when they print JSON.
+directly. For nmax >= ``_SPLIT_NMAX`` it forks one helper, which runs the same
+recurrence and renders two rows in three; the parent renders the others and
+writes every row in order, so stdout is the same bytes as from one process.
+Without ``os.fork``, when the fork fails or while other threads run, one
+process renders every row. No helper outlives the call. The other commands
+import ``json`` only when they print JSON.
 
 One table, ``_COMMANDS``, states the grammar. Plain calls are parsed straight
 from it: ``--opt value``, flags, one positional from its choices, and ints
@@ -19,6 +24,7 @@ reference grammar, and it is imported only on those calls.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import sys
 from types import SimpleNamespace
@@ -27,7 +33,7 @@ from .convolution import DEFAULT_NMAX, IDENTITY_NAMES, verify_identity
 from .exact import rational_to_text
 from .polycauchy import PolyCauchyTable
 from .series import BUILTIN_SERIES_NAMES, builtin_series
-from .stirling import level2_text_rows
+from .stirling import _decimal_rows
 
 __all__ = ["build_parser", "main", "entry"]
 
@@ -48,18 +54,123 @@ def _emit_table(fmt: str, header: list[str], rows: list[list[str]], json_payload
         print(sep.join(row))
 
 
+# A stirling2 table to row nmax >= _SPLIT_NMAX is rendered by two processes:
+# a forked helper renders the rows n with n % _HELPER_SHARE != 0, two in
+# three, and the parent the others. Both are measured (BENCH_36.json): below
+# the gate the fork costs more than it saves, and shares of 1 in 2 to 3 in 4
+# time alike. The pipe is enlarged so that the helper can run rows ahead.
+_SPLIT_NMAX = 200
+_HELPER_SHARE = 3
+_PIPE_SIZE = 1 << 20
+# SIGKILL wherever os.fork exists; the signal module takes 1 ms to import.
+_SIGKILL = 9
+
+
+@contextlib.contextmanager
+def _rendering_helper(nmax: int, rows, line):
+    """Yield the row numbers a forked helper renders, and a read of its next line.
+
+    The row set is empty below the gate, without ``os.fork``, when the fork
+    fails and when other threads run. On every exit the parent closes its
+    read end, then kills and reaps the helper, so it never waits on a helper
+    blocked writing to it.
+    """
+    helper = _fork_helper(nmax, rows, line) if nmax >= _SPLIT_NMAX else None
+    if helper is None:
+        yield frozenset(), None
+        return
+    pid, frames, helped = helper
+    try:
+        yield helped, lambda: _read_frame(frames)
+    finally:
+        frames.close()
+        os.kill(pid, _SIGKILL)
+        os.waitpid(pid, 0)
+
+
+def _fork_helper(nmax: int, rows, line):
+    """Fork the helper; return its pid, the read end of its pipe and the rows it renders, or None if it cannot run."""
+    import threading
+
+    fork = getattr(os, "fork", None)
+    if fork is None or threading.active_count() > 1:
+        return None
+    import fcntl
+
+    read_end, write_end = os.pipe()
+    try:  # Linux only, and refused past the user's quota of pipe memory
+        fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, _PIPE_SIZE)
+    except (AttributeError, OSError):
+        pass
+    try:
+        pid = fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        return None
+    helped = frozenset(n for n in range(nmax + 1) if n % _HELPER_SHARE)
+    if pid == 0:
+        os.close(read_end)
+        _run_helper(write_end, rows, line, helped)
+    os.close(write_end)
+    return pid, os.fdopen(read_end, "rb"), helped
+
+
+def _run_helper(fd: int, rows, line, helped: frozenset) -> None:
+    """The helper's life: a frame per row of ``helped``, or an error frame, then ``os._exit``.
+
+    It iterates its own copy of ``rows`` and never touches ``sys.stdout``.
+    """
+    try:
+        with os.fdopen(fd, "wb") as frames:
+            try:
+                for n, row in enumerate(rows):
+                    if n in helped:
+                        _write_frame(frames, b"L", line(n, row))
+            except BaseException as exc:
+                _write_frame(frames, b"M" if isinstance(exc, MemoryError) else b"A", str(exc) or type(exc).__name__)
+    finally:
+        os._exit(0)
+
+
+def _write_frame(frames, kind: bytes, text: str) -> None:
+    """One frame: a kind byte (L a line, M a MemoryError, A any other error), an 8-byte length and the text."""
+    data = text.encode()
+    frames.write(kind + len(data).to_bytes(8, "little") + data)
+
+
+def _read_frame(frames) -> str:
+    """The text of the helper's next line; its error, or an early end, raised as an internal error."""
+    header = frames.read(9)
+    data = frames.read(int.from_bytes(header[1:], "little"))
+    if header[:1] == b"L":
+        return data.decode()
+    error = MemoryError if header[:1] == b"M" else ArithmeticError
+    raise error(data.decode() or "stirling2 rendering helper ended early")
+
+
 def cmd_stirling2(args) -> int:
-    text_rows = level2_text_rows(args.nmax, args.signed)
+    # The bound check runs here, before the fork and the first byte.
+    rows = _decimal_rows(args.nmax, args.signed)
     if args.format == "json":
         # Entries are digits and an optional "-", so none needs JSON escaping.
-        sys.stdout.write(f'{{"nmax": {args.nmax}, "signed": {str(args.signed).lower()}, "rows": [')
-        for n, row in enumerate(text_rows):
-            sys.stdout.write((', ["' if n else '["') + '", "'.join(row) + '"]')
-        sys.stdout.write("]}\n")
-        return 0
-    sys.stdout.write("n:values\n")
-    for n, row in enumerate(text_rows):
-        sys.stdout.write(f"{n}:{_FIELD_SEPARATORS[args.format].join(row)}\n")
+        head, tail = f'{{"nmax": {args.nmax}, "signed": {str(args.signed).lower()}, "rows": [', "]}\n"
+
+        def line(n, row):
+            return (', ["' if n else '["') + '", "'.join(map(str, row)) + '"]'
+
+    else:
+        head, tail, sep = "n:values\n", "", _FIELD_SEPARATORS[args.format]
+
+        def line(n, row):
+            return f"{n}:{sep.join(map(str, row))}\n"
+
+    write = sys.stdout.write
+    with _rendering_helper(args.nmax, rows, line) as (helped, read_line):
+        write(head)
+        for n, row in enumerate(rows):
+            write(read_line() if n in helped else line(n, row))
+        write(tail)
     return 0
 
 

@@ -21,7 +21,9 @@ each call, and nothing is kept between calls. ``stirling2`` runs the
 recurrence over trapped ``decimal.Decimal``, whose base-10^19 digits print in
 linear time (``str`` of a binary int is quadratic; Knuth, TAOCP Vol. 2, 4.4).
 It first checks that the sum of the last row fits the precision, which bounds
-every entry, then computes and renders one row at a time.
+every entry, then computes and renders one row at a time. ``_decimal_rows``
+yields those rows as ``Decimal`` before rendering, so that ``stirling2`` can
+render them in two processes, each running the recurrence on its own.
 """
 
 from __future__ import annotations
@@ -125,6 +127,25 @@ def _exactly(context: decimal.Context, step: Callable, *args):
         raise ArithmeticError(f"[[n, m]] text: decimal arithmetic rounded ({exc})") from exc
 
 
+def _decimal_rows(nmax: int, signed: bool) -> Iterator[list[decimal.Decimal]]:
+    """Rows 0..nmax of [[n, m]], or of (-1)^(n-m) [[n, m]] if signed, as exact ``decimal.Decimal``.
+
+    The bound check runs on this call; the iterator returned computes each
+    row from the one before, traps still on, and holds one row.
+    """
+    if nmax < 0:
+        raise ValueError(f"nmax must be >= 0, got {nmax}")
+    context = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+    context.traps[decimal.Inexact] = context.traps[decimal.Rounded] = True
+    _exactly(context, _row_sum, nmax)
+    sign = -1 if signed else 1
+    return accumulate(
+        range(1, nmax + 1),
+        lambda row, n: _exactly(context, _level2_row, row, decimal.Decimal(sign * (n - 1) ** 2)),
+        initial=[decimal.Decimal(1)],
+    )
+
+
 def level2_text_rows(nmax: int, signed: bool = False) -> Iterator[list[str]]:
     """Rows 0..nmax of [[n, m]], or of (-1)^(n-m) [[n, m]] if signed, as decimal text.
 
@@ -135,18 +156,7 @@ def level2_text_rows(nmax: int, signed: bool = False) -> Iterator[list[str]]:
     when every entry would fit. The iterator returned then computes each row
     from the one before, traps still on, and holds one row and its text.
     """
-    if nmax < 0:
-        raise ValueError(f"nmax must be >= 0, got {nmax}")
-    context = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
-    context.traps[decimal.Inexact] = context.traps[decimal.Rounded] = True
-    _exactly(context, _row_sum, nmax)
-    sign = -1 if signed else 1
-    rows = accumulate(
-        range(1, nmax + 1),
-        lambda row, n: _exactly(context, _level2_row, row, decimal.Decimal(sign * (n - 1) ** 2)),
-        initial=[decimal.Decimal(1)],
-    )
-    return (list(map(str, row)) for row in rows)
+    return (list(map(str, row)) for row in _decimal_rows(nmax, signed))
 
 
 def level2_by_symmetric_sum(n: int, m: int) -> int:

@@ -1,7 +1,20 @@
+import os
+
 import pytest
 
 from polycauchy2 import PolyCauchyTable, level2_by_recurrence
 from polycauchy2 import polycauchy as polycauchy_module
+
+
+@pytest.fixture(autouse=True)
+def no_child_left_unreaped():
+    """Fail any test that leaves a child process running or unreaped."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"the test left a child process {'running' if pid == 0 else f'{pid} unreaped'}")
 
 
 @pytest.fixture(scope="session")

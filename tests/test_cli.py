@@ -6,13 +6,17 @@ import decimal
 import io
 import hashlib
 import inspect
+import itertools
 import json
 import os
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 from fnmatch import fnmatchcase
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -126,6 +130,47 @@ class TestPolycauchyCommand:
         assert out.splitlines()[1] == "0,1"
 
 
+@pytest.fixture
+def helper_pids(monkeypatch):
+    """The pids ``os.fork`` returns in this process; ``helper_pids.in_helper`` runs in each forked helper first."""
+    real_fork = os.fork
+    pids = []
+
+    def fork():
+        pid = real_fork()
+        if pid == 0:
+            try:
+                helper_pids.in_helper()
+            except BaseException:
+                os._exit(1)  # never let a forked copy of the test run on
+        else:
+            pids.append(pid)
+        return pid
+
+    helper_pids = SimpleNamespace(pids=pids, in_helper=lambda: None)
+    monkeypatch.setattr(os, "fork", fork)
+    return helper_pids
+
+
+def assert_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+def stirling2_digest(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    return code, hashlib.sha256(captured.out.encode()).hexdigest(), captured.err
+
+
+SIX_FORMATS = [
+    pytest.param(fmt + (["--signed"] if signed else []), id=f"{fmt[-1]}{'-signed' if signed else ''}")
+    for fmt in (["--format", "csv"], ["--format", "tsv"], ["--format", "json"])
+    for signed in (False, True)
+]
+
+
 class TestStirling2Command:
     def test_rows_fixture(self, capsys):
         code, out, _ = run(capsys, ["stirling2", "--nmax", "3"])
@@ -174,13 +219,118 @@ class TestStirling2Command:
     @pytest.mark.parametrize("fmt", ["csv", "tsv", "json"])
     @pytest.mark.parametrize("signed", [False, True])
     def test_stdout_matches_one_string_rendering(self, capsys, fmt, signed):
-        for nmax in range(61):
+        for nmax in [*range(61), cli._SPLIT_NMAX + 1]:
             argv = ["stirling2", "--nmax", str(nmax), "--format", fmt] + (["--signed"] if signed else [])
             code, out, _ = run(capsys, argv)
             assert code == 0
             assert out == stirling2_reference_stdout(nmax, signed, fmt), nmax
             if fmt == "json":
                 assert json.loads(out)["rows"][nmax][nmax] == "1"
+
+    @pytest.mark.parametrize("options", SIX_FORMATS)
+    @pytest.mark.parametrize("offset", [-1, 0, 1, None], ids=["gate-1", "gate", "gate+1", "300"])
+    def test_split_matches_one_process(self, capsys, monkeypatch, helper_pids, options, offset):
+        # A table of at least _SPLIT_NMAX rows forks one helper; the bytes
+        # are those of the same call with no os.fork.
+        nmax = 300 if offset is None else cli._SPLIT_NMAX + offset
+        argv = ["stirling2", "--nmax", str(nmax), *options]
+        split = stirling2_digest(capsys, argv)
+        assert len(helper_pids.pids) == (nmax >= cli._SPLIT_NMAX)
+        assert_reaped(helper_pids.pids)
+        monkeypatch.delattr(os, "fork")
+        assert split == stirling2_digest(capsys, argv)
+        assert split[0] == 0
+
+    @pytest.mark.parametrize("options", SIX_FORMATS)
+    def test_failed_fork_falls_back_to_the_same_bytes(self, capsys, monkeypatch, helper_pids, options):
+        argv = ["stirling2", "--nmax", "300", *options]
+        split = stirling2_digest(capsys, argv)
+        assert len(helper_pids.pids) == 1
+        assert_reaped(helper_pids.pids)
+
+        def fork():
+            raise OSError("no more processes")
+
+        monkeypatch.setattr(os, "fork", fork)
+        assert split == stirling2_digest(capsys, argv)
+        assert split[0] == 0
+
+    def test_other_threads_keep_the_table_in_one_process(self, capsys, helper_pids):
+        # A fork beside running threads warns on Python 3.12+.
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            code, _, _ = stirling2_digest(capsys, ["stirling2", "--nmax", "300"])
+        finally:
+            release.set()
+            thread.join()
+        assert code == 0
+        assert helper_pids.pids == []
+
+    def test_an_altered_helper_row_changes_the_digest(self, capsys, monkeypatch, helper_pids):
+        # Negative control: the helper renders one entry of one of its rows
+        # off by one, and the split call no longer matches one process.
+        def in_helper():
+            calls = itertools.count()
+            cli.str = lambda value: str(int(value) + 1) if next(calls) == 1000 else str(value)
+
+        argv = ["stirling2", "--nmax", "300"]
+        helper_pids.in_helper = in_helper
+        altered = stirling2_digest(capsys, argv)
+        assert len(helper_pids.pids) == 1
+        assert_reaped(helper_pids.pids)
+        monkeypatch.delattr(os, "fork")
+        assert altered != stirling2_digest(capsys, argv)
+        assert altered[0] == 0
+
+    def test_helper_out_of_memory_is_an_internal_error(self, capsys, helper_pids):
+        def in_helper():
+            def out_of_memory(value):
+                if isinstance(value, decimal.Decimal):
+                    raise MemoryError
+                return str(value)
+
+            cli.str = out_of_memory
+
+        helper_pids.in_helper = in_helper
+        code, out, err = run(capsys, ["stirling2", "--nmax", "300", "--format", "tsv"])
+        assert len(helper_pids.pids) == 1
+        assert_reaped(helper_pids.pids)
+        assert code == 3
+        assert err == "polycauchy2: internal error: MemoryError\n"
+        assert out.startswith("n:values\n0:1\n")
+
+    def test_a_stalled_helper_is_killed(self, monkeypatch, helper_pids):
+        # The parent fails before it reads a frame; the helper, which would
+        # sleep for a minute, is killed rather than waited for.
+        class ClosedSink:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        helper_pids.in_helper = lambda: time.sleep(60)
+        monkeypatch.setattr(sys, "stdout", ClosedSink())
+        start = time.monotonic()
+        with pytest.raises(BrokenPipeError):
+            main(["stirling2", "--nmax", "300"])
+        assert time.monotonic() - start < 30
+        assert len(helper_pids.pids) == 1
+        assert_reaped(helper_pids.pids)
+
+    def test_closed_stdout_mid_table_reaps_the_helper(self, monkeypatch, helper_pids):
+        # The reader leaves after 1 MB. entry() turns this BrokenPipeError
+        # into exit 141 (TestEntryPoint.test_closed_stdout_exits_141_without_traceback).
+        class ClosingSink(CharCounter):
+            def write(self, text):
+                if self.chars > 1_000_000:
+                    raise BrokenPipeError(32, "Broken pipe")
+                return super().write(text)
+
+        monkeypatch.setattr(sys, "stdout", ClosingSink())
+        with pytest.raises(BrokenPipeError):
+            main(["stirling2", "--nmax", "300", "--signed"])
+        assert len(helper_pids.pids) == 1
+        assert_reaped(helper_pids.pids)
 
     def test_json_peak_memory_below_its_output(self, monkeypatch):
         # The text of the triangle is never held at once, so the traced

@@ -6,10 +6,14 @@ class under ``src/`` writes its own ``__eq__`` or ``__repr__``, no method of
 a class under ``src/`` changes its object after construction, no function
 under ``src/`` mutates module-level state but the shared binomial rows, and
 the warning filters of ``pyproject.toml`` let a failing property test be
-reported as a failure while every other warning still fails the run.
+reported as a failure while every other warning still fails the run. The
+autouse fixture of ``tests/conftest.py`` fails a test that leaves a child
+process running or unreaped.
 """
 
 import ast
+import os
+import shutil
 import subprocess
 import sys
 import textwrap
@@ -379,6 +383,7 @@ def run_pytest(tmp_path, source):
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-c", str(ROOT / "pyproject.toml"),
          "--rootdir", str(tmp_path), str(tmp_path / "test_sample.py")],
         cwd=tmp_path, capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])},
     )
     assert "INTERNALERROR" not in result.stdout + result.stderr
     return result.stdout.strip().splitlines()[-1]
@@ -416,3 +421,28 @@ def test_any_other_warning_still_fails(tmp_path):
         """,
     )
     assert summary.startswith("1 failed, 1 passed")
+
+
+def test_a_child_left_unreaped_fails_its_test(tmp_path):
+    # The autouse fixture of tests/conftest.py fails the test that leaves a
+    # child process behind, and only that test.
+    shutil.copy(ROOT / "tests" / "conftest.py", tmp_path / "conftest.py")
+    summary = run_pytest(
+        tmp_path,
+        """
+        import os
+
+        def test_leaves_a_child():
+            pid = os.fork()
+            if pid == 0:
+                os._exit(0)
+            os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)  # exited, not reaped
+
+        def test_reaps_its_child():
+            pid = os.fork()
+            if pid == 0:
+                os._exit(0)
+            os.waitpid(pid, 0)
+        """,
+    )
+    assert summary.startswith("2 passed, 1 error")
