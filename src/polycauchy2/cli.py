@@ -7,12 +7,13 @@ SIGPIPE). Numbers print as canonical rational text, so identical calls give
 identical bytes. Every value is recomputed on every call; ``--cache PATH`` is
 accepted and ignored. ``stirling2`` checks that no entry can round before its
 first byte, then computes and writes one row at a time, and writes its JSON
-directly. For nmax >= ``_SPLIT_NMAX`` it forks one helper, which runs the same
-recurrence and renders two rows in three; the parent renders the others and
-writes every row in order, so stdout is the same bytes as from one process.
-Without ``os.fork``, when the fork fails or while other threads run, one
-process renders every row. No helper outlives the call. The other commands
-import ``json`` only when they print JSON.
+directly. For nmax >= ``_SPLIT_NMAX`` it splits each row by columns: the
+parent runs the recurrence on the first nmax // 5 + 1 columns and renders
+them, a forked helper renders the rest, and a row is written once both parts
+are held, so stdout is the same bytes as from one process. Without ``os.fork``,
+when the fork fails or while other threads run, one process renders every row.
+No helper outlives the call. The other commands import ``json`` only when
+they print JSON.
 
 One table, ``_COMMANDS``, states the grammar. Plain calls are parsed straight
 from it: ``--opt value``, flags, one positional from its choices, and ints
@@ -54,42 +55,42 @@ def _emit_table(fmt: str, header: list[str], rows: list[list[str]], json_payload
         print(sep.join(row))
 
 
-# A stirling2 table to row nmax >= _SPLIT_NMAX is rendered by two processes:
-# a forked helper renders the rows n with n % _HELPER_SHARE != 0, two in
-# three, and the parent the others. Both are measured (BENCH_36.json): below
-# the gate the fork costs more than it saves, and shares of 1 in 2 to 3 in 4
-# time alike. The pipe is enlarged so that the helper can run rows ahead.
+# From row nmax = _SPLIT_NMAX on, the parent renders columns < nmax // 5 + 1 of
+# each row, 44-45 % of the digits at every nmax from 200 to 400, and a forked
+# helper the rest. Both are measured (BENCH_37.json): the split loses at nmax
+# 125 and wins from 150, and a narrower cut makes the parent wait longer on the
+# helper while a wider one leaves it the slower. The pipe lets the helper run ahead.
 _SPLIT_NMAX = 200
-_HELPER_SHARE = 3
 _PIPE_SIZE = 1 << 20
 # SIGKILL wherever os.fork exists; the signal module takes 1 ms to import.
 _SIGKILL = 9
 
 
 @contextlib.contextmanager
-def _rendering_helper(nmax: int, rows, line):
-    """Yield the row numbers a forked helper renders, and a read of its next line.
+def _rendering_helper(nmax: int, rows, rest):
+    """Yield the first column a forked helper renders, and a read of its part of the next row.
 
-    The row set is empty below the gate, without ``os.fork``, when the fork
-    fails and when other threads run. On every exit the parent closes its
-    read end, then kills and reaps the helper, so it never waits on a helper
-    blocked writing to it.
+    The column is nmax + 1, past every row, and the read None below the
+    gate, without ``os.fork``, when the fork fails and when other threads
+    run. On every exit the parent closes its read end, then kills and reaps
+    the helper, so it never waits on a helper blocked writing to it.
     """
-    helper = _fork_helper(nmax, rows, line) if nmax >= _SPLIT_NMAX else None
+    cut = nmax // 5 + 1
+    helper = _fork_helper(rows, rest, cut) if nmax >= _SPLIT_NMAX else None
     if helper is None:
-        yield frozenset(), None
+        yield nmax + 1, None
         return
-    pid, frames, helped = helper
+    pid, frames = helper
     try:
-        yield helped, lambda: _read_frame(frames)
+        yield cut, lambda: _read_frame(frames)
     finally:
         frames.close()
         os.kill(pid, _SIGKILL)
         os.waitpid(pid, 0)
 
 
-def _fork_helper(nmax: int, rows, line):
-    """Fork the helper; return its pid, the read end of its pipe and the rows it renders, or None if it cannot run."""
+def _fork_helper(rows, rest, cut: int):
+    """Fork the helper; return its pid and the read end of its pipe, or None if it cannot run."""
     import threading
 
     fork = getattr(os, "fork", None)
@@ -108,25 +109,24 @@ def _fork_helper(nmax: int, rows, line):
         os.close(read_end)
         os.close(write_end)
         return None
-    helped = frozenset(n for n in range(nmax + 1) if n % _HELPER_SHARE)
     if pid == 0:
         os.close(read_end)
-        _run_helper(write_end, rows, line, helped)
+        _run_helper(write_end, rows, rest, cut)
     os.close(write_end)
-    return pid, os.fdopen(read_end, "rb"), helped
+    return pid, os.fdopen(read_end, "rb")
 
 
-def _run_helper(fd: int, rows, line, helped: frozenset) -> None:
-    """The helper's life: a frame per row of ``helped``, or an error frame, then ``os._exit``.
+def _run_helper(fd: int, rows, rest, cut: int) -> None:
+    """The helper's life: a frame of ``rest(row[cut:])`` per row n >= cut, or an error frame, then ``os._exit``.
 
-    It iterates its own copy of ``rows`` and never touches ``sys.stdout``.
+    It iterates its own copy of the whole ``rows`` and never touches ``sys.stdout``.
     """
     try:
         with os.fdopen(fd, "wb") as frames:
             try:
                 for n, row in enumerate(rows):
-                    if n in helped:
-                        _write_frame(frames, b"L", line(n, row))
+                    if n >= cut:
+                        _write_frame(frames, b"R", rest(row[cut:]))
             except BaseException as exc:
                 _write_frame(frames, b"M" if isinstance(exc, MemoryError) else b"A", str(exc) or type(exc).__name__)
     finally:
@@ -134,19 +134,20 @@ def _run_helper(fd: int, rows, line, helped: frozenset) -> None:
 
 
 def _write_frame(frames, kind: bytes, text: str) -> None:
-    """One frame: a kind byte (L a line, M a MemoryError, A any other error), an 8-byte length and the text."""
+    """One frame: a kind byte (R the rest of a row, M a MemoryError, A any other error), an 8-byte length and the text."""
     data = text.encode()
     frames.write(kind + len(data).to_bytes(8, "little") + data)
 
 
 def _read_frame(frames) -> str:
-    """The text of the helper's next line; its error, or an early end, raised as an internal error."""
+    """The text of the helper's next frame; its error, or an early end, raised as an internal error."""
     header = frames.read(9)
-    data = frames.read(int.from_bytes(header[1:], "little"))
-    if header[:1] == b"L":
+    data = frames.read(length := int.from_bytes(header[1:], "little"))
+    if len(header) < 9 or len(data) < length:
+        raise ArithmeticError("stirling2 rendering helper ended early")
+    if header[:1] == b"R":
         return data.decode()
-    error = MemoryError if header[:1] == b"M" else ArithmeticError
-    raise error(data.decode() or "stirling2 rendering helper ended early")
+    raise (MemoryError if header[:1] == b"M" else ArithmeticError)(data.decode())
 
 
 def cmd_stirling2(args) -> int:
@@ -155,22 +156,21 @@ def cmd_stirling2(args) -> int:
     if args.format == "json":
         # Entries are digits and an optional "-", so none needs JSON escaping.
         head, tail = f'{{"nmax": {args.nmax}, "signed": {str(args.signed).lower()}, "rows": [', "]}\n"
-
-        def line(n, row):
-            return (', ["' if n else '["') + '", "'.join(map(str, row)) + '"]'
-
+        sep, end, start = '", "', '"]', lambda n: ', ["' if n else '["'
     else:
-        head, tail, sep = "n:values\n", "", _FIELD_SEPARATORS[args.format]
+        head, tail, sep, end, start = "n:values\n", "", _FIELD_SEPARATORS[args.format], "\n", "{}:".format
 
-        def line(n, row):
-            return f"{n}:{sep.join(map(str, row))}\n"
+    def rest(part):
+        return sep + sep.join(map(str, part)) + end
 
-    write = sys.stdout.write
-    with _rendering_helper(args.nmax, rows, line) as (helped, read_line):
-        write(head)
+    with _rendering_helper(args.nmax, rows, rest) as (cut, read_rest):
+        if read_rest is not None:
+            rows = _decimal_rows(args.nmax, args.signed, cut)
+        sys.stdout.write(head)
         for n, row in enumerate(rows):
-            write(read_line() if n in helped else line(n, row))
-        write(tail)
+            # Both parts of row n are held before any of it is written.
+            sys.stdout.write(start(n) + sep.join(map(str, row)) + (read_rest() if n >= cut else end))
+        sys.stdout.write(tail)
     return 0
 
 

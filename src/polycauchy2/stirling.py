@@ -22,8 +22,8 @@ recurrence over trapped ``decimal.Decimal``, whose base-10^19 digits print in
 linear time (``str`` of a binary int is quadratic; Knuth, TAOCP Vol. 2, 4.4).
 It first checks that the sum of the last row fits the precision, which bounds
 every entry, then computes and renders one row at a time. ``_decimal_rows``
-yields those rows as ``Decimal`` before rendering, so that ``stirling2`` can
-render them in two processes, each running the recurrence on its own.
+yields those rows as ``Decimal`` before rendering, whole or cut to columns
+m < W, a recurrence of its own, so that ``stirling2`` can split them by columns.
 """
 
 from __future__ import annotations
@@ -127,11 +127,11 @@ def _exactly(context: decimal.Context, step: Callable, *args):
         raise ArithmeticError(f"[[n, m]] text: decimal arithmetic rounded ({exc})") from exc
 
 
-def _decimal_rows(nmax: int, signed: bool) -> Iterator[list[decimal.Decimal]]:
+def _decimal_rows(nmax: int, signed: bool, cut: int | None = None) -> Iterator[list[decimal.Decimal]]:
     """Rows 0..nmax of [[n, m]], or of (-1)^(n-m) [[n, m]] if signed, as exact ``decimal.Decimal``.
 
-    The bound check runs on this call; the iterator returned computes each
-    row from the one before, traps still on, and holds one row.
+    The bound check runs on this call; the iterator returned holds one row,
+    cut to columns m < cut if given, computed from the one before, traps on.
     """
     if nmax < 0:
         raise ValueError(f"nmax must be >= 0, got {nmax}")
@@ -141,7 +141,7 @@ def _decimal_rows(nmax: int, signed: bool) -> Iterator[list[decimal.Decimal]]:
     sign = -1 if signed else 1
     return accumulate(
         range(1, nmax + 1),
-        lambda row, n: _exactly(context, _level2_row, row, decimal.Decimal(sign * (n - 1) ** 2)),
+        lambda row, n: _exactly(context, _level2_row, row, decimal.Decimal(sign * (n - 1) ** 2))[:cut],
         initial=[decimal.Decimal(1)],
     )
 

@@ -158,6 +158,14 @@ def assert_reaped(pids):
             os.waitpid(pid, os.WNOHANG)
 
 
+def assert_whole_reference_rows(out, nmax, fmt):
+    """``out`` is the head line and then whole rows, each equal to the one-process line."""
+    lines = out.splitlines(keepends=True)
+    assert out.endswith("\n")
+    assert lines == stirling2_reference_stdout(nmax, False, fmt).splitlines(keepends=True)[: len(lines)]
+    assert lines[0] == "n:values\n"
+
+
 def stirling2_digest(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
@@ -206,15 +214,18 @@ class TestStirling2Command:
         [["--signed"], ["--format", "tsv"], ["--format", "json"], ["--signed", "--format", "json"]],
         ids=["signed", "tsv", "json", "signed-json"],
     )
-    def test_rounding_writes_nothing_in_any_format(self, capsys, monkeypatch, options):
+    @pytest.mark.parametrize("nmax", [60, cli._SPLIT_NMAX], ids=["one-process", "split"])
+    def test_rounding_writes_nothing_in_any_format(self, capsys, monkeypatch, helper_pids, options, nmax):
         # Rows are written as they are rendered, so the arithmetic (and its
-        # trap) must finish before the first byte, the JSON head included.
+        # trap) must finish before the first byte, the JSON head included;
+        # on the split path it also runs before the fork.
         monkeypatch.setattr(decimal, "MAX_PREC", 50)
-        code, out, err = run(capsys, ["stirling2", "--nmax", "60"] + options)
+        code, out, err = run(capsys, ["stirling2", "--nmax", str(nmax)] + options)
         assert code == 3
         assert out == ""
         assert len(err.splitlines()) == 1
         assert err.startswith("polycauchy2: internal error: ")
+        assert helper_pids.pids == []
 
     @pytest.mark.parametrize("fmt", ["csv", "tsv", "json"])
     @pytest.mark.parametrize("signed", [False, True])
@@ -268,15 +279,23 @@ class TestStirling2Command:
         assert code == 0
         assert helper_pids.pids == []
 
-    def test_an_altered_helper_row_changes_the_digest(self, capsys, monkeypatch, helper_pids):
-        # Negative control: the helper renders one entry of one of its rows
-        # off by one, and the split call no longer matches one process.
-        def in_helper():
-            calls = itertools.count()
-            cli.str = lambda value: str(int(value) + 1) if next(calls) == 1000 else str(value)
+    @staticmethod
+    def one_entry_off_by_one():
+        calls = itertools.count()
+        cli.str = lambda value: str(int(value) + 1) if next(calls) == 1000 else str(value)
 
+    @staticmethod
+    def from_the_next_column():
+        run_helper = cli._run_helper
+        cli._run_helper = lambda fd, rows, rest, cut: run_helper(fd, rows, lambda part: rest(part[1:]), cut)
+
+    @pytest.mark.parametrize("in_helper", ["one_entry_off_by_one", "from_the_next_column"])
+    def test_an_altered_helper_row_changes_the_digest(self, capsys, monkeypatch, helper_pids, in_helper):
+        # Negative controls: the helper renders one entry of one of its rows
+        # off by one, or starts each of its parts one column late, and the
+        # split call no longer matches one process.
         argv = ["stirling2", "--nmax", "300"]
-        helper_pids.in_helper = in_helper
+        helper_pids.in_helper = getattr(self, in_helper)
         altered = stirling2_digest(capsys, argv)
         assert len(helper_pids.pids) == 1
         assert_reaped(helper_pids.pids)
@@ -299,7 +318,38 @@ class TestStirling2Command:
         assert_reaped(helper_pids.pids)
         assert code == 3
         assert err == "polycauchy2: internal error: MemoryError\n"
+        # The helper fails on its first part; the parent has written only
+        # whole rows, each the one-process line.
         assert out.startswith("n:values\n0:1\n")
+        assert_whole_reference_rows(out, 300, "tsv")
+
+    @pytest.mark.parametrize("kept", [lambda size: 5, lambda size: size // 2], ids=["in-header", "half"])
+    def test_a_short_frame_is_an_internal_error(self, capsys, helper_pids, kept):
+        # The helper writes part of its 50th frame and exits. The parent
+        # reads the short frame as the helper's early end, and every line
+        # it wrote is a whole row of the one-process table.
+        def in_helper():
+            write_frame, frames_written = cli._write_frame, itertools.count()
+
+            def short_frame(frames, kind, text):
+                if next(frames_written) < 49:
+                    return write_frame(frames, kind, text)
+                whole = io.BytesIO()
+                write_frame(whole, kind, text)
+                frames.write(whole.getvalue()[: kept(len(whole.getvalue()))])
+                frames.flush()
+                os._exit(0)
+
+            cli._write_frame = short_frame
+
+        helper_pids.in_helper = in_helper
+        code, out, err = run(capsys, ["stirling2", "--nmax", "300"])
+        assert len(helper_pids.pids) == 1
+        assert_reaped(helper_pids.pids)
+        assert code == 3
+        assert err == "polycauchy2: internal error: stirling2 rendering helper ended early\n"
+        assert_whole_reference_rows(out, 300, "csv")
+        assert out.count("\n") > 50
 
     def test_a_stalled_helper_is_killed(self, monkeypatch, helper_pids):
         # The parent fails before it reads a frame; the helper, which would

@@ -209,6 +209,15 @@ class TestLevel2TextRows:
                 assert "E" not in text and "." not in text and "-0" not in text, text
 
     @pytest.mark.parametrize("signed", [False, True])
+    @pytest.mark.parametrize("cut", [1, 61, 150, 300, 301, 302])
+    def test_cut_rows_are_the_whole_rows_cut(self, signed, cut):
+        # Columns m < cut of a row read only columns < cut of the row before,
+        # so the rows cut to any width, from one column to past the last
+        # row, are the whole rows cut.
+        whole = stirling_module._decimal_rows(300, signed)
+        assert list(stirling_module._decimal_rows(300, signed, cut)) == [row[:cut] for row in whole]
+
+    @pytest.mark.parametrize("signed", [False, True])
     def test_rounding_raises(self, monkeypatch, signed):
         # Negative control at 50 digits. Rows 0..25 fit. Row 26 is the first
         # past 50 digits, and its entries end in zeros, so they round exactly
@@ -252,6 +261,15 @@ class TestLevel2TextRows:
                 rows.append(row)
         assert rows == _int_text_rows(25, signed)
         assert not any("E" in text or "." in text for row in rows for text in row)
+
+    def test_cut_rows_stay_trapped_past_the_bound(self, monkeypatch):
+        # As above, on rows cut to 10 columns: row 26 holds 25!^2, 51 digits, in column 1.
+        monkeypatch.setattr(stirling_module, "_row_sum", lambda n: decimal.Decimal(1))
+        monkeypatch.setattr(decimal, "MAX_PREC", 50)
+        rows = stirling_module._decimal_rows(60, False, 10)
+        assert [list(map(str, next(rows))) for _ in range(26)] == [row[:10] for row in _int_text_rows(25, False)]
+        with pytest.raises(ArithmeticError):
+            next(rows)
 
     def test_caller_context_is_untouched(self):
         context = decimal.getcontext()
