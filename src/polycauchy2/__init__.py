@@ -37,7 +37,6 @@ from .stirling import (
     level2_by_classical_combination,
     level2_by_recurrence,
     level2_by_symmetric_sum,
-    level2_text_rows,
     stirling1,
 )
 
@@ -54,7 +53,6 @@ __all__ = [
     "CentralFactorialTriangle",
     "stirling1",
     "level2_by_recurrence",
-    "level2_text_rows",
     "level2_by_symmetric_sum",
     "level2_by_classical_combination",
     "central_factorial_triangle",

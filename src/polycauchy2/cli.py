@@ -11,9 +11,10 @@ directly. For nmax >= ``_SPLIT_NMAX`` it splits each row by columns: the
 parent runs the recurrence on the first nmax // 5 + 1 columns and renders
 them, a forked helper renders the rest, and a row is written once both parts
 are held, so stdout is the same bytes as from one process. Without ``os.fork``,
-when the fork fails or while other threads run, one process renders every row.
-No helper outlives the call. The other commands import ``json`` only when
-they print JSON.
+while other threads run, or when the pipe or the fork fails, one process
+renders every row. A helper's error reaches stderr as the line it would print.
+No helper outlives the call, and one the kernel has already reaped is left
+alone. The other commands import ``json`` only when they print JSON.
 
 One table, ``_COMMANDS``, states the grammar. Plain calls are parsed straight
 from it: ``--opt value``, flags, one positional from its choices, and ints
@@ -71,49 +72,45 @@ def _rendering_helper(nmax: int, rows, rest):
     """Yield the first column a forked helper renders, and a read of its part of the next row.
 
     The column is nmax + 1, past every row, and the read None below the
-    gate, without ``os.fork``, when the fork fails and when other threads
-    run. On every exit the parent closes its read end, then kills and reaps
-    the helper, so it never waits on a helper blocked writing to it.
+    gate, without ``os.fork``, while other threads run, and when the pipe or
+    the fork fails. On every exit the parent closes its read end, so it
+    never waits on a helper blocked writing to it, then kills the helper if
+    it still runs and reaps it. One the kernel has reaped already (SIGCHLD
+    ignored) is left alone, so cleanup never raises.
     """
-    cut = nmax // 5 + 1
-    helper = _fork_helper(rows, rest, cut) if nmax >= _SPLIT_NMAX else None
-    if helper is None:
-        yield nmax + 1, None
-        return
-    pid, frames = helper
-    try:
-        yield cut, lambda: _read_frame(frames)
-    finally:
-        frames.close()
-        os.kill(pid, _SIGKILL)
-        os.waitpid(pid, 0)
-
-
-def _fork_helper(rows, rest, cut: int):
-    """Fork the helper; return its pid and the read end of its pipe, or None if it cannot run."""
     import threading
 
-    fork = getattr(os, "fork", None)
-    if fork is None or threading.active_count() > 1:
-        return None
-    import fcntl
+    cut, fork, pid = nmax // 5 + 1, getattr(os, "fork", None), None
+    if nmax >= _SPLIT_NMAX and fork is not None and threading.active_count() == 1:
+        import fcntl
 
-    read_end, write_end = os.pipe()
-    try:  # Linux only, and refused past the user's quota of pipe memory
-        fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, _PIPE_SIZE)
-    except (AttributeError, OSError):
-        pass
-    try:
-        pid = fork()
-    except OSError:
-        os.close(read_end)
-        os.close(write_end)
-        return None
+        ends = ()
+        try:
+            read_end, write_end = ends = os.pipe()
+            try:  # Linux only, and refused past the user's quota of pipe memory
+                fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, _PIPE_SIZE)
+            except (AttributeError, OSError):
+                pass
+            pid = fork()
+        except OSError:  # no file descriptor or process to spare
+            for fd in ends:
+                os.close(fd)
+    if pid is None:
+        yield nmax + 1, None
+        return
     if pid == 0:
         os.close(read_end)
         _run_helper(write_end, rows, rest, cut)
     os.close(write_end)
-    return pid, os.fdopen(read_end, "rb")
+    frames = os.fdopen(read_end, "rb")
+    try:
+        yield cut, lambda: _read_frame(frames)
+    finally:
+        frames.close()
+        with contextlib.suppress(ChildProcessError, ProcessLookupError):
+            if os.waitpid(pid, os.WNOHANG) == (0, 0):
+                os.kill(pid, _SIGKILL)
+                os.waitpid(pid, 0)
 
 
 def _run_helper(fd: int, rows, rest, cut: int) -> None:
@@ -128,26 +125,26 @@ def _run_helper(fd: int, rows, rest, cut: int) -> None:
                     if n >= cut:
                         _write_frame(frames, b"R", rest(row[cut:]))
             except BaseException as exc:
-                _write_frame(frames, b"M" if isinstance(exc, MemoryError) else b"A", str(exc) or type(exc).__name__)
+                _write_frame(frames, b"E", str(exc) or type(exc).__name__)
     finally:
         os._exit(0)
 
 
 def _write_frame(frames, kind: bytes, text: str) -> None:
-    """One frame: a kind byte (R the rest of a row, M a MemoryError, A any other error), an 8-byte length and the text."""
+    """One frame: a kind byte (R the rest of a row, E the line an error prints), an 8-byte length and the text."""
     data = text.encode()
     frames.write(kind + len(data).to_bytes(8, "little") + data)
 
 
 def _read_frame(frames) -> str:
-    """The text of the helper's next frame; its error, or an early end, raised as an internal error."""
+    """The text of the helper's next frame; its error line, or an early end, raised as an internal error."""
     header = frames.read(9)
     data = frames.read(length := int.from_bytes(header[1:], "little"))
     if len(header) < 9 or len(data) < length:
         raise ArithmeticError("stirling2 rendering helper ended early")
     if header[:1] == b"R":
         return data.decode()
-    raise (MemoryError if header[:1] == b"M" else ArithmeticError)(data.decode())
+    raise ArithmeticError(data.decode())
 
 
 def cmd_stirling2(args) -> int:

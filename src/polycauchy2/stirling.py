@@ -21,9 +21,10 @@ each call, and nothing is kept between calls. ``stirling2`` runs the
 recurrence over trapped ``decimal.Decimal``, whose base-10^19 digits print in
 linear time (``str`` of a binary int is quadratic; Knuth, TAOCP Vol. 2, 4.4).
 It first checks that the sum of the last row fits the precision, which bounds
-every entry, then computes and renders one row at a time. ``_decimal_rows``
-yields those rows as ``Decimal`` before rendering, whole or cut to columns
-m < W, a recurrence of its own, so that ``stirling2`` can split them by columns.
+every entry, then computes one row at a time. ``_decimal_rows`` is the one
+text route: it yields the rows as ``Decimal``, whole or cut to columns m < W
+(a recurrence of its own), and ``stirling2`` renders them with ``str``,
+split by columns for large tables.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ __all__ = [
     "CentralFactorialTriangle",
     "stirling1",
     "level2_by_recurrence",
-    "level2_text_rows",
     "level2_by_symmetric_sum",
     "level2_by_classical_combination",
     "central_factorial_triangle",
@@ -130,8 +130,12 @@ def _exactly(context: decimal.Context, step: Callable, *args):
 def _decimal_rows(nmax: int, signed: bool, cut: int | None = None) -> Iterator[list[decimal.Decimal]]:
     """Rows 0..nmax of [[n, m]], or of (-1)^(n-m) [[n, m]] if signed, as exact ``decimal.Decimal``.
 
-    The bound check runs on this call; the iterator returned holds one row,
-    cut to columns m < cut if given, computed from the one before, traps on.
+    The arithmetic runs at precision ``decimal.MAX_PREC`` with Inexact and
+    Rounded trapped. No entry of rows 0..nmax, nor either term of the
+    recurrence (the two have one sign), exceeds the sum of row nmax, so this
+    call raises ``ArithmeticError`` if that sum rounds, even when every entry
+    would fit. The iterator returned then computes each row, cut to columns
+    m < cut if given, from the one before, traps still on, and holds one row.
     """
     if nmax < 0:
         raise ValueError(f"nmax must be >= 0, got {nmax}")
@@ -144,19 +148,6 @@ def _decimal_rows(nmax: int, signed: bool, cut: int | None = None) -> Iterator[l
         lambda row, n: _exactly(context, _level2_row, row, decimal.Decimal(sign * (n - 1) ** 2))[:cut],
         initial=[decimal.Decimal(1)],
     )
-
-
-def level2_text_rows(nmax: int, signed: bool = False) -> Iterator[list[str]]:
-    """Rows 0..nmax of [[n, m]], or of (-1)^(n-m) [[n, m]] if signed, as decimal text.
-
-    The arithmetic is ``decimal.Decimal`` at precision ``decimal.MAX_PREC``
-    with Inexact and Rounded trapped. No entry of rows 0..nmax, nor either
-    term of the recurrence (the two have one sign), exceeds the sum of row
-    nmax, so this call raises ``ArithmeticError`` if that sum rounds, even
-    when every entry would fit. The iterator returned then computes each row
-    from the one before, traps still on, and holds one row and its text.
-    """
-    return (list(map(str, row)) for row in _decimal_rows(nmax, signed))
 
 
 def level2_by_symmetric_sum(n: int, m: int) -> int:

@@ -9,6 +9,7 @@ import inspect
 import itertools
 import json
 import os
+import signal
 import subprocess
 import sys
 import threading
@@ -252,18 +253,26 @@ class TestStirling2Command:
         assert split == stirling2_digest(capsys, argv)
         assert split[0] == 0
 
+    @pytest.mark.parametrize(
+        "failing, error",
+        [("fork", OSError("no more processes")), ("pipe", OSError(24, "Too many open files"))],
+        ids=["fork", "pipe"],
+    )
     @pytest.mark.parametrize("options", SIX_FORMATS)
-    def test_failed_fork_falls_back_to_the_same_bytes(self, capsys, monkeypatch, helper_pids, options):
+    def test_failed_fork_falls_back_to_the_same_bytes(self, capsys, monkeypatch, helper_pids, options, failing, error):
+        # A failing os.fork, or an os.pipe out of file descriptors before it,
+        # leaves one process to write the same bytes, and forks nothing.
         argv = ["stirling2", "--nmax", "300", *options]
         split = stirling2_digest(capsys, argv)
         assert len(helper_pids.pids) == 1
         assert_reaped(helper_pids.pids)
 
-        def fork():
-            raise OSError("no more processes")
+        def fail():
+            raise error
 
-        monkeypatch.setattr(os, "fork", fork)
+        monkeypatch.setattr(os, failing, fail)
         assert split == stirling2_digest(capsys, argv)
+        assert len(helper_pids.pids) == 1
         assert split[0] == 0
 
     def test_other_threads_keep_the_table_in_one_process(self, capsys, helper_pids):
@@ -322,6 +331,24 @@ class TestStirling2Command:
         # whole rows, each the one-process line.
         assert out.startswith("n:values\n0:1\n")
         assert_whole_reference_rows(out, 300, "tsv")
+
+    def test_a_helper_error_prints_its_own_line(self, capsys, helper_pids):
+        # The helper fails on its first part with an error of its own; the
+        # parent prints the line the helper would print, and only whole rows.
+        def in_helper():
+            def fail(part):
+                raise ArithmeticError("helper test")
+
+            run_helper = cli._run_helper
+            cli._run_helper = lambda fd, rows, rest, cut: run_helper(fd, rows, fail, cut)
+
+        helper_pids.in_helper = in_helper
+        code, out, err = run(capsys, ["stirling2", "--nmax", "300"])
+        assert len(helper_pids.pids) == 1
+        assert_reaped(helper_pids.pids)
+        assert code == 3
+        assert err == "polycauchy2: internal error: helper test\n"
+        assert_whole_reference_rows(out, 300, "csv")
 
     @pytest.mark.parametrize("kept", [lambda size: 5, lambda size: size // 2], ids=["in-header", "half"])
     def test_a_short_frame_is_an_internal_error(self, capsys, helper_pids, kept):
@@ -1192,6 +1219,23 @@ class TestEntryPoint:
         )
         assert result.returncode == 0
         assert result.stdout.splitlines() == ["n,value", "0,1", "1,1/3"]
+
+    @pytest.mark.parametrize("sigchld", [signal.SIG_DFL, signal.SIG_IGN], ids=["sigchld-default", "sigchld-ignored"])
+    @pytest.mark.parametrize("invocation", [call for call in _bench_literal("TABLES") if call.startswith("stirling2")])
+    def test_split_tables_match_the_references(self, invocation, sigchld):
+        # The benchmark's split calls through the entry point, in a process of
+        # their own. With SIGCHLD ignored the child inherits it, the kernel
+        # reaps the helper itself, and the cleanup must leave that pid alone.
+        result = subprocess.run(
+            [sys.executable, "-m", "polycauchy2.cli", *invocation.split()],
+            capture_output=True,
+            env=self.child_env(),
+            preexec_fn=lambda: signal.signal(signal.SIGCHLD, sigchld),
+        )
+        reference = json.loads((BENCH / "references.json").read_text())[invocation]
+        assert (result.returncode, result.stderr) == (0, b"")
+        assert len(result.stdout) == reference["bytes"]
+        assert hashlib.sha256(result.stdout).hexdigest() == reference["sha256"]
 
     def test_closed_stdout_exits_141_without_traceback(self):
         # A reader that leaves early, as `| head -1` does: exit 128 + SIGPIPE,

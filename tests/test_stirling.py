@@ -20,7 +20,6 @@ from polycauchy2 import (
     level2_by_classical_combination,
     level2_by_recurrence,
     level2_by_symmetric_sum,
-    level2_text_rows,
     stirling1,
 )
 from polycauchy2 import stirling as stirling_module
@@ -187,6 +186,11 @@ class TestClosedForms:
         assert len(checks) == 18
 
 
+def text_rows(rows):
+    """The rows of ``_decimal_rows`` rendered with ``str``, as ``stirling2`` renders them."""
+    return [list(map(str, row)) for row in rows]
+
+
 def _int_text_rows(nmax, signed):
     triangle = level2_by_recurrence(nmax)
     return [
@@ -196,13 +200,13 @@ def _int_text_rows(nmax, signed):
 
 
 class TestLevel2TextRows:
-    """The decimal route that stirling2 prints is the int triangle, digit for digit."""
+    """``_decimal_rows``, the one route that stirling2 renders with ``str``, is the int triangle, digit for digit."""
 
     @pytest.mark.parametrize("signed", [False, True])
     def test_matches_int_triangle(self, signed):
         for nmax in range(61):
-            assert list(level2_text_rows(nmax, signed)) == _int_text_rows(nmax, signed), nmax
-        rows = list(level2_text_rows(300, signed))
+            assert text_rows(stirling_module._decimal_rows(nmax, signed)) == _int_text_rows(nmax, signed), nmax
+        rows = text_rows(stirling_module._decimal_rows(300, signed))
         assert rows == _int_text_rows(300, signed)
         for row in rows:
             for text in row:
@@ -223,13 +227,13 @@ class TestLevel2TextRows:
         # past 50 digits, and its entries end in zeros, so they round exactly
         # and only the Rounded trap stops them printing with an exponent.
         monkeypatch.setattr(decimal, "MAX_PREC", 50)
-        assert list(level2_text_rows(25, signed)) == _int_text_rows(25, signed)
+        assert text_rows(stirling_module._decimal_rows(25, signed)) == _int_text_rows(25, signed)
         for nmax in (26, 60):
             with pytest.raises(ArithmeticError):
-                list(level2_text_rows(nmax, signed))
+                list(stirling_module._decimal_rows(nmax, signed))
             # The call itself raises, before any row is taken.
             with pytest.raises(ArithmeticError):
-                level2_text_rows(nmax, signed)
+                stirling_module._decimal_rows(nmax, signed)
 
     @pytest.mark.parametrize("signed", [False, True])
     def test_bound_fits_exactly_at_its_own_digits(self, monkeypatch, signed):
@@ -237,9 +241,9 @@ class TestLevel2TextRows:
         # that precision rows 0..25 print, and the call for 26 refuses.
         assert len(str(math.prod(1 + i * i for i in range(1, 25)))) == 49
         monkeypatch.setattr(decimal, "MAX_PREC", 49)
-        assert list(level2_text_rows(25, signed)) == _int_text_rows(25, signed)
+        assert text_rows(stirling_module._decimal_rows(25, signed)) == _int_text_rows(25, signed)
         with pytest.raises(ArithmeticError):
-            level2_text_rows(26, signed)
+            stirling_module._decimal_rows(26, signed)
 
     def test_bound_refuses_a_triangle_whose_entries_fit(self, monkeypatch):
         # The price of checking the bound alone: at 48 digits every entry of
@@ -247,7 +251,7 @@ class TestLevel2TextRows:
         assert max(len(text) for row in _int_text_rows(25, False) for text in row) == 48
         monkeypatch.setattr(decimal, "MAX_PREC", 48)
         with pytest.raises(ArithmeticError):
-            level2_text_rows(25)
+            stirling_module._decimal_rows(25, False)
 
     @pytest.mark.parametrize("signed", [False, True])
     def test_rows_stay_trapped_past_the_bound(self, monkeypatch, signed):
@@ -257,8 +261,8 @@ class TestLevel2TextRows:
         monkeypatch.setattr(decimal, "MAX_PREC", 50)
         rows = []
         with pytest.raises(ArithmeticError):
-            for row in level2_text_rows(60, signed):
-                rows.append(row)
+            for row in stirling_module._decimal_rows(60, signed):
+                rows.append(list(map(str, row)))
         assert rows == _int_text_rows(25, signed)
         assert not any("E" in text or "." in text for row in rows for text in row)
 
@@ -274,7 +278,7 @@ class TestLevel2TextRows:
     def test_caller_context_is_untouched(self):
         context = decimal.getcontext()
         prec, traps = context.prec, dict(context.traps)
-        rows = level2_text_rows(5)
+        rows = stirling_module._decimal_rows(5, False)
         for _ in range(3):
             next(rows)
             assert decimal.getcontext() is context
@@ -283,8 +287,8 @@ class TestLevel2TextRows:
     def test_first_rows_hold_no_triangle(self):
         tracemalloc.start()
         try:
-            rows = level2_text_rows(300)
-            assert [next(rows), next(rows)] == [["1"], ["0", "1"]]
+            rows = stirling_module._decimal_rows(300, False)
+            assert [list(map(str, next(rows))), list(map(str, next(rows)))] == [["1"], ["0", "1"]]
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
